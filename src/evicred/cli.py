@@ -448,8 +448,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    worst = training_mod.gradient_check(probes_per_group=args.probes,
-                                        seed=args.seed)
+    worst = training_mod.gradient_check(seed=args.seed)
     print(f"max relative gradient error: {worst:.3e}")
     if worst >= 1e-4:
         print("gradient check FAILED (threshold 1e-4)", file=sys.stderr)
@@ -539,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gradcheck = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     gradcheck.add_argument("--seed", type=int, default=0)
-    gradcheck.add_argument("--probes", type=int, default=8,
-                           help="entries sampled per parameter group")
     gradcheck.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -54,8 +54,6 @@ class AttentionAnnotation:
 def annotate(trace: ForwardTrace, verdict: str, claim: str,
              source: str) -> AttentionAnnotation:
     """Turn a forward trace into an annotation over its own snippet."""
-    if not bool(trace.mask.all()):
-        raise ContractError("trace has masked positions; annotate whole snippets")
     if len(trace.tokens) != len(trace.attention_weights):
         raise ContractError(
             f"trace holds {len(trace.tokens)} tokens but "

@@ -1,6 +1,10 @@
 """Evidence-aware credibility model.
 
-An article is read by a bidirectional LSTM over frozen word vectors.  An
+An article is read by a bidirectional LSTM over frozen word vectors.
+Each direction holds one fused (4H, d+H) gate matrix and one (4H, 1)
+bias whose row blocks run in ``GATES`` order (input, forget, output,
+cell), so a step is one matmul and add on [x; h] plus row slices.  The
+encoder returns the article's hidden states as one (2H, k) matrix.  An
 attention head conditioned on the mean claim vector weighs each article
 token, the weighted hidden states are averaged into an article vector,
 and two relu layers fuse that vector with trainable embeddings of the
@@ -31,9 +35,8 @@ from .numeric import (
     mul,
     mul_const,
     relu,
-    row,
-    scale,
     sigmoid,
+    slice_rows,
     softmax,
     tanh,
     transpose,
@@ -41,8 +44,8 @@ from .numeric import (
 )
 
 __all__ = [
+    "GATES",
     "Hyperparams",
-    "GateParams",
     "ModelParams",
     "ForwardTrace",
     "bilstm_encode",
@@ -58,6 +61,8 @@ __all__ = [
 ]
 
 MODES = ("classify", "regress")
+# Row-block order of each fused LSTM gate matrix and bias.
+GATES = ("input", "forget", "output", "cell")
 
 
 @dataclass(frozen=True)
@@ -103,29 +108,20 @@ class Hyperparams:
         return 1
 
 
-class GateParams:
-    """Weights of one LSTM direction: four gates, each W (H x (d+H)) and b (H)."""
+def _lstm_direction(hyper: Hyperparams, rng: np.random.Generator, prefix: str,
+                    dtype) -> tuple[Tensor, Tensor]:
+    """Fused gate weights (4H, d+H) and bias (4H, 1) of one LSTM direction.
 
-    FIELDS = ("input", "forget", "output", "cell")
-
-    def __init__(self, word_dim: int, hidden: int, rng: np.random.Generator,
-                 prefix: str, dtype=np.float64):
-        in_cols = word_dim + hidden
-        for gate in self.FIELDS:
-            w = Tensor(glorot_uniform(hidden, in_cols, rng, dtype),
-                       requires_grad=True, name=f"{prefix}_{gate}_w")
-            # Forget bias starts at one so early training keeps cell state.
-            bias = np.ones((hidden, 1), dtype=dtype) if gate == "forget" \
-                else np.zeros((hidden, 1), dtype=dtype)
-            b = Tensor(bias, requires_grad=True, name=f"{prefix}_{gate}_b")
-            setattr(self, f"{gate}_w", w)
-            setattr(self, f"{gate}_b", b)
-
-    def named(self):
-        for gate in self.FIELDS:
-            for kind in ("w", "b"):
-                t = getattr(self, f"{gate}_{kind}")
-                yield t.name, t
+    Each gate block is its own Glorot draw of an H x (d+H) matrix, so the
+    fan, and the draws themselves, match four separate gate matrices.
+    """
+    h, cols = hyper.hidden_size, hyper.word_dim + hyper.hidden_size
+    w = np.vstack([glorot_uniform(h, cols, rng, dtype) for _ in GATES])
+    b = np.zeros((len(GATES) * h, 1), dtype=dtype)
+    # Forget bias starts at one so early training keeps cell state.
+    b[h:2 * h] = 1.0
+    return (Tensor(w, requires_grad=True, name=f"{prefix}_w"),
+            Tensor(b, requires_grad=True, name=f"{prefix}_b"))
 
 
 class ModelParams:
@@ -146,10 +142,8 @@ class ModelParams:
                 f"article source table dim {article_sources.dim} != "
                 f"{hyper.article_source_dim}")
         self.hyper = hyper
-        self.forward_gates = GateParams(hyper.word_dim, hyper.hidden_size, rng,
-                                        "lstm_fw", dtype)
-        self.backward_gates = GateParams(hyper.word_dim, hyper.hidden_size, rng,
-                                         "lstm_bw", dtype)
+        self.lstm_fw_w, self.lstm_fw_b = _lstm_direction(hyper, rng, "lstm_fw", dtype)
+        self.lstm_bw_w, self.lstm_bw_b = _lstm_direction(hyper, rng, "lstm_bw", dtype)
         self.attention_w = Tensor(glorot_uniform(1, 2 * hyper.word_dim, rng, dtype),
                                   requires_grad=True, name="attention_w")
         self.attention_b = Tensor(np.zeros((1, 1), dtype=dtype),
@@ -172,10 +166,8 @@ class ModelParams:
 
     def named(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for gates in (self.forward_gates, self.backward_gates):
-            for name, t in gates.named():
-                out[name] = t
-        for t in (self.attention_w, self.attention_b, self.fuse1_w, self.fuse1_b,
+        for t in (self.lstm_fw_w, self.lstm_fw_b, self.lstm_bw_w, self.lstm_bw_b,
+                  self.attention_w, self.attention_b, self.fuse1_w, self.fuse1_b,
                   self.fuse2_w, self.fuse2_b, self.head_w, self.head_b):
             out[t.name] = t
         if self.claim_sources is not None:
@@ -200,7 +192,6 @@ class ForwardTrace:
     """Detached values of one article pass, kept for explanations."""
 
     tokens: list[str]
-    mask: np.ndarray
     hidden: np.ndarray          # (k, 2H)
     attention_scores: np.ndarray  # (k,)
     attention_weights: np.ndarray  # (k,)
@@ -210,31 +201,30 @@ class ForwardTrace:
     score: float | np.ndarray
 
 
-def _lstm_pass(embeds: np.ndarray, gates: GateParams) -> list[Tensor]:
-    steps = embeds.shape[0]
-    size = gates.input_w.rows
-    dtype = gates.input_w.data.dtype
+def _lstm_pass(embeds: np.ndarray, w: Tensor, b: Tensor) -> list[Tensor]:
+    """One direction over the rows of ``embeds``; one (H, 1) state per row."""
+    size = w.rows // len(GATES)
+    dtype = w.data.dtype
     h = Tensor(np.zeros((size, 1), dtype=dtype))
     c = Tensor(np.zeros((size, 1), dtype=dtype))
     states: list[Tensor] = []
-    for t in range(steps):
-        x = Tensor(embeds[t].reshape(-1, 1).astype(dtype, copy=False))
-        z = vstack([x, h])
-        i = sigmoid(add(matmul(gates.input_w, z), gates.input_b))
-        f = sigmoid(add(matmul(gates.forget_w, z), gates.forget_b))
-        o = sigmoid(add(matmul(gates.output_w, z), gates.output_b))
-        candidate = tanh(add(matmul(gates.cell_w, z), gates.cell_b))
+    for x_t in embeds:
+        x = Tensor(x_t.reshape(-1, 1).astype(dtype, copy=False))
+        gates = add(matmul(w, vstack([x, h])), b)
+        i, f, o = (sigmoid(slice_rows(gates, n * size, (n + 1) * size))
+                   for n in range(3))
+        candidate = tanh(slice_rows(gates, 3 * size, 4 * size))
         c = add(mul(f, c), mul(i, candidate))
         h = mul(o, tanh(c))
         states.append(h)
     return states
 
 
-def bilstm_encode(embeds: np.ndarray, params: ModelParams) -> list[Tensor]:
-    """Hidden state per token: forward over the backward pass, stacked to 2H.
+def bilstm_encode(embeds: np.ndarray, params: ModelParams) -> Tensor:
+    """Hidden states as one (2H, k) tensor: forward half over backward half.
 
-    The state at position t sees tokens 1..t through the forward half and
-    tokens t..k through the backward half; both start from zero states.
+    Column t sees tokens 1..t through the forward half and tokens t..k
+    through the backward half; both directions start from zero states.
     """
     if embeds.ndim != 2 or embeds.shape[0] == 0:
         raise DegenerateInputError("cannot encode an empty article")
@@ -242,10 +232,10 @@ def bilstm_encode(embeds: np.ndarray, params: ModelParams) -> list[Tensor]:
         raise ShapeError(
             f"embeddings are {embeds.shape[1]}-dimensional, model expects "
             f"{params.hyper.word_dim}")
-    forward = _lstm_pass(embeds, params.forward_gates)
-    backward = _lstm_pass(embeds[::-1], params.backward_gates)
+    forward = _lstm_pass(embeds, params.lstm_fw_w, params.lstm_fw_b)
+    backward = _lstm_pass(embeds[::-1], params.lstm_bw_w, params.lstm_bw_b)
     backward.reverse()
-    return [vstack([f, b]) for f, b in zip(forward, backward)]
+    return vstack([hstack(forward), hstack(backward)])
 
 
 def attend(embeds: np.ndarray, claim_vec: np.ndarray, params: ModelParams,
@@ -266,20 +256,11 @@ def attend(embeds: np.ndarray, claim_vec: np.ndarray, params: ModelParams,
     return weights, scores
 
 
-def article_vector(hidden_states: Sequence[Tensor], weights: Tensor,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """Average of attention-weighted hidden states over the live positions."""
-    if len(hidden_states) != weights.rows:
-        raise ShapeError(
-            f"{len(hidden_states)} hidden states but {weights.rows} weights")
-    if mask is None:
-        live = len(hidden_states)
-    else:
-        live = int(np.asarray(mask, dtype=bool).sum())
-        if live == 0:
-            raise DegenerateInputError("every position is masked")
-    stacked = hstack(list(hidden_states))
-    return scale(matmul(stacked, weights), 1.0 / live)
+def article_vector(hidden: Tensor, weights: Tensor) -> Tensor:
+    """Average of attention-weighted hidden states: (2H, k) @ (k, 1) / k."""
+    if hidden.cols != weights.rows:
+        raise ShapeError(f"{hidden.cols} hidden states but {weights.rows} weights")
+    return affine(matmul(hidden, weights), 1.0 / hidden.cols)
 
 
 def _dropout(t: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -347,17 +328,15 @@ class CredibilityModel:
         g = article_vector(hidden, weights)
         claim_vec_t = None
         if params.claim_sources is not None:
-            claim_vec_t = transpose(row(params.claim_sources.tensor,
-                                        params.claim_sources.index(claim_source)))
-        source_vec_t = transpose(row(params.article_sources.tensor,
-                                     params.article_sources.index(article_source)))
+            i = params.claim_sources.index(claim_source)
+            claim_vec_t = transpose(slice_rows(params.claim_sources.tensor, i, i + 1))
+        j = params.article_sources.index(article_source)
+        source_vec_t = transpose(slice_rows(params.article_sources.tensor, j, j + 1))
         out, fc1, fc2 = score_article(g, claim_vec_t, source_vec_t, params,
                                       dropout_rng=dropout_rng)
-        k = embeds.shape[0]
         trace = ForwardTrace(
             tokens=list(article_tokens),
-            mask=np.ones(k, dtype=bool),
-            hidden=np.hstack([h.data for h in hidden]).T.copy(),
+            hidden=hidden.data.T.copy(),
             attention_scores=scores.data[:, 0].copy(),
             attention_weights=weights.data[:, 0].copy(),
             article_vec=g.data[:, 0].copy(),
@@ -407,7 +386,9 @@ def verdict(credibility: float) -> int:
 # --- checkpoints ------------------------------------------------------------
 
 _MAGIC = b"EVCR"
-_VERSION = 1
+_VERSION = 2
+_HEADER_KEYS = ("hyper", "vocab_hash", "arrays", "article_sources", "claim_sources")
+_ARRAY_KEYS = ("name", "shape", "dtype")
 _DTYPE_CODES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -415,8 +396,9 @@ def save_checkpoint(path: str, params: ModelParams, vocab_hash: str) -> None:
     """Write a self-describing binary checkpoint.
 
     Layout: magic, version, header length, JSON header, then every array
-    raw in row-major order.  The writer emits no timestamps, so equal
-    models produce byte-identical files.
+    raw in row-major order, each LSTM direction as its fused gate matrix
+    and bias.  The writer emits no timestamps, so equal models produce
+    byte-identical files.
     """
     named = params.named()
     header = {
@@ -440,16 +422,42 @@ def save_checkpoint(path: str, params: ModelParams, vocab_hash: str) -> None:
             fh.write(np.ascontiguousarray(t.data).tobytes())
 
 
+def _read_header(fh, path: str) -> dict:
+    if fh.read(4) != _MAGIC:
+        raise ParseError(f"{path}: not a checkpoint file")
+    preamble = fh.read(8)
+    if len(preamble) != 8:
+        raise ParseError(f"{path}: truncated checkpoint preamble")
+    version, header_len = struct.unpack("<II", preamble)
+    if version != _VERSION:
+        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+    blob = fh.read(header_len)
+    if len(blob) != header_len:
+        raise ParseError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # covers both bad UTF-8 and bad JSON
+        raise ParseError(f"{path}: checkpoint header is not UTF-8 JSON") from e
+    _require_keys(header, _HEADER_KEYS, path)
+    if not isinstance(header["arrays"], list):
+        raise ParseError(f"{path}: checkpoint header 'arrays' is not a list")
+    for spec in header["arrays"]:
+        _require_keys(spec, _ARRAY_KEYS, path)
+    return header
+
+
+def _require_keys(entry, keys: tuple[str, ...], path: str) -> None:
+    if not isinstance(entry, dict):
+        raise ParseError(f"{path}: checkpoint header entry is not a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise ParseError(f"{path}: checkpoint header lacks {key!r}")
+
+
 def load_checkpoint(path: str) -> tuple[ModelParams, str]:
     """Rebuild model parameters from a checkpoint; bit-exact round trip."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParseError(f"{path}: not a checkpoint file")
-        version, header_len = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ParseError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = _read_header(fh, path)
         arrays: dict[str, np.ndarray] = {}
         for spec in header["arrays"]:
             dtype = _DTYPE_CODES.get(spec["dtype"])
@@ -461,6 +469,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
             if len(raw) != count * np.dtype(dtype).itemsize:
                 raise ParseError(f"{path}: truncated array {spec['name']!r}")
             arrays[spec["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise ParseError(f"{path}: unexpected bytes after the last array")
 
     hyper = Hyperparams(**header["hyper"])
     dtype = arrays["article_source_table"].dtype

@@ -27,7 +27,6 @@ __all__ = [
     "mul",
     "mul_const",
     "affine",
-    "scale",
     "tanh",
     "sigmoid",
     "relu",
@@ -39,7 +38,7 @@ __all__ = [
     "transpose",
     "vstack",
     "hstack",
-    "row",
+    "slice_rows",
     "zero_grads",
     "glorot_uniform",
 ]
@@ -199,7 +198,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            # Summing into the fresh product spares one weight-sized buffer per step.
+            ga = g @ b.data.T
+            a.grad = ga if a.grad is None else np.add(ga, a.grad, out=ga)
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 
@@ -270,10 +271,6 @@ def affine(a: Tensor, mul_by: float, add_to: float = 0.0) -> Tensor:
 
     _register(out, backward)
     return out
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    return affine(a, factor)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -449,15 +446,15 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def row(a: Tensor, index: int) -> Tensor:
-    """Select one row as a (1, cols) tensor; gradient lands in that row."""
-    if not 0 <= index < a.rows:
-        raise ShapeError(f"row {index} out of range for shape {a.shape}")
-    out = Tensor(a.data[index : index + 1, :].copy(), requires_grad=a.requires_grad)
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start`` .. ``stop - 1`` as a tensor; gradient lands in those rows."""
+    if not 0 <= start < stop <= a.rows:
+        raise ShapeError(f"rows {start}:{stop} out of range for shape {a.shape}")
+    out = Tensor(a.data[start:stop, :].copy(), requires_grad=a.requires_grad)
 
     def backward(g: np.ndarray) -> None:
         full = np.zeros_like(a.data)
-        full[index, :] = g[0, :]
+        full[start:stop, :] = g
         _accumulate(a, full)
 
     _register(out, backward)

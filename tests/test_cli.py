@@ -284,6 +284,20 @@ class TestPredictCommand:
         assert code == 1
         assert "vocabulary does not match" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_exits_one_with_one_line(self, cli_world,
+                                                          tmp_path, capsys):
+        whole = (cli_world["run"] / "fold_00.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for raw in (whole[:10], whole[:12] + b"\xff" + whole[13:], whole + b"junk"):
+            bad.write_bytes(raw)
+            code = main(["predict", "--checkpoint", str(bad),
+                         "--embeddings", str(cli_world["vectors"]),
+                         "--corpus", str(cli_world["corpus"]),
+                         "--out", str(tmp_path / "p.jsonl")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEvalCommand:
     @pytest.fixture()
@@ -380,7 +394,7 @@ class TestExplainCommand:
 
 
 def test_gradcheck_command(capsys):
-    assert main(["gradcheck", "--probes", "2", "--seed", "1"]) == 0
+    assert main(["gradcheck", "--seed", "1"]) == 0
     assert "max relative gradient error" in capsys.readouterr().out
 
 

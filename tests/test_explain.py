@@ -26,8 +26,8 @@ from tests.conftest import tiny_world
 def trace_of(tokens, weights):
     k = len(tokens)
     return ForwardTrace(
-        tokens=list(tokens), mask=np.ones(k, dtype=bool),
-        hidden=np.zeros((k, 6)), attention_scores=np.zeros(k),
+        tokens=list(tokens), hidden=np.zeros((k, 6)),
+        attention_scores=np.zeros(k),
         attention_weights=np.asarray(weights, dtype=np.float64),
         article_vec=np.zeros(6), fc1=np.zeros(3), fc2=np.zeros(3), score=0.5,
     )
@@ -43,12 +43,6 @@ class TestAnnotate:
         assert a.tokens == ["t1", "t2", "t3"]
         assert a.weights == [float(w) for w in trace.attention_weights]
         assert (a.claim, a.verdict, a.source) == ("t0", "credible", "siteA")
-
-    def test_masked_trace_is_rejected(self):
-        trace = trace_of(["a", "b"], [0.5, 0.5])
-        trace.mask[1] = False
-        with pytest.raises(ContractError, match="masked"):
-            annotate(trace, "credible", "c", "s")
 
     def test_token_weight_mismatch_is_rejected(self):
         trace = trace_of(["a", "b"], [0.5, 0.5])

@@ -1,11 +1,15 @@
 """Encoder, attention, fusion, aggregation, and checkpoint container.
 
-The fusion stack is checked against a straight numpy re-implementation;
-the recurrent encoder is checked through structural properties (tied
-weights turn reversal into a half swap, zeroed gates kill the state)
-rather than by retyping the recurrence.
+The fusion stack and the recurrent encoder are checked against straight
+numpy re-implementations.  The encoder reference reads each direction's
+fused (4H, d+H) gate matrix as four row blocks in the order input,
+forget, output, cell, which pins the layout checkpoints store; structural
+properties (tied weights turn reversal into a half swap, zeroed gates
+kill the state) are checked as well.
 """
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from evicred.errors import (
     ShapeError,
 )
 from evicred.model import (
+    GATES,
     CredibilityModel,
     Hyperparams,
     ModelParams,
@@ -32,7 +37,7 @@ from evicred.model import (
     score_article,
     verdict,
 )
-from evicred.numeric import Tensor
+from evicred.numeric import Tensor, glorot_uniform
 from tests.conftest import tiny_world
 
 
@@ -67,17 +72,33 @@ class TestHyperparams:
 
 class TestModelParams:
     def test_forget_bias_starts_at_one(self):
-        _, _, _, params = tiny_world()
-        for gates in (params.forward_gates, params.backward_gates):
-            assert np.all(gates.forget_b.data == 1.0)
-            assert np.all(gates.input_b.data == 0.0)
-            assert np.all(gates.output_b.data == 0.0)
-            assert np.all(gates.cell_b.data == 0.0)
+        hyper, _, _, params = tiny_world()
+        h = hyper.hidden_size
+        for b in (params.lstm_fw_b, params.lstm_bw_b):
+            assert b.shape == (4 * h, 1)
+            assert np.all(b.data[h:2 * h] == 1.0)  # forget block
+            assert np.all(b.data[:h] == 0.0)
+            assert np.all(b.data[2 * h:] == 0.0)
+
+    def test_gate_blocks_are_per_gate_glorot_draws(self):
+        # Each fused matrix stacks four H x (d+H) draws in GATES order,
+        # the same values four separate gate matrices would get.
+        hyper = Hyperparams(word_dim=5, hidden_size=3, fc_size=2,
+                            article_source_dim=2)
+        table = SourceEmbeddingTable(["s"], np.zeros((2, 2)), "article_source_table")
+        for dtype in (np.float64, np.float32):
+            params = ModelParams(hyper, np.random.default_rng(21),
+                                 article_sources=table, dtype=dtype)
+            rng = np.random.default_rng(21)
+            for w in (params.lstm_fw_w, params.lstm_bw_w):
+                expected = np.vstack([glorot_uniform(3, 8, rng, dtype) for _ in GATES])
+                assert w.data.dtype == dtype
+                assert np.array_equal(w.data, expected)
 
     def test_named_covers_every_tensor_once(self):
         _, _, _, params = tiny_world()
         named = params.named()
-        assert len(named) == 8 + 8 + 2 + 4 + 2 + 2
+        assert len(named) == 4 + 2 + 4 + 2 + 2
         assert "claim_source_table" in named
         assert "article_source_table" in named
         for name, t in named.items():
@@ -115,44 +136,76 @@ def random_embeds(k, dim, seed=0):
     return np.random.default_rng(seed).standard_normal((k, dim))
 
 
+def sigmoid_np(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_reference(embeds, w, b):
+    """Per-gate numpy recurrence over the four row blocks; states as (H, k)."""
+    size = w.shape[0] // 4
+    blocks = {gate: (w[n * size:(n + 1) * size], b[n * size:(n + 1) * size, 0])
+              for n, gate in enumerate(("input", "forget", "output", "cell"))}
+
+    def gate(name, z):
+        gw, gb = blocks[name]
+        return gw @ z + gb
+
+    h, c, states = np.zeros(size), np.zeros(size), []
+    for x in embeds:
+        z = np.concatenate([x, h])
+        c = (sigmoid_np(gate("forget", z)) * c
+             + sigmoid_np(gate("input", z)) * np.tanh(gate("cell", z)))
+        h = sigmoid_np(gate("output", z)) * np.tanh(c)
+        states.append(h)
+    return np.stack(states, axis=1)
+
+
 class TestBilstmEncode:
     def test_shapes(self):
         hyper, _, _, params = tiny_world()
         states = bilstm_encode(random_embeds(5, hyper.word_dim), params)
-        assert len(states) == 5
-        assert all(s.shape == (2 * hyper.hidden_size, 1) for s in states)
+        assert states.shape == (2 * hyper.hidden_size, 5)
+
+    def test_matches_per_gate_numpy_reference(self):
+        hyper, _, _, params = tiny_world(seed=22)
+        rng = np.random.default_rng(23)
+        for b in (params.lstm_fw_b, params.lstm_bw_b):
+            b.data = rng.standard_normal(b.shape)
+        embeds = random_embeds(7, hyper.word_dim, seed=24)
+        forward = lstm_reference(embeds, params.lstm_fw_w.data, params.lstm_fw_b.data)
+        backward = lstm_reference(embeds[::-1], params.lstm_bw_w.data,
+                                  params.lstm_bw_b.data)[:, ::-1]
+        got = bilstm_encode(embeds, params).data
+        assert np.max(np.abs(got - np.vstack([forward, backward]))) < 1e-12
 
     def test_zeroed_gates_produce_zero_states(self):
         hyper, _, _, params = tiny_world()
-        for gates in (params.forward_gates, params.backward_gates):
-            for _, t in gates.named():
-                t.data = np.zeros_like(t.data)
+        for t in (params.lstm_fw_w, params.lstm_fw_b, params.lstm_bw_w,
+                  params.lstm_bw_b):
+            t.data = np.zeros_like(t.data)
         states = bilstm_encode(random_embeds(4, hyper.word_dim), params)
-        for s in states:
-            assert np.all(s.data == 0.0)
+        assert np.all(states.data == 0.0)
 
     def test_tied_gates_make_reversal_a_half_swap(self):
         # With identical forward and backward weights, encoding the
         # reversed article must equal the original encoding read backwards
         # with the two halves of each state exchanged, bit for bit.
         hyper, _, _, params = tiny_world(seed=3)
-        for (_, src), (_, dst) in zip(params.forward_gates.named(),
-                                      params.backward_gates.named()):
-            dst.data = src.data.copy()
+        params.lstm_bw_w.data = params.lstm_fw_w.data.copy()
+        params.lstm_bw_b.data = params.lstm_fw_b.data.copy()
         embeds = random_embeds(6, hyper.word_dim, seed=4)
-        fwd = [s.data.copy() for s in bilstm_encode(embeds, params)]
-        rev = [s.data.copy() for s in bilstm_encode(embeds[::-1], params)]
+        fwd = bilstm_encode(embeds, params).data
+        rev = bilstm_encode(embeds[::-1], params).data
         h = hyper.hidden_size
-        for t in range(6):
-            assert np.array_equal(rev[t][:h], fwd[5 - t][h:])
-            assert np.array_equal(rev[t][h:], fwd[5 - t][:h])
+        assert np.array_equal(rev[:h], fwd[h:, ::-1])
+        assert np.array_equal(rev[h:], fwd[:h, ::-1])
 
     def test_states_depend_on_position(self):
         hyper, _, _, params = tiny_world(seed=5)
         embeds = random_embeds(4, hyper.word_dim, seed=6)
         base = bilstm_encode(embeds, params)
         swapped = bilstm_encode(embeds[[1, 0, 2, 3]], params)
-        assert not np.allclose(base[2].data, swapped[2].data)
+        assert not np.allclose(base.data[:, 2], swapped.data[:, 2])
 
     def test_empty_article_raises(self):
         hyper, _, _, params = tiny_world()
@@ -213,31 +266,14 @@ class TestArticleVector:
         states = bilstm_encode(random_embeds(4, hyper.word_dim, seed=8), params)
         w = np.array([[0.1], [0.2], [0.3], [0.4]])
         got = article_vector(states, Tensor(w.copy()))
-        stacked = np.hstack([s.data for s in states])
-        expected = (stacked @ w) / 4.0
+        expected = (states.data @ w) / 4.0
         assert np.allclose(got.data, expected, atol=1e-15)
-
-    def test_mask_changes_the_divisor(self):
-        hyper, _, _, params = tiny_world()
-        states = bilstm_encode(random_embeds(4, hyper.word_dim, seed=8), params)
-        w = np.array([[0.5], [0.5], [0.0], [0.0]])
-        mask = np.array([True, True, False, False])
-        got = article_vector(states, Tensor(w.copy()), mask)
-        stacked = np.hstack([s.data for s in states])
-        assert np.allclose(got.data, (stacked @ w) / 2.0, atol=1e-15)
 
     def test_length_mismatch_raises(self):
         hyper, _, _, params = tiny_world()
         states = bilstm_encode(random_embeds(3, hyper.word_dim), params)
         with pytest.raises(ShapeError):
             article_vector(states, Tensor(np.ones((4, 1))))
-
-    def test_all_masked_raises(self):
-        hyper, _, _, params = tiny_world()
-        states = bilstm_encode(random_embeds(2, hyper.word_dim), params)
-        with pytest.raises(DegenerateInputError):
-            article_vector(states, Tensor(np.ones((2, 1))),
-                           np.array([False, False]))
 
 
 def relu_np(x):
@@ -413,23 +449,68 @@ class TestCheckpoints:
         with pytest.raises(ParseError, match="not a checkpoint"):
             load_checkpoint(path)
 
-    def test_truncated_file_raises(self, tmp_path):
+    def saved(self, tmp_path):
         _, _, _, params = tiny_world()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, vocab_hash="h")
+        return path
+
+    def test_truncated_file_raises(self, tmp_path):
+        path = self.saved(tmp_path)
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) - 16])
         with pytest.raises(ParseError, match="truncated"):
             load_checkpoint(path)
 
     def test_future_version_raises(self, tmp_path):
-        _, _, _, params = tiny_world()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, vocab_hash="h")
-        raw = bytearray(path.read_bytes())
-        raw[4] = 250  # little-endian version field right after the magic
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ParseError, match="version"):
+        # Version 1 (four matrices per LSTM direction) has no reader either.
+        path = self.saved(tmp_path)
+        whole = path.read_bytes()
+        for version in (250, 1):
+            # little-endian version field right after the magic
+            path.write_bytes(whole[:4] + bytes([version]) + whole[5:])
+            with pytest.raises(ParseError,
+                               match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(path)
+
+    def test_file_shorter_than_preamble_raises(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ParseError, match="truncated checkpoint preamble"):
+            load_checkpoint(path)
+
+    def test_file_shorter_than_header_raises(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ParseError, match="truncated checkpoint header"):
+            load_checkpoint(path)
+
+    def test_header_that_is_not_utf8_json_raises(self, tmp_path):
+        path = self.saved(tmp_path)
+        whole = path.read_bytes()
+        for bad in (b"\xff", b"["):  # invalid UTF-8, then invalid JSON
+            path.write_bytes(whole[:12] + bad + whole[13:])
+            with pytest.raises(ParseError, match="not UTF-8 JSON"):
+                load_checkpoint(path)
+
+    def test_header_missing_a_key_raises(self, tmp_path):
+        path = self.saved(tmp_path)
+        whole = path.read_bytes()
+        (length,) = struct.unpack("<I", whole[8:12])
+        for key, owner in (("vocab_hash", lambda h: h),
+                           ("dtype", lambda h: h["arrays"][0])):
+            header = json.loads(whole[12:12 + length])
+            del owner(header)[key]
+            blob = json.dumps(header).encode("utf-8")
+            path.write_bytes(whole[:8] + struct.pack("<I", len(blob)) + blob
+                             + whole[12 + length:])
+            with pytest.raises(ParseError, match=f"lacks {key!r}"):
+                load_checkpoint(path)
+
+    def test_bytes_after_the_last_array_raise(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ParseError, match="after the last array"):
             load_checkpoint(path)
 
     def test_no_claim_table_roundtrip(self, tmp_path):

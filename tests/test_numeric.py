@@ -24,9 +24,8 @@ from evicred.numeric import (
     mul,
     mul_const,
     relu,
-    row,
-    scale,
     sigmoid,
+    slice_rows,
     softmax,
     sum_all,
     tanh,
@@ -227,8 +226,8 @@ class TestBackward:
         a = Tensor([[1.0]], requires_grad=True)
         b = Tensor([[2.0]], requires_grad=True)
         with Tape() as tape:
-            used = scale(a, 3.0)
-            scale(b, 5.0)  # recorded but not part of the loss
+            used = affine(a, 3.0)
+            affine(b, 5.0)  # recorded but not part of the loss
         tape.backward(used)
         assert a.grad is not None
         assert b.grad is None
@@ -243,7 +242,7 @@ class TestBackward:
     def test_loss_must_be_scalar_and_recorded(self):
         a = Tensor([[1.0], [2.0]], requires_grad=True)
         with Tape() as tape:
-            out = scale(a, 2.0)
+            out = affine(a, 2.0)
         with pytest.raises(ContractError):
             tape.backward(out)
         other = Tensor([[1.0]], requires_grad=True)
@@ -252,7 +251,7 @@ class TestBackward:
 
     def test_no_recording_outside_tape(self):
         a = Tensor([[1.0]], requires_grad=True)
-        out = scale(a, 2.0)
+        out = affine(a, 2.0)
         assert out.data[0, 0] == 2.0
         tape = Tape()
         with tape:
@@ -282,9 +281,23 @@ class TestStackingAndSlicing:
     def test_row_gradient_lands_in_that_row(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         with Tape() as tape:
-            out = sum_all(row(table, 1))
+            out = sum_all(slice_rows(table, 1, 2))
         tape.backward(out)
         assert np.array_equal(table.grad, [[0, 0], [1, 1], [0, 0]])
+
+    def test_slice_rows_takes_a_range(self):
+        table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        with Tape() as tape:
+            part = slice_rows(table, 1, 3)
+            out = sum_all(mul_const(part, np.array([[1.0, 2.0], [3.0, 4.0]])))
+        tape.backward(out)
+        assert np.array_equal(part.data, [[2, 3], [4, 5]])
+        assert np.array_equal(table.grad, [[0, 0], [1, 2], [3, 4], [0, 0]])
+
+    @pytest.mark.parametrize("start,stop", [(-1, 1), (2, 2), (3, 1), (0, 5)])
+    def test_slice_rows_rejects_bad_ranges(self, start, stop):
+        with pytest.raises(ShapeError):
+            slice_rows(Tensor(np.zeros((4, 2))), start, stop)
 
     def test_transpose_gradient(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -265,8 +265,8 @@ class TestGradientCheck:
         assert worst < 1e-4
 
     def test_detects_a_corrupted_gradient(self):
-        worst = gradient_check(seed=1, corrupt="head_w", probes_per_group=None)
-        assert worst > 0.3
+        for name in ("head_w", "lstm_fw_w"):
+            assert gradient_check(seed=1, corrupt=name) > 0.3
 
     def test_unknown_corruption_target_raises(self):
         with pytest.raises(ContractError, match="nonexistent"):
