@@ -347,7 +347,7 @@ def _read_predictions(path: str) -> dict[str, dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            if "id" not in record:
+            if not isinstance(record, dict) or "id" not in record:
                 raise ParseError(f"{path}:{lineno}: prediction without an id")
             preds[str(record["id"])] = record
     return preds
@@ -361,16 +361,35 @@ def _cmd_eval(args) -> int:
         raise EvicredError(f"{args.pred}: no prediction for claims {missing[:3]}")
     labels = [inst.label for inst in instances]
     records = [preds[inst.claim_id] for inst in instances]
+
+    def field(name: str) -> list:
+        """The named field of every record: a number, or for
+        ``probabilities`` a non-empty list of numbers."""
+        values = []
+        for r in records:
+            if name not in r:
+                raise ParseError(f"{args.pred}: prediction {r['id']}: "
+                                 f"missing field {name!r}")
+            value = r[name]
+            items = value if name == "probabilities" and value else [value]
+            if not isinstance(items, list) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in items):
+                raise ParseError(f"{args.pred}: prediction {r['id']}: "
+                                 f"field {name!r} is not numeric")
+            values.append(value)
+        return values
+
     if args.mode == "regress":
-        report = regression_report([float(r["score"]) for r in records],
+        report = regression_report([float(v) for v in field("score")],
                                    [float(t) for t in labels])
     elif records and "probabilities" in records[0]:
-        picked = [int(np.argmax(r["probabilities"])) for r in records]
-        classes = max(len(records[0]["probabilities"]),
-                      max(int(t) for t in labels) + 1)
+        probs = field("probabilities")
+        picked = [int(np.argmax(p)) for p in probs]
+        classes = max(len(probs[0]), max(int(t) for t in labels) + 1)
         report = multiclass_report(picked, [int(t) for t in labels], classes)
     else:
-        report = classification_report([float(r["credibility"]) for r in records],
+        report = classification_report([float(v) for v in field("credibility")],
                                        [int(t) for t in labels])
     print(report.to_text())
     if args.out:

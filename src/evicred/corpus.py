@@ -84,6 +84,14 @@ def map_politifact_label(rating: str) -> int:
     raise ParseError(f"unknown rating {rating!r}")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard number {name}")
+
+
+# Standard JSON only: NaN and Infinity literals are refused.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _require(record: dict, key: str, rid: str, where: str):
     if key not in record:
         raise ParseError(f"{where}: record {rid}: missing field {key!r}")
@@ -97,7 +105,8 @@ def ingest(path: str, *, label_scheme: str | None = None,
 
     Articles whose source is on the blocklist are dropped; a claim left
     with no usable article is skipped (counted in one summary warning).
-    Structural problems raise ParseError naming the record.
+    Structural problems, including a line that is not a JSON object and
+    NaN or infinite numbers, raise ParseError naming the line or record.
     """
     instances: list[ClaimInstance] = []
     seen_ids: set[str] = set()
@@ -108,9 +117,12 @@ def ingest(path: str, *, label_scheme: str | None = None,
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+                record = _DECODER.decode(line)
+            except ValueError as e:  # JSONDecodeError, or a NaN/Infinity literal
+                reason = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({reason})") from None
+            if not isinstance(record, dict):
+                raise ParseError(f"{path}:{lineno}: record is not a JSON object")
             rid = str(record.get("id", f"line {lineno}"))
             if rid in seen_ids:
                 raise ParseError(f"{path}: record {rid}: duplicate id")
@@ -128,6 +140,8 @@ def ingest(path: str, *, label_scheme: str | None = None,
                     label = int(label)
                 elif not isinstance(label, (int, float)):
                     raise ParseError(f"{path}: record {rid}: label must be numeric")
+                elif isinstance(label, float) and not math.isfinite(label):
+                    raise ParseError(f"{path}: record {rid}: label must be finite")
             raw_articles = _require(record, "articles", rid, path)
             if not isinstance(raw_articles, list):
                 raise ParseError(f"{path}: record {rid}: 'articles' must be a list")

@@ -3,15 +3,26 @@
 An article is read by a bidirectional LSTM over frozen word vectors.
 Each direction holds one fused (4H, d+H) gate matrix and one (4H, 1)
 bias whose row blocks run in ``GATES`` order (input, forget, output,
-cell), so a step is one matmul and add on [x; h] plus row slices.  The
-encoder returns the article's hidden states as one (2H, k) matrix.  An
-attention head conditioned on the mean claim vector weighs each article
-token, the weighted hidden states are averaged into an article vector,
-and two relu layers fuse that vector with trainable embeddings of the
-claim source (when the corpus has one) and the article source.  The head
-is a sigmoid for binary credibility, a softmax for more classes, or a
-linear unit for regression targets.  Per-article scores are averaged into
-a per-claim credibility after training, never during it.
+cell).  An attention head conditioned on the mean claim vector weighs
+each article token, the weighted hidden states are averaged into an
+article vector, and two relu layers fuse that vector with trainable
+embeddings of the claim source (when the corpus has one) and the article
+source.  The head is a sigmoid for binary credibility, a softmax for more
+classes, or a linear unit for regression targets.  Per-article scores are
+averaged into a per-claim credibility after training, never during it.
+
+(claim, article) pairs are scored in chunks.  A chunk of B pairs is
+padded to its longest article: word vectors are (T, B, d), a (T, B)
+length mask marks the real tokens, the encoder returns (2H, T*B)
+step-major states (column t*B + b is token t of pair b), and everything
+after it works column-wise on (features, B) matrices.  Padding gets zero
+attention weight, and the pooled vector divides by the real length, so a
+pair's score does not depend on what it was batched with beyond the last
+bits of rounding.  Training bounds the padded tokens of a chunk (see
+``training.CHUNK_TOKENS``).  ``claim_score`` scores all of a claim's
+articles as one chunk, in a canonical order (shortest first, then by
+tokens and source), so its result is bit-identical under any article
+order.
 """
 from __future__ import annotations
 
@@ -19,7 +30,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,14 +41,16 @@ from .numeric import (
     add,
     affine,
     glorot_uniform,
-    hstack,
+    lstm,
     matmul,
-    mul,
     mul_const,
     relu,
+    reshape,
     sigmoid,
     slice_rows,
     softmax,
+    step_weighted_sum,
+    take_rows,
     tanh,
     transpose,
     vstack,
@@ -45,6 +58,7 @@ from .numeric import (
 
 __all__ = [
     "GATES",
+    "Pair",
     "Hyperparams",
     "ModelParams",
     "ForwardTrace",
@@ -187,9 +201,22 @@ class ModelParams:
             t.data = snap[name].copy()
 
 
+class Pair(NamedTuple):
+    """One (claim, article) example as the model reads it."""
+
+    claim_tokens: list[str]
+    article_tokens: list[str]
+    claim_source: str | None
+    article_source: str | None
+
+
 @dataclass
 class ForwardTrace:
-    """Detached values of one article pass, kept for explanations."""
+    """Detached values of one article pass, kept for explanations.
+
+    The arrays are views into the arrays of the chunk the article was
+    scored in.
+    """
 
     tokens: list[str]
     hidden: np.ndarray          # (k, 2H)
@@ -201,73 +228,90 @@ class ForwardTrace:
     score: float | np.ndarray
 
 
-def _lstm_pass(embeds: np.ndarray, w: Tensor, b: Tensor) -> list[Tensor]:
-    """One direction over the rows of ``embeds``; one (H, 1) state per row."""
-    size = w.rows // len(GATES)
-    dtype = w.data.dtype
-    h = Tensor(np.zeros((size, 1), dtype=dtype))
-    c = Tensor(np.zeros((size, 1), dtype=dtype))
-    states: list[Tensor] = []
-    for x_t in embeds:
-        x = Tensor(x_t.reshape(-1, 1).astype(dtype, copy=False))
-        gates = add(matmul(w, vstack([x, h])), b)
-        i, f, o = (sigmoid(slice_rows(gates, n * size, (n + 1) * size))
-                   for n in range(3))
-        candidate = tanh(slice_rows(gates, 3 * size, 4 * size))
-        c = add(mul(f, c), mul(i, candidate))
-        h = mul(o, tanh(c))
-        states.append(h)
-    return states
-
-
-def bilstm_encode(embeds: np.ndarray, params: ModelParams) -> Tensor:
-    """Hidden states as one (2H, k) tensor: forward half over backward half.
-
-    Column t sees tokens 1..t through the forward half and tokens t..k
-    through the backward half; both directions start from zero states.
-    """
-    if embeds.ndim != 2 or embeds.shape[0] == 0:
+def _as_batch(embeds: np.ndarray, word_dim: int) -> np.ndarray:
+    """(T, B, d) word vectors; a single (k, d) article is a batch of one."""
+    if embeds.ndim == 2:
+        embeds = embeds[:, None, :]
+    if embeds.ndim != 3 or embeds.shape[0] == 0 or embeds.shape[1] == 0:
         raise DegenerateInputError("cannot encode an empty article")
-    if embeds.shape[1] != params.hyper.word_dim:
+    if embeds.shape[2] != word_dim:
         raise ShapeError(
-            f"embeddings are {embeds.shape[1]}-dimensional, model expects "
-            f"{params.hyper.word_dim}")
-    forward = _lstm_pass(embeds, params.lstm_fw_w, params.lstm_fw_b)
-    backward = _lstm_pass(embeds[::-1], params.lstm_bw_w, params.lstm_bw_b)
-    backward.reverse()
-    return vstack([hstack(forward), hstack(backward)])
+            f"embeddings are {embeds.shape[2]}-dimensional, model expects {word_dim}")
+    return embeds
 
 
-def attend(embeds: np.ndarray, claim_vec: np.ndarray, params: ModelParams,
+def bilstm_encode(embeds: np.ndarray, params: ModelParams,
+                  lengths: np.ndarray | None = None) -> Tensor:
+    """Hidden states as one (2H, T*B) tensor: forward half over backward half.
+
+    ``embeds`` is (T, B, d) with item b padded after ``lengths[b]`` tokens
+    (all T when omitted), or one (k, d) article, which gives (2H, k).
+    Column t*B + b sees tokens 1..t of item b through the forward half and
+    tokens t..k through the backward half; both directions start from zero
+    states.  Columns of padding tokens are zero.
+    """
+    embeds = _as_batch(embeds, params.hyper.word_dim)
+    steps, batch, _ = embeds.shape
+    if lengths is None:
+        lengths = np.full(batch, steps)
+    forward = lstm(embeds, lengths, params.lstm_fw_w, params.lstm_fw_b)
+    backward = lstm(embeds, lengths, params.lstm_bw_w, params.lstm_bw_b, reverse=True)
+    return vstack([forward, backward])
+
+
+def attend(embeds: np.ndarray, claim_vecs: np.ndarray, params: ModelParams,
            mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Claim-conditioned token weights.
 
-    Each word vector is concatenated with the mean claim vector, squashed
-    through a learned linear-tanh score, and normalized by a masked
-    softmax.  Returns (weights, raw scores), both (k, 1).
+    Each word vector is scored against its item's mean claim vector by a
+    learned linear-tanh unit and the scores are normalized by a masked
+    softmax down each item's column.  ``embeds`` is (T, B, d) and
+    ``claim_vecs`` (B, d), or one (k, d) article and a (d,) claim vector.
+    ``mask`` flags the real tokens, (T, B) or (k,).  Returns (weights, raw
+    scores), both (T, B).  ``attention_w`` is applied as its word half and
+    its claim half, which adds up to the score of [x; claim] without
+    building that matrix.
     """
-    k = embeds.shape[0]
-    if k == 0:
-        raise DegenerateInputError("cannot attend over an empty article")
-    joined = np.hstack([embeds, np.tile(claim_vec.reshape(1, -1), (k, 1))])
-    pre = add(matmul(params.attention_w, Tensor(joined.T)), params.attention_b)
-    scores = transpose(tanh(pre))
-    weights = softmax(scores, mask)
-    return weights, scores
+    dim = params.hyper.word_dim
+    embeds = _as_batch(embeds, dim)
+    steps, batch, _ = embeds.shape
+    w = transpose(params.attention_w)
+    words = matmul(Tensor(embeds.reshape(steps * batch, dim)), slice_rows(w, 0, dim))
+    claims = matmul(Tensor(np.asarray(claim_vecs).reshape(batch, dim)),
+                    slice_rows(w, dim, 2 * dim))
+    pre = add(add(reshape(words, steps, batch), transpose(claims)), params.attention_b)
+    scores = tanh(pre)
+    return softmax(scores, mask), scores
 
 
-def article_vector(hidden: Tensor, weights: Tensor) -> Tensor:
-    """Average of attention-weighted hidden states: (2H, k) @ (k, 1) / k."""
-    if hidden.cols != weights.rows:
-        raise ShapeError(f"{hidden.cols} hidden states but {weights.rows} weights")
-    return affine(matmul(hidden, weights), 1.0 / hidden.cols)
+def article_vector(hidden: Tensor, weights: Tensor,
+                   lengths: np.ndarray | None = None) -> Tensor:
+    """Average of attention-weighted hidden states per item: (2H, B).
+
+    Item b's vector is sum_t weights[t, b] * h[:, t*B + b] / lengths[b];
+    ``lengths`` defaults to all T rows of ``weights``.
+    """
+    steps, batch = weights.shape
+    if hidden.cols != steps * batch:
+        raise ShapeError(f"{hidden.cols} hidden states but {steps} x {batch} weights")
+    if lengths is None:
+        lengths = np.full(batch, steps)
+    inv = (1.0 / np.asarray(lengths, dtype=np.float64)).astype(hidden.data.dtype)
+    return affine(step_weighted_sum(hidden, weights), inv.reshape(1, batch))
 
 
-def _dropout(t: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    if rng is None or p <= 0.0:
-        return t
-    keep = (rng.random(t.shape) >= p).astype(t.data.dtype)
-    return mul_const(t, keep / (1.0 - p))
+def _dropout_factors(hyper: Hyperparams, batch: int, rng: np.random.Generator | None,
+                     dtype) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Inverted-dropout factors for fc1 and fc2, each (fc, B), or None.
+
+    One draw of (B, 2, fc) in pair order gives each pair its fc1 mask and
+    then its fc2 mask, the stream that scoring one pair at a time draws.
+    """
+    if rng is None or hyper.dropout <= 0.0:
+        return None, None
+    draws = rng.random((batch, 2, hyper.fc_size))
+    return tuple((draws[:, n, :].T >= hyper.dropout).astype(dtype)
+                 / (1.0 - hyper.dropout) for n in (0, 1))
 
 
 def score_article(article_vec: Tensor, claim_source_vec: Tensor | None,
@@ -276,9 +320,10 @@ def score_article(article_vec: Tensor, claim_source_vec: Tensor | None,
                   ) -> tuple[Tensor, Tensor, Tensor]:
     """Fuse evidence and source embeddings into a credibility score.
 
-    Returns (score, fc1, fc2); the score is a sigmoid probability for two
-    classes, a softmax column for more, and a raw linear value for
-    regression.  Dropout fires only when a generator is supplied.
+    Inputs hold one column per item.  Returns (score, fc1, fc2); each
+    score column is a sigmoid probability for two classes, a softmax
+    distribution for more, and a raw linear value for regression.
+    Dropout fires only when a generator is supplied.
     """
     hyper = params.hyper
     pieces = [article_vec]
@@ -288,10 +333,12 @@ def score_article(article_vec: Tensor, claim_source_vec: Tensor | None,
         pieces.append(claim_source_vec)
     pieces.append(article_source_vec)
     features = vstack(pieces)
+    keep1, keep2 = _dropout_factors(hyper, article_vec.cols, dropout_rng,
+                                    article_vec.data.dtype)
     fc1 = relu(add(matmul(params.fuse1_w, features), params.fuse1_b))
-    fc1_live = _dropout(fc1, hyper.dropout, dropout_rng)
+    fc1_live = fc1 if keep1 is None else mul_const(fc1, keep1)
     fc2 = relu(add(matmul(params.fuse2_w, fc1_live), params.fuse2_b))
-    fc2_live = _dropout(fc2, hyper.dropout, dropout_rng)
+    fc2_live = fc2 if keep2 is None else mul_const(fc2, keep2)
     logits = add(matmul(params.head_w, fc2_live), params.head_b)
     if hyper.mode == "regress":
         out = logits
@@ -300,6 +347,11 @@ def score_article(article_vec: Tensor, claim_source_vec: Tensor | None,
     else:
         out = softmax(logits)
     return out, fc1, fc2
+
+
+def _source_columns(table: SourceEmbeddingTable, names: list[str | None]) -> Tensor:
+    """Embeddings of the named sources, one column per name."""
+    return transpose(take_rows(table.tensor, [table.index(n) for n in names]))
 
 
 class CredibilityModel:
@@ -315,47 +367,71 @@ class CredibilityModel:
         self.params = params
         self.word_embeddings = word_embeddings
 
-    def article_score(self, claim_tokens: list[str], article_tokens: list[str],
-                      claim_source: str | None, article_source: str | None, *,
+    def article_score(self, pairs: Sequence[Pair], *,
                       dropout_rng: np.random.Generator | None = None
-                      ) -> tuple[Tensor, ForwardTrace]:
-        """Score one article against one claim; also returns the trace."""
+                      ) -> tuple[Tensor, list[ForwardTrace]]:
+        """Score a chunk of pairs in one padded pass.
+
+        Returns the (rows, B) scores, column b for ``pairs[b]``, and one
+        trace per pair.
+        """
+        if not pairs:
+            raise DegenerateInputError("no pairs to score")
         params = self.params
-        embeds = self.word_embeddings.matrix_for(article_tokens)
-        claim_vec = claim_mean(claim_tokens, self.word_embeddings)
-        hidden = bilstm_encode(embeds, params)
-        weights, scores = attend(embeds, claim_vec, params)
-        g = article_vector(hidden, weights)
-        claim_vec_t = None
+        emb = self.word_embeddings
+        dtype = params.head_w.data.dtype
+        rows = [emb.matrix_for(p.article_tokens) for p in pairs]
+        lengths = np.array([len(r) for r in rows])
+        steps, batch = int(lengths.max()), len(pairs)
+        embeds = np.zeros((steps, batch, self.hyper.word_dim), dtype=dtype)
+        for b, r in enumerate(rows):
+            embeds[:len(r), b] = r
+        mask = np.arange(steps)[:, None] < lengths
+        claim_vecs = np.stack([claim_mean(p.claim_tokens, emb) for p in pairs])
+
+        hidden = bilstm_encode(embeds, params, lengths)
+        weights, scores = attend(embeds, claim_vecs.astype(dtype, copy=False),
+                                 params, mask)
+        g = article_vector(hidden, weights, lengths)
+        claim_src = None
         if params.claim_sources is not None:
-            i = params.claim_sources.index(claim_source)
-            claim_vec_t = transpose(slice_rows(params.claim_sources.tensor, i, i + 1))
-        j = params.article_sources.index(article_source)
-        source_vec_t = transpose(slice_rows(params.article_sources.tensor, j, j + 1))
-        out, fc1, fc2 = score_article(g, claim_vec_t, source_vec_t, params,
+            claim_src = _source_columns(params.claim_sources,
+                                        [p.claim_source for p in pairs])
+        article_src = _source_columns(params.article_sources,
+                                      [p.article_source for p in pairs])
+        out, fc1, fc2 = score_article(g, claim_src, article_src, params,
                                       dropout_rng=dropout_rng)
-        trace = ForwardTrace(
-            tokens=list(article_tokens),
-            hidden=hidden.data.T.copy(),
-            attention_scores=scores.data[:, 0].copy(),
-            attention_weights=weights.data[:, 0].copy(),
-            article_vec=g.data[:, 0].copy(),
-            fc1=fc1.data[:, 0].copy(),
-            fc2=fc2.data[:, 0].copy(),
-            score=(out.data[:, 0].copy() if out.rows > 1 else float(out.data[0, 0])),
-        )
-        return out, trace
+
+        states = hidden.data.reshape(hidden.rows, steps, batch)
+        traces = [
+            ForwardTrace(
+                tokens=list(p.article_tokens),
+                hidden=states[:, :k, b].T,
+                attention_scores=scores.data[:k, b],
+                attention_weights=weights.data[:k, b],
+                article_vec=g.data[:, b],
+                fc1=fc1.data[:, b],
+                fc2=fc2.data[:, b],
+                score=(out.data[:, b] if out.rows > 1 else float(out.data[0, b])),
+            )
+            for b, (p, k) in enumerate(zip(pairs, lengths))]
+        return out, traces
 
     def claim_score(self, instance) -> tuple[float | np.ndarray, list[ForwardTrace]]:
-        """Credibility of a claim: plain mean of its per-article scores."""
-        per_article = []
-        traces = []
-        for i, tokens in enumerate(instance.articles):
-            out, trace = self.article_score(
-                instance.claim_tokens, tokens, instance.claim_source,
-                instance.article_sources[i])
-            per_article.append(trace.score)
-            traces.append(trace)
+        """Credibility of a claim: plain mean of its per-article scores.
+
+        All of the claim's articles are scored in one pass, in a canonical
+        order, so every score, and thus the result, is the same bits under
+        any article order; the traces come back in the instance's order.
+        """
+        pairs = [Pair(instance.claim_tokens, tokens, instance.claim_source, source)
+                 for tokens, source in zip(instance.articles, instance.article_sources)]
+        order = sorted(range(len(pairs)), key=lambda i: (
+            len(pairs[i].article_tokens), pairs[i].article_tokens,
+            pairs[i].article_source is not None, pairs[i].article_source or ""))
+        _, ranked = self.article_score([pairs[i] for i in order])
+        traces = [ranked[r] for r in np.argsort(order)]
+        per_article = [t.score for t in traces]
         if self.hyper.mode == "classify" and self.hyper.classes > 2:
             return aggregate_class_probs(per_article), traces
         return aggregate(per_article), traces

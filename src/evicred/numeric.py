@@ -7,6 +7,13 @@ primitive applied while it is active, to be replayed in reverse when
 gradients are needed.  Vectors are column matrices of shape (n, 1) and
 scalars are (1, 1); keeping a single layout avoids a family of transpose
 bugs in the recurrent code.
+
+Columns are batch items: a batch of B feature vectors is an (n, B)
+matrix, and elementwise ops, ``softmax`` and matmuls by a weight on the
+left act on every column at once.  A batch of sequences padded to T steps
+is stored step-major, as an (n, T*B) matrix whose column t*B + b holds
+step t of item b; ``lstm`` produces that layout and ``step_weighted_sum``
+reduces it.
 """
 from __future__ import annotations
 
@@ -37,8 +44,11 @@ __all__ = [
     "sum_all",
     "transpose",
     "vstack",
-    "hstack",
     "slice_rows",
+    "take_rows",
+    "reshape",
+    "lstm",
+    "step_weighted_sum",
     "zero_grads",
     "glorot_uniform",
 ]
@@ -263,7 +273,8 @@ def mul_const(a: Tensor, factor) -> Tensor:
     return out
 
 
-def affine(a: Tensor, mul_by: float, add_to: float = 0.0) -> Tensor:
+def affine(a: Tensor, mul_by, add_to=0.0) -> Tensor:
+    """``a * mul_by + add_to``; either may be an array that broadcasts to ``a``."""
     out = Tensor(a.data * mul_by + add_to, requires_grad=a.requires_grad)
 
     def backward(g: np.ndarray) -> None:
@@ -284,13 +295,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split on sign so exp() never sees a large positive argument.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp() only ever sees -|x|: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
+    # below, without the cost of splitting the array on sign.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -348,38 +356,33 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Masked softmax over a column vector.
+    """Masked softmax down each column.
 
-    Masked positions come out exactly zero and receive no gradient; the
-    unmasked entries are shifted by their max before exponentiation so the
-    result is finite for any finite scores.
+    ``mask`` holds one flag per score (any shape with that many entries).
+    Masked positions come out exactly zero and receive no gradient; each
+    column's unmasked entries are shifted by their max before
+    exponentiation so the result is finite for any finite scores.
     """
     x = scores.data
-    if x.shape[1] != 1:
-        raise ShapeError(f"softmax expects a column vector, got {x.shape}")
     if mask is None:
-        keep = np.ones(x.shape[0], dtype=bool)
+        keep = np.ones(x.shape, dtype=bool)
     else:
-        keep = np.asarray(mask, dtype=bool).reshape(-1)
-        if keep.shape[0] != x.shape[0]:
+        keep = np.asarray(mask, dtype=bool)
+        if keep.size != x.size:
             raise ShapeError(
-                f"mask length {keep.shape[0]} does not match {x.shape[0]} scores")
-    if not keep.any():
-        raise DegenerateInputError("softmax: every position is masked")
+                f"mask of {keep.size} entries does not match {x.shape} scores")
+        keep = keep.reshape(x.shape)
+    if not keep.any(axis=0).all():
+        raise DegenerateInputError("softmax: every position of a column is masked")
 
-    sel = x[keep, 0]
-    e = np.exp(sel - sel.max())
-    y = np.zeros_like(x)
-    y[keep, 0] = e / e.sum()
-    out = Tensor(y, requires_grad=scores.requires_grad)
+    shift = np.where(keep, x, -np.inf).max(axis=0, keepdims=True)
+    e = np.exp(x - shift, where=keep, out=np.zeros_like(x))
+    out = Tensor(e / e.sum(axis=0, keepdims=True), requires_grad=scores.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        yy = out.data[keep, 0]
-        gg = g[keep, 0]
-        inner = float(np.dot(gg, yy))
-        gx = np.zeros_like(x)
-        gx[keep, 0] = yy * (gg - inner)
-        _accumulate(scores, gx)
+        y = out.data
+        # Masked entries have y == 0, so they get exactly zero gradient.
+        _accumulate(scores, y * (g - (g * y).sum(axis=0, keepdims=True)))
 
     _register(out, backward)
     return out
@@ -426,26 +429,6 @@ def vstack(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def hstack(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DegenerateInputError("hstack of no tensors")
-    rows = parts[0].rows
-    for p in parts:
-        if p.rows != rows:
-            raise ShapeError(f"hstack row mismatch: {p.shape} vs ({rows}, {parts[0].cols})")
-    out = Tensor(np.hstack([p.data for p in parts]),
-                 requires_grad=any(p.requires_grad for p in parts))
-    offsets = np.cumsum([0] + [p.cols for p in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[:, lo:hi])
-
-    _register(out, backward)
-    return out
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows ``start`` .. ``stop - 1`` as a tensor; gradient lands in those rows."""
     if not 0 <= start < stop <= a.rows:
@@ -456,6 +439,163 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         full = np.zeros_like(a.data)
         full[start:stop, :] = g
         _accumulate(a, full)
+
+    _register(out, backward)
+    return out
+
+
+def take_rows(a: Tensor, index: Sequence[int]) -> Tensor:
+    """Rows ``index`` of ``a`` in that order, repeats allowed (a gather).
+
+    Gradient of every picked row is summed back into its source row.
+    """
+    idx = np.asarray(index, dtype=np.intp).reshape(-1)
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= a.rows:
+        raise ShapeError(f"row index out of range for shape {a.shape}")
+    out = Tensor(a.data[idx], requires_grad=a.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        _accumulate(a, full)
+
+    _register(out, backward)
+    return out
+
+
+def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
+    """Same entries in row-major order, read as a rows x cols matrix."""
+    if rows * cols != a.data.size:
+        raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
+    out = Tensor(a.data.reshape(rows, cols), requires_grad=a.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g.reshape(a.shape))
+
+    _register(out, backward)
+    return out
+
+
+# Steps whose gate gradients are gathered before they enter the weight
+# gradient as one product; bounds that buffer at (4H, 16 B).
+_BPTT_BLOCK = 16
+
+
+def lstm(x: np.ndarray, lengths: np.ndarray, w: Tensor, b: Tensor,
+         reverse: bool = False) -> Tensor:
+    """One LSTM direction over a padded batch, recorded as a single op.
+
+    ``x`` is (T, B, d): item b holds ``lengths[b]`` real steps, then
+    padding.  ``w`` is the fused (4H, d+H) gate matrix acting on
+    [x_t; h_prev], its row blocks input, forget, output, cell, and ``b``
+    the (4H, 1) bias.  Each step is one (4H, d+H) @ (d+H, B) product for
+    the whole batch.  The forward direction runs t = 0..T-1 with h_prev =
+    h_{t-1}; ``reverse`` runs t = T-1..0 with h_prev = h_{t+1}.  Cell
+    states of padding steps are held at zero, so their hidden states are
+    zero and every item starts from zero states in either direction.
+    Returns the (H, T*B) step-major states.
+
+    The op keeps ``x`` itself (not a copy) plus the hidden and cell state
+    of every step; the hand-written backward (BPTT) recomputes the gates
+    from them.
+    """
+    steps, batch, dim = x.shape
+    size = w.rows // 4
+    if w.cols != dim + size or b.shape != (4 * size, 1):
+        raise ShapeError(f"gate weights {w.shape} and bias {b.shape} do not fit "
+                         f"{dim}-dimensional inputs")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > steps:
+        raise ShapeError(f"lengths {lengths} do not fit {steps} padded steps")
+    dtype = w.data.dtype
+    live = (np.arange(steps)[:, None] < lengths).astype(dtype)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    # Column block s + shift of ``hs`` holds h_prev of step s, and h_s
+    # lands in block s + 1 - shift; the extra block is the zero start.
+    shift = 1 if reverse else 0
+
+    def cols(block: int) -> slice:
+        return slice(block * batch, (block + 1) * batch)
+
+    def gates(s: int, xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sigmoid input, forget, output rows and tanh candidate of step s."""
+        xh[:dim] = x[s].T
+        xh[dim:] = hs[:, cols(s + shift)]
+        z = w.data @ xh
+        z += b.data
+        return _stable_sigmoid(z[:3 * size]), np.tanh(z[3 * size:])
+
+    hs = np.zeros((size, (steps + 1) * batch), dtype=dtype)
+    cells = np.empty((size, steps * batch), dtype=dtype)
+    xh = np.empty((dim + size, batch), dtype=dtype)
+    c = np.zeros((size, batch), dtype=dtype)
+    for s in order:
+        ifo, cand = gates(s, xh)
+        c = (ifo[size:2 * size] * c + ifo[:size] * cand) * live[s]
+        cells[:, cols(s)] = c
+        hs[:, cols(s + 1 - shift)] = ifo[2 * size:] * np.tanh(c)
+    out = Tensor(hs[:, (1 - shift) * batch:(1 - shift + steps) * batch],
+                 requires_grad=w.requires_grad or b.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        w_h = w.data[:, dim:].T
+        gw = np.zeros_like(w.data)
+        gb = np.zeros_like(b.data)
+        dz = np.empty((4 * size, _BPTT_BLOCK * batch), dtype=dtype)
+        dh = np.zeros((size, batch), dtype=dtype)
+        dc = np.zeros((size, batch), dtype=dtype)
+        for s in reversed(order):
+            ifo, cand = gates(s, xh)
+            i, f, o = ifo[:size], ifo[size:2 * size], ifo[2 * size:]
+            tc = np.tanh(cells[:, cols(s)])
+            t = s + 1 if reverse else s - 1
+            c_prev = cells[:, cols(t)] if 0 <= t < steps else 0.0
+            dh = dh + g[:, cols(s)]
+            dc = (dc + dh * o * (1.0 - tc * tc)) * live[s]
+            step = dz[:, cols(s % _BPTT_BLOCK)]
+            step[:size] = dc * cand * i * (1.0 - i)
+            step[size:2 * size] = dc * c_prev * f * (1.0 - f)
+            step[2 * size:3 * size] = dh * tc * o * (1.0 - o)
+            step[3 * size:] = dc * i * (1.0 - cand * cand)
+            dc = dc * f
+            dh = w_h @ step
+            # Steps first..last share dz in step order; fold them into the
+            # weight gradient once this pass has filled them all.
+            first = s - s % _BPTT_BLOCK
+            last = min(first + _BPTT_BLOCK, steps) - 1
+            if s == (last if reverse else first):
+                block = dz[:, :(last - first + 1) * batch]
+                gw[:, :dim] += block @ x[first:last + 1].reshape(-1, dim)
+                gw[:, dim:] += block @ hs[:, (first + shift) * batch:
+                                         (last + 1 + shift) * batch].T
+                gb += block.sum(axis=1, keepdims=True)
+        if w.requires_grad:
+            w.grad = gw if w.grad is None else np.add(gw, w.grad, out=gw)
+        _accumulate(b, gb)
+
+    _register(out, backward)
+    return out
+
+
+def step_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
+    """Per item, the weighted sum of its steps: (n, T*B) and (T, B) to (n, B).
+
+    ``values`` is step-major (column t*B + b is step t of item b) and
+    ``weights[t, b]`` weighs that column.
+    """
+    steps, batch = weights.shape
+    if values.cols != steps * batch:
+        raise ShapeError(f"{values.cols} step columns but weights for "
+                         f"{steps} x {batch} steps")
+    v = values.data.reshape(values.rows, steps, batch)
+    out = Tensor(np.einsum("ntb,tb->nb", v, weights.data),
+                 requires_grad=values.requires_grad or weights.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        if values.requires_grad:
+            _accumulate(values, (g[:, None, :] * weights.data).reshape(values.shape))
+        if weights.requires_grad:
+            _accumulate(weights, np.einsum("ntb,nb->tb", v, g))
 
     _register(out, backward)
     return out

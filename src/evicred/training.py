@@ -1,8 +1,11 @@
 """Optimization: losses, Adam, the training loop, and a gradient checker.
 
 Training instances are (claim, article) pairs; every article of a claim
-is its own example with the claim's label.  Gradients are averaged over
-a mini-batch, parameters move under bias-corrected Adam, and early
+is its own example with the claim's label.  A mini-batch is split into
+chunks of at most ``CHUNK_TOKENS`` padded tokens, so memory grows with
+that budget, not with the batch size; each chunk is one forward pass and
+one tape, and the chunks' gradients are summed and then averaged over
+the mini-batch.  Parameters move under bias-corrected Adam, and early
 stopping watches a held-out validation slice, restoring the best epoch.
 """
 from __future__ import annotations
@@ -17,10 +20,12 @@ from .embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
 from .errors import ContractError, DegenerateInputError
 from .metrics import MetricReport, classification_report, multiclass_report, \
     regression_report
-from .model import CredibilityModel, Hyperparams, ModelParams
-from .numeric import Tensor, Tape, add, affine, clip, log, matmul, mul, sum_all
+from .model import CredibilityModel, Hyperparams, ModelParams, Pair
+from .numeric import Tensor, Tape, add, affine, clip, log, matmul, mul, mul_const, \
+    sum_all
 
 __all__ = [
+    "CHUNK_TOKENS",
     "TrainConfig",
     "OptimizerState",
     "loss",
@@ -34,6 +39,12 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-7
+# Padded tokens per training chunk.  A chunk's tape holds about 5 KB per
+# padded token at the snopes sizes (d=100, H=64).  Larger chunks run
+# faster, but peak memory caps them: on the train-snopes benchmark the
+# process peaked 2% above per-pair taping at 800 tokens and 8% above it
+# at 1,200.
+CHUNK_TOKENS = 800
 
 
 @dataclass
@@ -66,32 +77,34 @@ class TrainConfig:
 
 def loss(score: Tensor, target, hyper: Hyperparams,
          params: ModelParams | None = None, l2_lambda: float = 0.0) -> Tensor:
-    """Scalar training loss for one example, plus optional L2 on the
-    fusion and head matrices (biases and embeddings stay unregularized)."""
+    """Training loss of each example, a (1, B) row for B score columns.
+
+    ``target`` holds one label or value per column (a bare one for a
+    single column).  Each example's loss carries the full L2 penalty on
+    the fusion and head matrices (biases and embeddings stay
+    unregularized), as if it were scored alone.
+    """
+    targets = np.atleast_1d(np.asarray(target, dtype=object))
+    if targets.shape != (score.cols,):
+        raise ContractError(f"{targets.size} targets for {score.cols} scores")
+    dtype = score.data.dtype
     if hyper.mode == "regress":
-        target = float(target)
-        if not np.isfinite(target):
+        values = np.array([float(t) for t in targets])
+        if not np.isfinite(values).all():
             raise ContractError("regression target must be finite")
-        diff = affine(score, 1.0, -target)
+        diff = affine(score, 1.0, -values.astype(dtype).reshape(1, -1))
         base = mul(diff, diff)
     elif hyper.classes == 2:
-        label = int(target)
-        if label != target or label not in (0, 1):
-            raise ContractError(f"binary label must be 0 or 1, got {target!r}")
+        labels = np.array([_label(t, 2) for t in targets], dtype=dtype).reshape(1, -1)
         p = clip(score, PROB_FLOOR, 1.0 - PROB_FLOOR)
-        if label == 1:
-            base = affine(log(p), -1.0)
-        else:
-            base = affine(log(affine(p, -1.0, 1.0)), -1.0)
+        # p where the label is 1 and 1 - p where it is 0, both exact.
+        picked = affine(p, 2.0 * labels - 1.0, 1.0 - labels)
+        base = affine(log(picked), -1.0)
     else:
-        label = int(target)
-        if label != target or not 0 <= label < hyper.classes:
-            raise ContractError(
-                f"label must lie in [0, {hyper.classes}), got {target!r}")
-        onehot = np.zeros((1, hyper.classes))
-        onehot[0, label] = 1.0
-        picked = matmul(Tensor(onehot.astype(score.data.dtype)),
-                        clip(score, PROB_FLOOR, 1.0))
+        onehot = np.zeros((hyper.classes, score.cols), dtype=dtype)
+        onehot[[_label(t, hyper.classes) for t in targets], np.arange(score.cols)] = 1.0
+        picked = matmul(Tensor(np.ones((1, hyper.classes), dtype=dtype)),
+                        mul_const(clip(score, PROB_FLOOR, 1.0), onehot))
         base = affine(log(picked), -1.0)
     if params is not None and l2_lambda > 0.0:
         penalty = None
@@ -100,6 +113,15 @@ def loss(score: Tensor, target, hyper: Hyperparams,
             penalty = term if penalty is None else add(penalty, term)
         base = add(base, affine(penalty, l2_lambda))
     return base
+
+
+def _label(target, classes: int) -> int:
+    label = int(target)
+    if label != target or not 0 <= label < classes:
+        if classes == 2:
+            raise ContractError(f"binary label must be 0 or 1, got {target!r}")
+        raise ContractError(f"label must lie in [0, {classes}), got {target!r}")
+    return label
 
 
 @dataclass
@@ -163,11 +185,45 @@ def _validation_value(report: MetricReport, hyper: Hyperparams) -> tuple[float, 
     return report.macro_f1, True
 
 
-def _expand_pairs(instances: Sequence[ClaimInstance]) -> list[tuple[ClaimInstance, int]]:
-    pairs = [(inst, i) for inst in instances for i in range(len(inst.articles))]
+def _expand_pairs(instances: Sequence[ClaimInstance]) -> list[tuple[Pair, float]]:
+    pairs = [(Pair(inst.claim_tokens, tokens, inst.claim_source, source), inst.label)
+             for inst in instances
+             for tokens, source in zip(inst.articles, inst.article_sources)]
     if not pairs:
         raise DegenerateInputError("no training pairs")
     return pairs
+
+
+def _chunk_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """(start, stop) bounds of consecutive chunks within ``CHUNK_TOKENS``.
+
+    ``lengths`` are the articles' token counts.  A chunk of B articles
+    pads to its longest, so it costs B times that length; an article
+    longer than the budget gets a chunk alone.
+    """
+    spans: list[tuple[int, int]] = []
+    start, longest = 0, 0
+    for i, k in enumerate(lengths):
+        if i > start and (i - start + 1) * max(longest, k) > CHUNK_TOKENS:
+            spans.append((start, i))
+            start, longest = i, 0
+        longest = max(longest, k)
+    if len(lengths):
+        spans.append((start, len(lengths)))
+    return spans
+
+
+def _chunk_gradients(model: CredibilityModel, chunk: Sequence[Pair], labels,
+                     l2_lambda: float,
+                     dropout_rng: np.random.Generator | None) -> list[float]:
+    """Add one chunk's loss gradients to the parameter grads, through one
+    tape that is freed on return; returns the chunk's per-pair losses."""
+    with Tape() as tape:
+        scores, _ = model.article_score(chunk, dropout_rng=dropout_rng)
+        losses = loss(scores, labels, model.hyper, model.params, l2_lambda)
+        total = sum_all(losses)
+    tape.backward(total)
+    return losses.data[0].tolist()
 
 
 def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
@@ -217,23 +273,17 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
         order = shuffle_rng.permutation(len(pairs))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = [pairs[int(i)] for i in order[start : start + config.batch_size]]
             for p in named.values():
                 p.grad = None
-            for idx in batch:
-                inst, art = pairs[int(idx)]
-                with Tape() as tape:
-                    score, _ = model.article_score(
-                        inst.claim_tokens, inst.articles[art], inst.claim_source,
-                        inst.article_sources[art],
-                        dropout_rng=dropout_rng if hyper.dropout > 0 else None)
-                    pair_loss = loss(score, inst.label, hyper, params,
-                                     config.l2_lambda)
-                tape.backward(pair_loss)
-                value = pair_loss.item()
-                if not np.isfinite(value):
+            for lo, hi in _chunk_spans([len(pair.article_tokens) for pair, _ in batch]):
+                chunk, labels = zip(*batch[lo:hi])
+                values = _chunk_gradients(
+                    model, chunk, labels, config.l2_lambda,
+                    dropout_rng if hyper.dropout > 0 else None)
+                if not np.isfinite(values).all():
                     raise ContractError(f"loss became non-finite at epoch {epoch}")
-                epoch_losses.append(value)
+                epoch_losses.extend(values)
             if len(batch) > 1:
                 inv = 1.0 / len(batch)
                 for p in named.values():
@@ -339,13 +389,13 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
                    step: float = 1e-5, corrupt: str | None = None) -> float:
     """Compare tape gradients with central finite differences.
 
-    Builds a self-contained miniature model (two-token article, one claim,
-    both source tables) and probes every entry of every parameter.
-    Returns the worst relative error; ``corrupt`` doubles one group's
-    analytic gradient first so tests can prove the check has teeth.
+    Builds a self-contained miniature model (one claim, both source
+    tables) that scores one padded chunk of two articles of 2 and 3
+    tokens, so the padding mask and the masked softmax are differentiated
+    too, and probes every entry of every parameter.  Returns the worst
+    relative error; ``corrupt`` doubles one group's analytic gradient
+    first so tests can prove the check has teeth.
     """
-    from .model import score_article  # local alias keeps module import light
-
     if hyper is None:
         hyper = Hyperparams(word_dim=4, hidden_size=3, fc_size=3,
                             article_source_dim=2, claim_source_dim=2,
@@ -354,8 +404,8 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
         raise ContractError("gradient check needs dropout disabled")
     rng = np.random.default_rng(seed)
     claim_tokens = ["rivers", "flow", "uphill"]
-    article_tokens = ["observed", "downhill"]
-    vocab = Vocabulary(claim_tokens + article_tokens)
+    articles = [["observed", "downhill"], ["rivers", "observed", "downhill"]]
+    vocab = Vocabulary(claim_tokens + ["observed", "downhill"])
     emb = WordEmbeddings(vocab, rng.standard_normal((len(vocab), hyper.word_dim)))
     article_table = SourceEmbeddingTable(
         ["observer"], rng.standard_normal((2, hyper.article_source_dim)),
@@ -368,20 +418,17 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
     params = ModelParams(hyper, rng, article_sources=article_table,
                          claim_sources=claim_table)
     model = CredibilityModel(hyper, params, emb)
-    target = 1
+    chunk = [Pair(claim_tokens, tokens, "orator" if claim_table else None, source)
+             for tokens, source in zip(articles, ["observer", None])]
+    targets = [1, 0]
     l2 = 1e-4
 
-    def loss_value() -> float:
-        score, _ = model.article_score(claim_tokens, article_tokens,
-                                       "orator" if claim_table else None,
-                                       "observer")
-        return loss(score, target, hyper, params, l2).item()
+    def chunk_loss() -> Tensor:
+        score, _ = model.article_score(chunk)
+        return sum_all(loss(score, targets, hyper, params, l2))
 
     with Tape() as tape:
-        score, _ = model.article_score(claim_tokens, article_tokens,
-                                       "orator" if claim_table else None,
-                                       "observer")
-        full = loss(score, target, hyper, params, l2)
+        full = chunk_loss()
     tape.backward(full)
 
     named = params.named()
@@ -400,9 +447,9 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
-            up = loss_value()
+            up = chunk_loss().item()
             flat[i] = original - step
-            down = loss_value()
+            down = chunk_loss().item()
             flat[i] = original
             numeric = (up - down) / (2.0 * step)
             err = abs(flat_grad[i] - numeric) / max(abs(flat_grad[i]) + abs(numeric),

@@ -178,6 +178,14 @@ class TestIngestCommand:
         assert "articles=10" in stdout
         assert out.exists()
 
+    def test_malformed_line_exits_one_with_one_line(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text("[1, 2]\n")
+        code = main(["ingest", "--in", str(src), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {src}:1: record is not a JSON object\n"
+
     def test_snippets_need_embeddings(self, tmp_path, capsys):
         instances, _ = planted_corpus(n_claims=3, n_articles=1)
         src = tmp_path / "in.jsonl"
@@ -331,6 +339,25 @@ class TestEvalCommand:
                      "--pred", str(trimmed)])
         assert code == 1
         assert "no prediction" in capsys.readouterr().err
+
+
+    def test_prediction_missing_its_field_is_named(self, cli_world, predictions,
+                                                   tmp_path, capsys):
+        lines = predictions.read_text().splitlines()
+        last = json.loads(lines[-1])["id"]
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines[:-1] + [json.dumps({"id": last})]) + "\n")
+        code = main(["eval", "--corpus", str(cli_world["corpus"]),
+                     "--pred", str(broken)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: {broken}: prediction {last}: "
+                       "missing field 'credibility'")
+        broken.write_text("\n".join(lines[:-1] + [json.dumps(
+            {"id": last, "credibility": "high"})]) + "\n")
+        assert main(["eval", "--corpus", str(cli_world["corpus"]),
+                     "--pred", str(broken)]) == 1
+        assert "field 'credibility' is not numeric" in capsys.readouterr().err
 
 
 class TestExplainCommand:

@@ -82,6 +82,24 @@ class TestIngest:
         with pytest.raises(ParseError, match=r"c\.jsonl:2"):
             ingest(path)
 
+    def test_line_that_is_not_an_object_names_the_line(self, tmp_path):
+        path = write_lines(tmp_path / "c.jsonl", [corpus_line("c1"), "[1, 2]"])
+        with pytest.raises(ParseError, match=r"c\.jsonl:2: record is not a JSON object"):
+            ingest(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_number_names_the_line(self, tmp_path, literal):
+        line = corpus_line("c1", label=0).replace('"label": 0', f'"label": {literal}')
+        path = write_lines(tmp_path / "c.jsonl", [line])
+        with pytest.raises(ParseError, match=rf"c\.jsonl:1: .*{literal}"):
+            ingest(path)
+
+    def test_overflowing_label_names_the_record(self, tmp_path):
+        line = corpus_line("c1", label=0).replace('"label": 0', '"label": 1e999')
+        path = write_lines(tmp_path / "c.jsonl", [line])
+        with pytest.raises(ParseError, match="record c1: label must be finite"):
+            ingest(path)
+
     def test_tokenless_claim_raises(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", [corpus_line("c1", claim="?! --")])
         with pytest.raises(ParseError, match="no tokens"):

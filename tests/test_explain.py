@@ -19,7 +19,7 @@ from evicred.explain import (
     render,
     shade_buckets,
 )
-from evicred.model import CredibilityModel, ForwardTrace
+from evicred.model import CredibilityModel, ForwardTrace, Pair
 from tests.conftest import tiny_world
 
 
@@ -37,8 +37,8 @@ class TestAnnotate:
     def test_wraps_a_real_forward_trace(self):
         hyper, vocab, emb, params = tiny_world(seed=41)
         model = CredibilityModel(hyper, params, emb)
-        _, trace = model.article_score(["t0"], ["t1", "t2", "t3"],
-                                       "speaker", "siteA")
+        _, (trace,) = model.article_score([Pair(["t0"], ["t1", "t2", "t3"],
+                                                "speaker", "siteA")])
         a = annotate(trace, "credible", claim="t0", source="siteA")
         assert a.tokens == ["t1", "t2", "t3"]
         assert a.weights == [float(w) for w in trace.attention_weights]

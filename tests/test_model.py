@@ -27,6 +27,7 @@ from evicred.model import (
     CredibilityModel,
     Hyperparams,
     ModelParams,
+    Pair,
     aggregate,
     aggregate_class_probs,
     article_vector,
@@ -177,6 +178,30 @@ class TestBilstmEncode:
                                   params.lstm_bw_b.data)[:, ::-1]
         got = bilstm_encode(embeds, params).data
         assert np.max(np.abs(got - np.vstack([forward, backward]))) < 1e-12
+
+    def test_padded_batch_matches_per_gate_reference_per_column(self):
+        # Items of unequal length, padded to the longest (past the 16-step
+        # gradient block): every real column equals the unpadded
+        # reference and every padding column is zero.
+        hyper, _, _, params = tiny_world(seed=25)
+        rng = np.random.default_rng(26)
+        for b in (params.lstm_fw_b, params.lstm_bw_b):
+            b.data = rng.standard_normal(b.shape)
+        lengths = np.array([3, 20, 1, 11])
+        steps, size = lengths.max(), hyper.hidden_size
+        batch = np.zeros((steps, len(lengths), hyper.word_dim))
+        for i, k in enumerate(lengths):
+            batch[:k, i] = random_embeds(k, hyper.word_dim, seed=30 + i)
+        got = bilstm_encode(batch, params, lengths).data.reshape(2 * size, steps, -1)
+        for i, k in enumerate(lengths):
+            embeds = batch[:k, i]
+            forward = lstm_reference(embeds, params.lstm_fw_w.data,
+                                     params.lstm_fw_b.data)
+            backward = lstm_reference(embeds[::-1], params.lstm_bw_w.data,
+                                      params.lstm_bw_b.data)[:, ::-1]
+            want = np.vstack([forward, backward])
+            assert np.max(np.abs(got[:, :k, i] - want)) < 1e-12
+            assert np.all(got[:, k:, i] == 0.0)
 
     def test_zeroed_gates_produce_zero_states(self):
         hyper, _, _, params = tiny_world()
@@ -348,8 +373,8 @@ class TestCredibilityModel:
     def test_article_score_trace_is_consistent(self):
         hyper, vocab, emb, params = tiny_world(seed=13)
         model = CredibilityModel(hyper, params, emb)
-        out, trace = model.article_score(["t0", "t1"], ["t2", "t3", "t4"],
-                                         "speaker", "siteA")
+        out, (trace,) = model.article_score([Pair(["t0", "t1"], ["t2", "t3", "t4"],
+                                                  "speaker", "siteA")])
         assert trace.tokens == ["t2", "t3", "t4"]
         assert trace.hidden.shape == (3, 2 * hyper.hidden_size)
         assert trace.attention_weights.shape == (3,)
@@ -360,8 +385,8 @@ class TestCredibilityModel:
     def test_oov_tokens_are_tolerated(self):
         hyper, vocab, emb, params = tiny_world(seed=13)
         model = CredibilityModel(hyper, params, emb)
-        out, _ = model.article_score(["unknown", "words"], ["t0", "mystery"],
-                                     None, None)
+        out, _ = model.article_score([Pair(["unknown", "words"], ["t0", "mystery"],
+                                           None, None)])
         assert np.isfinite(out.item())
 
     def test_claim_score_is_fsum_mean_of_articles(self):
@@ -386,6 +411,26 @@ class TestCredibilityModel:
             label=inst.label)
         cred2, _ = model.claim_score(shuffled)
         assert cred == cred2
+
+    def test_claim_score_returns_traces_in_input_order(self):
+        hyper, vocab, emb, params = tiny_world(seed=18)
+        model = CredibilityModel(hyper, params, emb)
+        rng = np.random.default_rng(19)
+        tokens = list(vocab.tokens)
+        articles = [[tokens[j] for j in rng.integers(0, len(tokens), size=n)]
+                    for n in (7, 2, 12, 4)]
+        inst = ClaimInstance(
+            claim_id="c0", claim_text="", claim_tokens=["t1", "t2"],
+            claim_source="speaker", articles=articles,
+            article_texts=[" ".join(a) for a in articles],
+            article_sources=["siteA", None, "elsewhere", "siteA"], label=1)
+        _, traces = model.claim_score(inst)
+        assert [t.tokens for t in traces] == articles
+        for article, source, trace in zip(articles, inst.article_sources, traces):
+            _, (alone,) = model.article_score([Pair(["t1", "t2"], article,
+                                                    "speaker", source)])
+            assert abs(trace.score - alone.score) < 1e-12
+            assert trace.attention_weights.shape == (len(article),)
 
     def test_embedding_dim_mismatch_raises(self):
         hyper, vocab, _, params = tiny_world()

@@ -18,16 +18,19 @@ from evicred.numeric import (
     affine,
     clip,
     exp,
-    hstack,
     log,
     matmul,
     mul,
     mul_const,
     relu,
     sigmoid,
+    lstm,
+    reshape,
     slice_rows,
     softmax,
+    step_weighted_sum,
     sum_all,
+    take_rows,
     tanh,
     transpose,
     vstack,
@@ -181,6 +184,89 @@ class TestSoftmax:
         assert np.max(np.abs(numeric - t.grad)) < 1e-7
 
 
+    def test_each_column_is_normalized_under_its_own_mask(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 3))
+        mask = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 1], [1, 0, 1]], dtype=bool)
+        got = softmax(Tensor(x), mask).data
+        for b in range(3):
+            want = softmax(Tensor(x[mask[:, b], b])).data[:, 0]
+            assert np.max(np.abs(got[mask[:, b], b] - want)) < 1e-15
+            assert np.all(got[~mask[:, b], b] == 0.0)
+
+    def test_column_gradient_matches_finite_difference(self):
+        rng = np.random.default_rng(4)
+        t = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        mask = rng.random((4, 3)) < 0.7
+        mask[0] = True
+        weights = rng.standard_normal((4, 3))
+
+        def value():
+            return float(np.sum(weights * softmax(t, mask).data))
+
+        with Tape() as tape:
+            out = sum_all(mul_const(softmax(t, mask), weights))
+        tape.backward(out)
+        assert np.max(np.abs(numeric_gradient(value, t.data) - t.grad)) < 1e-7
+
+
+class TestBatchLayout:
+    def test_take_rows_sums_the_gradient_of_repeated_rows(self):
+        table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with Tape() as tape:
+            rows = take_rows(table, [2, 0, 2])
+            out = sum_all(mul_const(rows, np.array([[1.0, 1.0], [3.0, 3.0], [5.0, 5.0]])))
+        tape.backward(out)
+        assert np.array_equal(rows.data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
+        assert np.array_equal(table.grad, [[3.0, 3.0], [0.0, 0.0], [6.0, 6.0]])
+        with pytest.raises(ShapeError):
+            take_rows(table, [3])
+
+    def test_reshape_round_trips_gradient(self):
+        t = Tensor(np.arange(6.0).reshape(6, 1), requires_grad=True)
+        with Tape() as tape:
+            out = sum_all(mul_const(reshape(t, 3, 2), np.arange(6.0).reshape(3, 2)))
+        tape.backward(out)
+        assert np.array_equal(t.grad, np.arange(6.0).reshape(6, 1))
+        with pytest.raises(ShapeError):
+            reshape(t, 4, 2)
+
+    def test_step_weighted_sum_matches_a_loop(self):
+        rng = np.random.default_rng(5)
+        steps, batch = 4, 3
+        values = Tensor(rng.standard_normal((2, steps * batch)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((steps, batch)), requires_grad=True)
+        got = step_weighted_sum(values, weights).data
+        for b in range(batch):
+            want = sum(values.data[:, t * batch + b] * weights.data[t, b]
+                       for t in range(steps))
+            assert np.max(np.abs(got[:, b] - want)) < 1e-14
+        with pytest.raises(ShapeError):
+            step_weighted_sum(values, Tensor(np.ones((5, 3))))
+
+
+class TestLstm:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_matches_finite_difference_across_blocks(self, reverse):
+        # 20 steps span two 16-step gradient blocks; the second item is
+        # padded after 7 steps.
+        rng = np.random.default_rng(6)
+        steps, lengths, dim, size = 20, np.array([20, 7]), 2, 2
+        x = rng.standard_normal((steps, 2, dim))
+        w = Tensor(rng.standard_normal((4 * size, dim + size)), requires_grad=True)
+        b = Tensor(rng.standard_normal((4 * size, 1)), requires_grad=True)
+        weights = rng.standard_normal((size, steps * 2))
+
+        def value():
+            return float(np.sum(weights * lstm(x, lengths, w, b, reverse).data))
+
+        with Tape() as tape:
+            out = sum_all(mul_const(lstm(x, lengths, w, b, reverse), weights))
+        tape.backward(out)
+        for t in (w, b):
+            assert np.max(np.abs(numeric_gradient(value, t.data) - t.grad)) < 1e-7
+
+
 class TestBackward:
     def test_sum_of_linear_map_gradient(self):
         # d/dW sum(W @ x) puts a copy of x along every row.
@@ -268,15 +354,6 @@ class TestStackingAndSlicing:
         tape.backward(out)
         assert a.grad[0, 0] == 1.0
         assert b.grad[:, 0].tolist() == [10.0, 100.0]
-
-    def test_hstack_splits_gradient_by_column(self):
-        a = Tensor([[1.0], [1.0]], requires_grad=True)
-        b = Tensor([[2.0], [2.0]], requires_grad=True)
-        with Tape() as tape:
-            out = sum_all(mul_const(hstack([a, b]), np.array([[1.0, 5.0], [1.0, 5.0]])))
-        tape.backward(out)
-        assert np.all(a.grad == 1.0)
-        assert np.all(b.grad == 5.0)
 
     def test_row_gradient_lands_in_that_row(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)

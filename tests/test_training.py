@@ -11,10 +11,13 @@ import pytest
 
 from evicred.corpus import make_folds
 from evicred.errors import ContractError, DegenerateInputError
-from evicred.model import CredibilityModel, Hyperparams
-from evicred.numeric import Tensor
+from evicred.embeddings import SourceEmbeddingTable
+from evicred.model import CredibilityModel, Hyperparams, ModelParams, Pair
+from evicred.numeric import Tape, Tensor, sum_all
 from evicred.training import (
+    CHUNK_TOKENS,
     OptimizerState,
+    _chunk_spans,
     TrainConfig,
     adam_step,
     evaluate,
@@ -257,6 +260,63 @@ class TestCrossValidation:
         plan.folds[0][0] = "ghost"
         with pytest.raises(ContractError, match="ghost"):
             train(instances, plan, hyper, TrainConfig(max_epochs=1), emb, table)
+
+
+def chunk_gradients(model, chunk, targets):
+    """Parameter gradients of the summed loss of one chunk, and the tape size."""
+    for p in model.params.named().values():
+        p.grad = None
+    with Tape() as tape:
+        scores, _ = model.article_score(chunk)
+        total = sum_all(loss(scores, targets, model.hyper, model.params, 1e-4))
+    tape.backward(total)
+    return ({name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for name, p in model.params.named().items()}, len(tape))
+
+
+class TestChunkedGradients:
+    def model_and_chunk(self, hyper, lengths, seed=31):
+        rng = np.random.default_rng(seed)
+        _, vocab, emb, _ = tiny_world(seed=seed)
+        table = SourceEmbeddingTable(["siteA"], rng.standard_normal((2, 2)),
+                                     "article_source_table")
+        params = ModelParams(hyper, rng, article_sources=table)
+        tokens = list(vocab.tokens)
+        chunk = [Pair([tokens[0], tokens[5]],
+                      [tokens[j] for j in rng.integers(0, len(tokens), size=k)],
+                      None, "siteA" if k % 2 else "other")
+                 for k in lengths]
+        return CredibilityModel(hyper, params, emb), chunk
+
+    @pytest.mark.parametrize("hyper,targets", [
+        (BINARY, [1, 0, 0, 1]), (TRIPLE, [2, 0, 1, 1]), (REGRESS, [0.5, -1.0, 2.0, 0.0]),
+    ], ids=["binary", "multiclass", "regression"])
+    def test_chunk_gradient_is_the_sum_of_single_pair_gradients(self, hyper, targets):
+        model, chunk = self.model_and_chunk(hyper, [5, 19, 1, 33])
+        batched, _ = chunk_gradients(model, chunk, targets)
+        singles = [chunk_gradients(model, [pair], [t])[0]
+                   for pair, t in zip(chunk, targets)]
+        for name, grad in batched.items():
+            want = sum(s[name] for s in singles)
+            scale = max(np.max(np.abs(want)), 1e-300)
+            assert np.max(np.abs(grad - want)) / scale < 1e-12, name
+
+    def test_chunks_are_consecutive_and_within_the_token_budget(self):
+        lengths = [100] * 20 + [CHUNK_TOKENS + 1, 3, 40]
+        spans = _chunk_spans(lengths)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == len(lengths)
+        for lo, hi in spans:
+            padded = (hi - lo) * max(lengths[lo:hi])
+            assert padded <= CHUNK_TOKENS or hi - lo == 1
+        assert (20, 21) in spans
+
+    def test_a_chunk_records_no_more_ops_than_one_pair(self):
+        # Guards against falling back to one tape, or one graph, per pair.
+        model, chunk = self.model_and_chunk(BINARY, [10] * 8)
+        _, one = chunk_gradients(model, chunk[:1], [1])
+        _, eight = chunk_gradients(model, chunk, [1, 0] * 4)
+        assert eight < 2 * one
 
 
 class TestGradientCheck:
