@@ -62,12 +62,10 @@ PRESETS: dict[str, dict] = {
         min_claim_support=5, min_article_support=5),
 }
 
-_HYPER_KEYS = ("word_dim", "hidden_size", "fc_size", "article_source_dim",
-               "claim_source_dim", "dropout", "mode", "classes")
-_CONFIG_KEYS = ("learning_rate", "beta1", "beta2", "epsilon", "l2_lambda",
-                "batch_size", "max_epochs", "patience", "seed", "precision")
+_HYPER_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(training_mod.TrainConfig))
 _OTHER_KEYS = ("preset", "min_claim_support", "min_article_support", "folds",
-               "delta", "vocab_limit")
+               "vocab_limit")
 
 
 def resolve_input(path: str) -> str:

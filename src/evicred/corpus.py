@@ -11,11 +11,11 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import WordEmbeddings, tokenize
+from .embeddings import WordEmbeddings, claim_mean, tokenize
 from .errors import DegenerateInputError, ParseError
 
 __all__ = [
@@ -213,17 +213,11 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     claim and mean window vectors; the earliest window wins ties.
     Articles shorter than the window are scored whole.
     """
-    if not claim_tokens:
-        raise DegenerateInputError("claim has no tokens")
+    claim_vec = claim_mean(claim_tokens, embeddings)
     if not article_tokens:
         return None
     claim_types = set(claim_tokens)
-    claim_vec = np.zeros(embeddings.dim, dtype=embeddings.vectors.dtype)
-    for t in claim_tokens:
-        claim_vec = claim_vec + embeddings.vector(t)
-    claim_vec = claim_vec / len(claim_tokens)
-
-    token_vecs = np.stack([embeddings.vector(t) for t in article_tokens])
+    token_vecs = embeddings.matrix_for(article_tokens)
     width = min(window, len(article_tokens))
     best: tuple[float, int, SnippetScore] | None = None
     for start in range(len(article_tokens) - width + 1):

@@ -154,41 +154,17 @@ class Projection2D:
     components: np.ndarray  # (2, dim)
 
 
-def _dominant_direction(matrix: np.ndarray, start: np.ndarray,
-                        previous: np.ndarray | None = None,
-                        max_iters: int = 10000,
-                        tol: float = 1e-14) -> tuple[float, np.ndarray]:
-    """Power iteration for the leading eigenpair of a symmetric matrix."""
-    v = start / np.linalg.norm(start)
-    if previous is not None:
-        v = v - np.dot(v, previous) * previous
-        v /= np.linalg.norm(v)
-    for _ in range(max_iters):
-        w = matrix @ v
-        if previous is not None:
-            w = w - np.dot(w, previous) * previous
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            # Deflated matrix is numerically zero: variance is exhausted.
-            peak = int(np.argmax(np.abs(v)))
-            return 0.0, (-v if v[peak] < 0 else v)
-        new = w / norm
-        if np.linalg.norm(new - v * np.sign(np.dot(new, v))) < tol:
-            v = new
-            break
-        v = new
-    peak = int(np.argmax(np.abs(v)))
-    if v[peak] < 0:
-        v = -v
-    return float(v @ matrix @ v), v
+def _signed(v: np.ndarray) -> np.ndarray:
+    """``v`` or ``-v``, whichever has a positive largest-magnitude entry."""
+    return -v if v[int(np.argmax(np.abs(v)))] < 0 else v
 
 
 def pca_project(vectors, names: list[str], labels: list[str]) -> Projection2D:
     """Project row vectors onto their top two principal directions.
 
-    Directions come from power iteration with deflation on the centered
-    covariance; each is signed so its largest-magnitude entry is positive,
-    making the output reproducible run to run.
+    Directions are the top two eigenvectors of the centered covariance
+    (``np.linalg.eigh``); each is signed so its largest-magnitude entry is
+    positive, making the output reproducible run to run.
     """
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2:
@@ -207,16 +183,9 @@ def pca_project(vectors, names: list[str], labels: list[str]) -> Projection2D:
     if total <= 0.0:
         raise DegenerateInputError("vectors have zero variance")
 
-    # Fixed internal generator: the projection must not depend on callers'
-    # RNG state, only on the data.
-    rng = np.random.default_rng(1815)
-    start1 = rng.standard_normal(dim)
-    eig1, comp1 = _dominant_direction(cov, start1)
-    deflated = cov - eig1 * np.outer(comp1, comp1)
-    start2 = rng.standard_normal(dim)
-    eig2, comp2 = _dominant_direction(deflated, start2, previous=comp1)
-    if eig2 < 0.0:
-        eig2 = 0.0
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    comp1, comp2 = (_signed(eigvecs[:, i]) for i in (-1, -2))
+    eig1, eig2 = float(eigvals[-1]), max(float(eigvals[-2]), 0.0)
 
     xs = centered @ comp1
     ys = centered @ comp2

@@ -209,6 +209,12 @@ class Pair(NamedTuple):
     claim_source: str | None
     article_source: str | None
 
+    @classmethod
+    def of(cls, instance) -> list["Pair"]:
+        """One pair per article of a claim instance, in article order."""
+        return [cls(instance.claim_tokens, tokens, instance.claim_source, source)
+                for tokens, source in zip(instance.articles, instance.article_sources)]
+
 
 @dataclass
 class ForwardTrace:
@@ -219,12 +225,8 @@ class ForwardTrace:
     """
 
     tokens: list[str]
-    hidden: np.ndarray          # (k, 2H)
-    attention_scores: np.ndarray  # (k,)
     attention_weights: np.ndarray  # (k,)
     article_vec: np.ndarray     # (2H,)
-    fc1: np.ndarray
-    fc2: np.ndarray
     score: float | np.ndarray
 
 
@@ -316,13 +318,12 @@ def _dropout_factors(hyper: Hyperparams, batch: int, rng: np.random.Generator | 
 
 def score_article(article_vec: Tensor, claim_source_vec: Tensor | None,
                   article_source_vec: Tensor, params: ModelParams, *,
-                  dropout_rng: np.random.Generator | None = None
-                  ) -> tuple[Tensor, Tensor, Tensor]:
+                  dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Fuse evidence and source embeddings into a credibility score.
 
-    Inputs hold one column per item.  Returns (score, fc1, fc2); each
-    score column is a sigmoid probability for two classes, a softmax
-    distribution for more, and a raw linear value for regression.
+    Inputs hold one column per item, and so does the score: a sigmoid
+    probability for two classes, a softmax distribution for more, and a
+    raw linear value for regression.
     Dropout fires only when a generator is supplied.
     """
     hyper = params.hyper
@@ -346,7 +347,7 @@ def score_article(article_vec: Tensor, claim_source_vec: Tensor | None,
         out = sigmoid(logits)
     else:
         out = softmax(logits)
-    return out, fc1, fc2
+    return out
 
 
 def _source_columns(table: SourceEmbeddingTable, names: list[str | None]) -> Tensor:
@@ -390,8 +391,8 @@ class CredibilityModel:
         claim_vecs = np.stack([claim_mean(p.claim_tokens, emb) for p in pairs])
 
         hidden = bilstm_encode(embeds, params, lengths)
-        weights, scores = attend(embeds, claim_vecs.astype(dtype, copy=False),
-                                 params, mask)
+        weights, _ = attend(embeds, claim_vecs.astype(dtype, copy=False),
+                            params, mask)
         g = article_vector(hidden, weights, lengths)
         claim_src = None
         if params.claim_sources is not None:
@@ -399,19 +400,14 @@ class CredibilityModel:
                                         [p.claim_source for p in pairs])
         article_src = _source_columns(params.article_sources,
                                       [p.article_source for p in pairs])
-        out, fc1, fc2 = score_article(g, claim_src, article_src, params,
-                                      dropout_rng=dropout_rng)
+        out = score_article(g, claim_src, article_src, params,
+                            dropout_rng=dropout_rng)
 
-        states = hidden.data.reshape(hidden.rows, steps, batch)
         traces = [
             ForwardTrace(
                 tokens=list(p.article_tokens),
-                hidden=states[:, :k, b].T,
-                attention_scores=scores.data[:k, b],
                 attention_weights=weights.data[:k, b],
                 article_vec=g.data[:, b],
-                fc1=fc1.data[:, b],
-                fc2=fc2.data[:, b],
                 score=(out.data[:, b] if out.rows > 1 else float(out.data[0, b])),
             )
             for b, (p, k) in enumerate(zip(pairs, lengths))]
@@ -424,8 +420,7 @@ class CredibilityModel:
         order, so every score, and thus the result, is the same bits under
         any article order; the traces come back in the instance's order.
         """
-        pairs = [Pair(instance.claim_tokens, tokens, instance.claim_source, source)
-                 for tokens, source in zip(instance.articles, instance.article_sources)]
+        pairs = Pair.of(instance)
         order = sorted(range(len(pairs)), key=lambda i: (
             len(pairs[i].article_tokens), pairs[i].article_tokens,
             pairs[i].article_source is not None, pairs[i].article_source or ""))

@@ -27,8 +27,6 @@ from .errors import ContractError, DegenerateInputError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "constant",
-    "parameter",
     "matmul",
     "add",
     "mul",
@@ -37,7 +35,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "exp",
     "log",
     "clip",
     "softmax",
@@ -108,14 +105,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-def parameter(data, name: str | None = None, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name, dtype=dtype)
 
 
 # --- tape ------------------------------------------------------------------
@@ -317,16 +306,6 @@ def relu(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         # Subgradient at exactly zero is taken as zero.
         _accumulate(a, g * (a.data > 0.0))
-
-    _register(out, backward)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * out.data)
 
     _register(out, backward)
     return out

@@ -106,10 +106,12 @@ class TestLoadConfig:
                        "claim_source_dim": None, "mode": "regress"}
 
     def test_unknown_key_raises(self, tmp_path):
+        # ``delta`` belongs to ``ingest --delta``; training never reads it.
         cfg = tmp_path / "a.cfg"
-        cfg.write_text("momentum = 0.9\n")
-        with pytest.raises(ParseError, match="momentum"):
-            load_config(cfg)
+        for key, value in (("momentum", "0.9"), ("delta", "0.3")):
+            cfg.write_text(f"{key} = {value}\n")
+            with pytest.raises(ParseError, match=key):
+                load_config(cfg)
 
     def test_line_without_equals_raises(self, tmp_path):
         cfg = tmp_path / "a.cfg"

@@ -1,7 +1,8 @@
 """Attention annotations, shading, renderers, and the 2-D projection.
 
 The projection is validated against numpy's dense symmetric
-eigendecomposition, which the library deliberately does not use.
+eigendecomposition of the centered covariance, including inputs whose
+top two eigenvalues nearly tie.
 """
 import json
 import math
@@ -24,12 +25,10 @@ from tests.conftest import tiny_world
 
 
 def trace_of(tokens, weights):
-    k = len(tokens)
     return ForwardTrace(
-        tokens=list(tokens), hidden=np.zeros((k, 6)),
-        attention_scores=np.zeros(k),
+        tokens=list(tokens),
         attention_weights=np.asarray(weights, dtype=np.float64),
-        article_vec=np.zeros(6), fc1=np.zeros(3), fc2=np.zeros(3), score=0.5,
+        article_vec=np.zeros(6), score=0.5,
     )
 
 
@@ -126,16 +125,32 @@ def eigh_oracle(vectors):
     return eigvals[::-1], eigvecs[:, ::-1], cov
 
 
+def near_tied_top_pair(rng, n=60, dim=8, gap=1e-4):
+    """Vectors whose covariance has eigenvalues 1, 1 - gap, 0.5 .. 0.1."""
+    eigvals = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.5, 0.1, dim - 2)])
+    centered = rng.standard_normal((n, dim))
+    centered -= centered.mean(axis=0)
+    scores, _ = np.linalg.qr(centered)  # orthonormal columns summing to zero
+    axes, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return (scores * np.sqrt(eigvals * (n - 1))) @ axes.T
+
+
 class TestPcaProject:
     def names(self, n):
         return [f"p{i}" for i in range(n)], ["lab"] * n
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(43)
-        for trial in range(20):
+        cases = []
+        for _ in range(20):
             n, dim = int(rng.integers(8, 40)), int(rng.integers(2, 9))
-            data = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
-            names, labels = self.names(n)
+            cases.append(rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0))
+        # Top two eigenvalues 1e-4 apart, where iterative solvers stall.
+        cases.append(near_tied_top_pair(np.random.default_rng(48)))
+        # 126 article vectors as wide as the snopes preset's (2H = 128).
+        cases.append(np.random.default_rng(49).standard_normal((126, 128)))
+        for trial, data in enumerate(cases):
+            names, labels = self.names(len(data))
             proj = pca_project(data, names, labels)
             eigvals, eigvecs, cov = eigh_oracle(data)
             for i in range(2):

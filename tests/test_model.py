@@ -312,8 +312,8 @@ class TestScoreArticle:
         g = rng.standard_normal((2 * hyper.hidden_size, 1))
         cs = rng.standard_normal((hyper.claim_source_dim, 1))
         asrc = rng.standard_normal((hyper.article_source_dim, 1))
-        out, fc1, fc2 = score_article(Tensor(g.copy()), Tensor(cs.copy()),
-                                      Tensor(asrc.copy()), params)
+        out = score_article(Tensor(g.copy()), Tensor(cs.copy()),
+                            Tensor(asrc.copy()), params)
         feats = np.vstack([g, cs, asrc])
         e1 = relu_np(params.fuse1_w.data @ feats + params.fuse1_b.data)
         e2 = relu_np(params.fuse2_w.data @ e1 + params.fuse2_b.data)
@@ -321,7 +321,6 @@ class TestScoreArticle:
         expected = 1.0 / (1.0 + np.exp(-logit))
         assert out.shape == (1, 1)
         assert abs(out.item() - expected[0, 0]) < 1e-12
-        assert np.allclose(fc1.data, e1) and np.allclose(fc2.data, e2)
 
     def test_multiclass_head_is_a_distribution(self):
         rng = np.random.default_rng(11)
@@ -332,7 +331,7 @@ class TestScoreArticle:
         params = ModelParams(hyper, rng, article_sources=table)
         g = rng.standard_normal((6, 1))
         asrc = rng.standard_normal((2, 1))
-        out, _, _ = score_article(Tensor(g), None, Tensor(asrc), params)
+        out = score_article(Tensor(g), None, Tensor(asrc), params)
         assert out.shape == (3, 1)
         assert math.fsum(out.data[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -345,8 +344,11 @@ class TestScoreArticle:
         params = ModelParams(hyper, rng, article_sources=table)
         g = rng.standard_normal((6, 1))
         asrc = rng.standard_normal((2, 1))
-        out, _, fc2 = score_article(Tensor(g), None, Tensor(asrc), params)
-        expected = params.head_w.data @ fc2.data + params.head_b.data
+        out = score_article(Tensor(g), None, Tensor(asrc), params)
+        feats = np.vstack([g, asrc])
+        e1 = relu_np(params.fuse1_w.data @ feats + params.fuse1_b.data)
+        e2 = relu_np(params.fuse2_w.data @ e1 + params.fuse2_b.data)
+        expected = params.head_w.data @ e2 + params.head_b.data
         assert out.item() == pytest.approx(expected[0, 0], abs=1e-12)
 
     def test_missing_claim_source_is_a_contract_error(self):
@@ -376,7 +378,7 @@ class TestCredibilityModel:
         out, (trace,) = model.article_score([Pair(["t0", "t1"], ["t2", "t3", "t4"],
                                                   "speaker", "siteA")])
         assert trace.tokens == ["t2", "t3", "t4"]
-        assert trace.hidden.shape == (3, 2 * hyper.hidden_size)
+        assert trace.article_vec.shape == (2 * hyper.hidden_size,)
         assert trace.attention_weights.shape == (3,)
         assert math.fsum(trace.attention_weights) == pytest.approx(1.0, abs=1e-12)
         assert trace.score == out.item()

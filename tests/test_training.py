@@ -324,6 +324,16 @@ class TestGradientCheck:
         worst = gradient_check(seed=1)
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("hyper", [
+        Hyperparams(word_dim=4, hidden_size=3, fc_size=3, article_source_dim=2,
+                    classes=3),
+        Hyperparams(word_dim=4, hidden_size=3, fc_size=3, article_source_dim=2,
+                    mode="regress"),
+    ], ids=["multiclass", "regress"])
+    def test_heads_without_claim_sources_pass_at_seed_zero(self, hyper):
+        # Seed 0 with zero biases puts a relu exactly on its kink.
+        assert gradient_check(hyper, seed=0) < 1e-4
+
     def test_detects_a_corrupted_gradient(self):
         for name in ("head_w", "lstm_fw_w"):
             assert gradient_check(seed=1, corrupt=name) > 0.3
