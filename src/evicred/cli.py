@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +65,13 @@ PRESETS: dict[str, dict] = {
 
 _HYPER_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(training_mod.TrainConfig))
-_OTHER_KEYS = ("preset", "min_claim_support", "min_article_support", "folds",
-               "vocab_limit")
+# The type a config-file value must have, per key.
+_KEY_TYPES = {
+    **typing.get_type_hints(Hyperparams),
+    **typing.get_type_hints(training_mod.TrainConfig),
+    "preset": str, "min_claim_support": int, "min_article_support": int,
+    "folds": int, "vocab_limit": int | None,
+}
 
 
 def resolve_input(path: str) -> str:
@@ -106,10 +112,20 @@ def load_config(path: str) -> dict:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = stripped.split("=", 1)
             key = key.strip()
-            if key not in _HYPER_KEYS + _CONFIG_KEYS + _OTHER_KEYS:
+            if key not in _KEY_TYPES:
                 raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
-            settings[key] = _parse_value(raw)
+            settings[key] = _check_type(key, _parse_value(raw), f"{path}:{lineno}")
     return settings
+
+
+def _check_type(key: str, value, where: str):
+    """``value`` if it fits the key's type (an int also fits a float)."""
+    types = typing.get_args(_KEY_TYPES[key]) or (_KEY_TYPES[key],)
+    allowed = types + (int,) if float in types else types
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = " or ".join("none" if t is type(None) else t.__name__ for t in types)
+        raise ParseError(f"{where}: {key} must be {expected}, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass

@@ -12,6 +12,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SNIPPET_WINDOW = 100
+# Windows per block of the snippet screen's prefix sums, in window widths:
+# short sums keep both the rounding bound and the scratch arrays small.
+_BLOCK = 8
 
 
 @dataclass
@@ -203,15 +207,136 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
+def _window_score(claim_types: set[str], claim_vec: np.ndarray,
+                  article_tokens: list[str], token_vecs: np.ndarray,
+                  start: int, width: int) -> SnippetScore:
+    """The score of one window, as ``extract_snippet`` reports it."""
+    window_types = set(article_tokens[start : start + width])
+    bow = len(claim_types & window_types) / len(claim_types)
+    semantic = _cosine(claim_vec, token_vecs[start : start + width].mean(axis=0))
+    return SnippetScore(bow, semantic, bow * semantic)
+
+
+def _gamma(k: int, unit: float) -> float:
+    """Relative error bound of k roundings with unit roundoff ``unit``."""
+    return k * unit / (1 - k * unit)
+
+
+def _candidate_starts(claim_types: set[str], claim_vec: np.ndarray,
+                      article_tokens: list[str], token_vecs: np.ndarray,
+                      width: int) -> range | list[int]:
+    """Ascending window starts that may hold the earliest best score.
+
+    Every window gets an estimate ``bow * cos`` and a bound ``bow * margin``
+    on its distance from the sim of ``_window_score``.  The lexical part is
+    exact: distinct claim words per window come from running integer
+    counts.  The cosine comes from float64 prefix sums of the token vectors,
+    restarted every ``_BLOCK`` window widths, so that no sum runs over more
+    than s = (_BLOCK + 1) w rows.  A window is dropped when some window's
+    lower bound beats its upper bound (it cannot be the best), or when an
+    earlier window's lower bound reaches its upper bound (the scan keeps the
+    first of equal scores, so it cannot win).
+
+    Let v and u be the unit roundoffs of the vectors' dtype and of float64,
+    eta the dtype's smallest subnormal and g_k(x) = k x / (1 - k x).  For a
+    window of width w in dimension d with exact sum S, sum of row norms Q,
+    claim vector c, and M the sum of row norms of its block:
+
+    * the reference mean (``mean(axis=0)`` in the dtype) is off by at most
+      e = g_w(v) (Q + w sqrt(d eta)) / w + sqrt(d) eta, which moves its
+      cosine by at most 2 w e / |S|;
+    * the window sum from prefix sums is off by at most p = 2 g_s(u) M + u
+      |S|, which moves the estimate's cosine by at most 2 p / |S|;
+    * each cosine's own dot products, square roots and division, and the
+      product with bow, add at most 2 g_d(x) + 6u for x = v or u, plus
+      d eta (1 / (|c| m) + 1 / (2 m^2) + 1 / (2 |c|^2)) from underflow, for
+      m a lower bound on the norm of the reference mean.
+
+    |S| and Q come from their computed values, widened by the same bounds.
+    The margin is twice the sum of these first-order terms, which covers
+    the second-order terms and the rounding of the bound itself.  A window
+    whose margin exceeds 2^-6, or whose norm cannot be bounded away from
+    zero, is always rescored.  So is every window when squares of the
+    vectors could overflow, and for dtypes other than float32 and float64.
+    """
+    n, d = token_vecs.shape
+    count = n - width + 1
+    every = range(count)
+    if width < 1 or token_vecs.dtype not in (np.float32, np.float64):
+        return every
+    if not claim_vec.any():
+        return every[:1]  # every cosine is exactly 0.0, so the first window wins
+
+    info = np.finfo(token_vecs.dtype)
+    v, eta = float(info.eps) / 2, float(info.smallest_subnormal)
+    u = float(np.finfo(np.float64).eps) / 2
+    claim64 = claim_vec.astype(np.float64)
+    claim_norm = np.sqrt(claim64 @ claim64)
+    row_norms = np.sqrt(np.einsum("ij,ij->i", token_vecs, token_vecs))
+    limit = math.sqrt(float(info.max)) / (2 * n)
+    if not (row_norms.max() <= limit and claim_norm <= limit):
+        return every
+
+    column = {t: k for k, t in enumerate(claim_types)}
+    cols = np.fromiter(map(column.get, article_tokens, repeat(-1)), dtype=np.intp,
+                       count=n)
+    hits = np.flatnonzero(cols >= 0)
+    seen = np.zeros((n + 1, len(column)), dtype=np.int32)
+    seen[hits + 1, cols[hits]] = 1
+    np.cumsum(seen, axis=0, out=seen)
+    bow = np.count_nonzero(seen[width:] - seen[:count], axis=1) / len(column)
+
+    dots, lengths, mass, block_mass = (np.empty(count) for _ in range(4))
+    step = _BLOCK * width
+    for first in range(0, count, step):
+        stop = min(first + step, count)
+        rows = slice(first, stop + width - 1)
+        sums = np.zeros((stop - first + width, d))
+        np.cumsum(token_vecs[rows], axis=0, dtype=np.float64, out=sums[1:])
+        sums = sums[width:] - sums[: stop - first]
+        dots[first:stop] = sums @ claim64
+        lengths[first:stop] = np.sqrt(np.einsum("ij,ij->i", sums, sums))
+        norm_sums = np.zeros(stop - first + width)
+        np.cumsum(row_norms[rows], dtype=np.float64, out=norm_sums[1:])
+        mass[first:stop] = norm_sums[width:] - norm_sums[: stop - first]
+        block_mass[first:stop] = norm_sums[-1]
+
+    prefix_err = 2 * _gamma(step + width, u) * block_mass
+    sum_low = lengths * (1 - _gamma(d + 2, u)) - prefix_err
+    mean_err = (_gamma(width, v) * (mass + prefix_err + width * math.sqrt(d * eta))
+                / width + math.sqrt(d) * eta)
+    mean_low = sum_low / width - mean_err
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = dots / (lengths * claim_norm)
+        margin = 2 * (2 * (width * mean_err + prefix_err) / sum_low + 2 * u
+                      + 2 * _gamma(d, v) + 2 * _gamma(d, u) + 12 * u
+                      + d * eta * (2 / (claim_norm * mean_low) + 1 / mean_low**2
+                                   + 1 / claim_norm**2))
+    unbounded = ~((mean_low > 0) & (margin <= 2.0**-6))
+    cos[unbounded] = 0.0
+    margin[unbounded] = np.inf
+    margin[bow == 0] = 0.0  # 0 * a finite cosine is exactly zero
+    estimate, slack = bow * cos, bow * margin
+    low, high = estimate - slack, estimate + slack
+    earlier = np.maximum.accumulate(np.concatenate(([-np.inf], low[:-1])))
+    return np.flatnonzero((high >= low.max()) & (high > earlier)).tolist()
+
+
 def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
                     embeddings: WordEmbeddings, delta: float = 0.5,
                     window: int = SNIPPET_WINDOW) -> Snippet | None:
     """Best claim-matching window of the article, or None below ``delta``.
 
-    Every window start is scored (stride one) by the product of the
+    Every window start (stride one) is scored by the product of the
     fraction of distinct claim words present and the cosine between mean
     claim and mean window vectors; the earliest window wins ties.
     Articles shorter than the window are scored whole.
+
+    Cost is linear in the article length: running claim-word counts and
+    prefix sums of the token vectors screen every window at once, with a
+    proven error bound, and only the windows that may be the earliest best
+    are rescored one by one.  The result equals the exhaustive stride-one
+    scan bit for bit.
     """
     claim_vec = claim_mean(claim_tokens, embeddings)
     if not article_tokens:
@@ -219,18 +344,16 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     claim_types = set(claim_tokens)
     token_vecs = embeddings.matrix_for(article_tokens)
     width = min(window, len(article_tokens))
-    best: tuple[float, int, SnippetScore] | None = None
-    for start in range(len(article_tokens) - width + 1):
-        window_tokens = article_tokens[start : start + width]
-        window_types = set(window_tokens)
-        bow = len(claim_types & window_types) / len(claim_types)
-        semantic = _cosine(claim_vec, token_vecs[start : start + width].mean(axis=0))
-        sim = bow * semantic
-        if best is None or sim > best[0]:
-            best = (sim, start, SnippetScore(bow, semantic, sim))
+    best: tuple[int, SnippetScore] | None = None
+    for start in _candidate_starts(claim_types, claim_vec, article_tokens,
+                                   token_vecs, width):
+        score = _window_score(claim_types, claim_vec, article_tokens, token_vecs,
+                              start, width)
+        if best is None or score.sim > best[1].sim:
+            best = (start, score)
     assert best is not None
-    sim, start, score = best
-    if sim < delta:
+    start, score = best
+    if score.sim < delta:
         return None
     return Snippet(article_tokens[start : start + width], start, score)
 

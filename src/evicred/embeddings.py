@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import string
 from collections import Counter
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -96,10 +97,19 @@ class WordEmbeddings:
         return self.vectors[idx]
 
     def matrix_for(self, tokens: list[str]) -> np.ndarray:
-        """Stack vectors for a token sequence into a (k, d) array."""
+        """Fresh, writeable (k, d) array of a token sequence's vectors.
+
+        One index gather; out-of-vocabulary tokens get zero rows.
+        """
         if not tokens:
             raise DegenerateInputError("cannot embed an empty token sequence")
-        return np.stack([self.vector(t) for t in tokens])
+        if not len(self.vocab):
+            return np.zeros((len(tokens), self.dim), dtype=self.vectors.dtype)
+        rows = np.fromiter(map(self.vocab._index.get, tokens, repeat(-1)),
+                           dtype=np.intp, count=len(tokens))
+        out = self.vectors[rows]
+        out[rows < 0] = 0
+        return out
 
 
 def load_word_vectors(path: str, vocab_limit: int | None = None,

@@ -10,7 +10,6 @@ The final criterion needs the published claim corpus (converted to the
 JSON-lines layout) and is skipped unless EVICRED_SNOPES_CORPUS points at
 that file.
 """
-import json
 import math
 import os
 import time

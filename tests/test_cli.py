@@ -4,9 +4,7 @@ One small training run is shared by the predict/eval/explain tests; it
 uses 2 folds and 2 epochs so the whole module stays fast.
 """
 import json
-import os
 
-import numpy as np
 import pytest
 
 from evicred.cli import (
@@ -267,6 +265,20 @@ class TestTrainCommand:
                      "--config", str(cfg)])
         assert code == 2
         assert "unknown preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["max_epochs = 2.5", "fc_size = 2.5",
+                                      "batch_size = abc", "patience = many"])
+    def test_wrong_typed_config_value_exits_one(self, cli_world, capsys, line):
+        cfg = cli_world["root"] / "typed.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["train", "--corpus", str(cli_world["corpus"]),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--out", str(cli_world["root"] / "typed"),
+                     "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert f"typed.cfg:1: {line.split()[0]} must be int" in err
 
 
 class TestPredictCommand:

@@ -6,12 +6,15 @@ bookkeeping, and the fold checks recompute the partition law directly.
 """
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from evicred.corpus import (
     FoldPlan,
+    Snippet,
+    SnippetScore,
     extract_snippet,
     ingest,
     make_folds,
@@ -19,7 +22,7 @@ from evicred.corpus import (
     source_counts,
     write_corpus,
 )
-from evicred.embeddings import Vocabulary, WordEmbeddings
+from evicred.embeddings import Vocabulary, WordEmbeddings, claim_mean
 from evicred.errors import DegenerateInputError, ParseError
 from tests.conftest import planted_corpus
 
@@ -202,6 +205,35 @@ def snippet_oracle(claim_tokens, article_tokens, emb, window):
     return best_start, best_sim
 
 
+def plain_scan(claim_tokens, article_tokens, emb, delta, window):
+    """Stride-one scan with the library's per-window arithmetic."""
+    claim_vec = claim_mean(claim_tokens, emb)
+    claim_types = set(claim_tokens)
+    token_vecs = np.stack([emb.vector(t) for t in article_tokens])
+    width = min(window, len(article_tokens))
+    best = None
+    for start in range(len(article_tokens) - width + 1):
+        window_types = set(article_tokens[start:start + width])
+        bow = len(claim_types & window_types) / len(claim_types)
+        mean = token_vecs[start:start + width].mean(axis=0)
+        na = math.sqrt(float(np.dot(claim_vec, claim_vec)))
+        nb = math.sqrt(float(np.dot(mean, mean)))
+        semantic = 0.0 if na == 0.0 or nb == 0.0 \
+            else float(np.dot(claim_vec, mean)) / (na * nb)
+        if best is None or bow * semantic > best.score.sim:
+            best = Snippet(article_tokens[start:start + width], start,
+                           SnippetScore(bow, semantic, bow * semantic))
+    return None if best.score.sim < delta else best
+
+
+def snippet_bits(snip):
+    if snip is None:
+        return None
+    score = snip.score
+    return snip.tokens, snip.start, [float.hex(x) for x in
+                                     (score.sim_bow, score.sim_semantic, score.sim)]
+
+
 class TestExtractSnippet:
     def test_matches_exhaustive_oracle_on_random_articles(self):
         words = [f"v{i}" for i in range(30)]
@@ -264,6 +296,44 @@ class TestExtractSnippet:
         snip = extract_snippet(["ghost"], ["alpha", "ghost"], emb, delta=0.0)
         assert snip.score.sim_semantic == 0.0
         assert snip.score.sim == 0.0
+
+    def test_equals_a_plain_scan_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=200)
+        @hypothesis.given(st.data())
+        def check(data):
+            words = [f"w{i}" for i in range(data.draw(st.integers(3, 8)))]
+            known = words[: data.draw(st.integers(1, len(words)))]
+            dim = data.draw(st.integers(1, 5))
+            dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+            # Tenths are inexact in binary, so windows holding the same words
+            # in another order tie exactly in value but not after rounding.
+            value = st.one_of(st.integers(-20, 20).map(lambda k: k / 10),
+                              st.floats(-4.0, 4.0, allow_subnormal=False))
+            vectors = np.array(data.draw(st.lists(st.lists(value, min_size=dim,
+                                                           max_size=dim),
+                                                  min_size=len(known),
+                                                  max_size=len(known))),
+                               dtype=dtype)
+            emb = WordEmbeddings(Vocabulary(known), vectors)
+            article = data.draw(st.lists(st.sampled_from(words), min_size=1,
+                                         max_size=60))
+            claim = data.draw(st.lists(st.sampled_from(words + ["ghost"]),
+                                       min_size=1, max_size=5))
+            window = data.draw(st.integers(1, len(article) + 3))
+            best = plain_scan(claim, article, emb, -np.inf, window).score.sim
+            delta = data.draw(st.sampled_from([
+                best, np.nextafter(best, -np.inf), np.nextafter(best, np.inf),
+                best - 0.5, best + 0.5]))
+            got = extract_snippet(claim, article, emb, delta=float(delta),
+                                  window=window)
+            want = plain_scan(claim, article, emb, float(delta), window)
+            assert snippet_bits(got) == snippet_bits(want)
+
+        check()
 
 
 class TestFolds:

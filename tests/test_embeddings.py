@@ -100,6 +100,13 @@ class TestWordEmbeddings:
         _, emb = load_word_vectors(path)
         m = emb.matrix_for(["b", "zzz", "a"])
         assert m.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
+        assert m.dtype == np.float64
+        assert emb.matrix_for(["zzz", "yyy"]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        m[:] = 7.0
+        assert emb.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert emb.matrix_for(["zzz"]).tolist() == [[0.0, 0.0]]
+        _, emb32 = load_word_vectors(path, dtype=np.float32)
+        assert emb32.matrix_for(["a", "zzz"]).dtype == np.float32
 
     def test_matrix_for_empty_raises(self, tmp_path):
         _, emb = load_word_vectors(make_embedding_file(tmp_path, ["cat"], dim=3))

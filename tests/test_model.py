@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from evicred.corpus import ClaimInstance
-from evicred.embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
+from evicred.embeddings import SourceEmbeddingTable, WordEmbeddings
 from evicred.errors import (
     ContractError,
     DegenerateInputError,
