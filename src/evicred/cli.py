@@ -24,7 +24,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import training as training_mod
 from .embeddings import build_source_table, load_word_vectors
-from .errors import EvicredError, ParseError, UsageError
+from .errors import EvicredError, ParseError, UsageError, text_lines
 from .explain import annotate, pca_project, render
 from .metrics import classification_report, multiclass_report, regression_report
 from .model import (
@@ -103,18 +103,17 @@ def _parse_value(raw: str):
 def load_config(path: str) -> dict:
     """Parse a ``key = value`` config file; '#' starts a comment."""
     settings: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = stripped.split("=", 1)
-            key = key.strip()
-            if key not in _KEY_TYPES:
-                raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
-            settings[key] = _check_type(key, _parse_value(raw), f"{path}:{lineno}")
+    for lineno, line in text_lines(path):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        if key not in _KEY_TYPES:
+            raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
+        settings[key] = _check_type(key, _parse_value(raw), f"{path}:{lineno}")
     return settings
 
 
@@ -198,8 +197,7 @@ def resolve_train_settings(args) -> TrainSettings:
 def _load_blocklist(path: str | None) -> set[str]:
     if not path:
         return set()
-    with open(resolve_input(path), "r", encoding="utf-8") as fh:
-        return {line.strip() for line in fh if line.strip()}
+    return {line.strip() for _, line in text_lines(resolve_input(path)) if line.strip()}
 
 
 # --- commands ----------------------------------------------------------------
@@ -353,17 +351,16 @@ def _cmd_predict(args) -> int:
 
 def _read_predictions(path: str) -> dict[str, dict]:
     preds: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(record, dict) or "id" not in record:
-                raise ParseError(f"{path}:{lineno}: prediction without an id")
-            preds[str(record["id"])] = record
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(record, dict) or "id" not in record:
+            raise ParseError(f"{path}:{lineno}: prediction without an id")
+        preds[str(record["id"])] = record
     return preds
 
 

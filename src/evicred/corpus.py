@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from .embeddings import WordEmbeddings, claim_mean, tokenize
-from .errors import DegenerateInputError, ParseError
+from .errors import ContractError, DegenerateInputError, ParseError, text_lines
 
 __all__ = [
     "ClaimInstance",
@@ -116,68 +116,67 @@ def ingest(path: str, *, label_scheme: str | None = None,
     seen_ids: set[str] = set()
     skipped = 0
     blocklist = blocklist or set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = _DECODER.decode(line)
+        except ValueError as e:  # JSONDecodeError, or a NaN/Infinity literal
+            reason = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({reason})") from None
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}:{lineno}: record is not a JSON object")
+        rid = str(record.get("id", f"line {lineno}"))
+        if rid in seen_ids:
+            raise ParseError(f"{path}: record {rid}: duplicate id")
+        claim_text = str(_require(record, "claim", rid, path))
+        claim_tokens = tokenize(claim_text)
+        if not claim_tokens:
+            raise ParseError(f"{path}: record {rid}: claim has no tokens")
+        label = record.get("label")
+        if label is None and require_label:
+            raise ParseError(f"{path}: record {rid}: missing field 'label'")
+        if label is not None:
+            if label_scheme == "politifact":
+                label = map_politifact_label(str(label))
+            elif isinstance(label, bool):
+                label = int(label)
+            elif not isinstance(label, (int, float)):
+                raise ParseError(f"{path}: record {rid}: label must be numeric")
+            elif isinstance(label, float) and not math.isfinite(label):
+                raise ParseError(f"{path}: record {rid}: label must be finite")
+        raw_articles = _require(record, "articles", rid, path)
+        if not isinstance(raw_articles, list):
+            raise ParseError(f"{path}: record {rid}: 'articles' must be a list")
+        articles, texts, sources = [], [], []
+        for art in raw_articles:
+            if not isinstance(art, dict):
+                raise ParseError(f"{path}: record {rid}: article entries must be objects")
+            text = str(_require(art, "text", rid, path))
+            source = str(_require(art, "source", rid, path))
+            if source in blocklist:
                 continue
-            try:
-                record = _DECODER.decode(line)
-            except ValueError as e:  # JSONDecodeError, or a NaN/Infinity literal
-                reason = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({reason})") from None
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: record is not a JSON object")
-            rid = str(record.get("id", f"line {lineno}"))
-            if rid in seen_ids:
-                raise ParseError(f"{path}: record {rid}: duplicate id")
-            claim_text = str(_require(record, "claim", rid, path))
-            claim_tokens = tokenize(claim_text)
-            if not claim_tokens:
-                raise ParseError(f"{path}: record {rid}: claim has no tokens")
-            label = record.get("label")
-            if label is None and require_label:
-                raise ParseError(f"{path}: record {rid}: missing field 'label'")
-            if label is not None:
-                if label_scheme == "politifact":
-                    label = map_politifact_label(str(label))
-                elif isinstance(label, bool):
-                    label = int(label)
-                elif not isinstance(label, (int, float)):
-                    raise ParseError(f"{path}: record {rid}: label must be numeric")
-                elif isinstance(label, float) and not math.isfinite(label):
-                    raise ParseError(f"{path}: record {rid}: label must be finite")
-            raw_articles = _require(record, "articles", rid, path)
-            if not isinstance(raw_articles, list):
-                raise ParseError(f"{path}: record {rid}: 'articles' must be a list")
-            articles, texts, sources = [], [], []
-            for art in raw_articles:
-                if not isinstance(art, dict):
-                    raise ParseError(f"{path}: record {rid}: article entries must be objects")
-                text = str(_require(art, "text", rid, path))
-                source = str(_require(art, "source", rid, path))
-                if source in blocklist:
-                    continue
-                tokens = tokenize(text)
-                if not tokens:
-                    continue
-                articles.append(tokens)
-                texts.append(text)
-                sources.append(source)
-            if not articles:
-                skipped += 1
+            tokens = tokenize(text)
+            if not tokens:
                 continue
-            seen_ids.add(rid)
-            claim_source = record.get("claim_source")
-            instances.append(ClaimInstance(
-                claim_id=rid,
-                claim_text=claim_text,
-                claim_tokens=claim_tokens,
-                claim_source=None if claim_source is None else str(claim_source),
-                articles=articles,
-                article_texts=texts,
-                article_sources=sources,
-                label=label,
-            ))
+            articles.append(tokens)
+            texts.append(text)
+            sources.append(source)
+        if not articles:
+            skipped += 1
+            continue
+        seen_ids.add(rid)
+        claim_source = record.get("claim_source")
+        instances.append(ClaimInstance(
+            claim_id=rid,
+            claim_text=claim_text,
+            claim_tokens=claim_tokens,
+            claim_source=None if claim_source is None else str(claim_source),
+            articles=articles,
+            article_texts=texts,
+            article_sources=sources,
+            label=label,
+        ))
     if skipped:
         log.warning("%s: skipped %d claims without usable articles", path, skipped)
     return instances
@@ -262,7 +261,7 @@ def _candidate_starts(claim_types: set[str], claim_vec: np.ndarray,
     n, d = token_vecs.shape
     count = n - width + 1
     every = range(count)
-    if width < 1 or token_vecs.dtype not in (np.float32, np.float64):
+    if token_vecs.dtype not in (np.float32, np.float64):
         return every
     if not claim_vec.any():
         return every[:1]  # every cosine is exactly 0.0, so the first window wins
@@ -338,6 +337,8 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     are rescored one by one.  The result equals the exhaustive stride-one
     scan bit for bit.
     """
+    if window < 1:
+        raise ContractError(f"snippet window must be at least 1, got {window}")
     claim_vec = claim_mean(claim_tokens, embeddings)
     if not article_tokens:
         return None

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParseError
+from .errors import DegenerateInputError, ParseError, text_lines
 from .numeric import Tensor, glorot_uniform
 
 __all__ = [
@@ -117,39 +117,47 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     """Parse a word-vector text file into a vocabulary and embedding matrix.
 
     The dimensionality is taken from the first line; any later line with a
-    different number of fields raises ParseError naming the line.  Reading
-    stops after ``vocab_limit`` tokens when given.  Duplicate tokens keep
-    their first vector.
+    different number of fields, or a component that is not a finite number
+    in ``dtype`` (nan, inf, 1e999), raises ParseError naming the line.
+    Reading stops after ``vocab_limit`` tokens when given.  Duplicate
+    tokens keep their first vector.
     """
     vocab = Vocabulary()
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ParseError(f"{path}:{lineno}: no vector components")
-            elif len(values) != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(values)}")
-            if token in vocab:
-                continue
-            try:
-                vec = np.array([float(v) for v in values], dtype=dtype)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            vocab.add(token)
-            rows.append(vec)
-            if vocab_limit is not None and len(vocab) >= vocab_limit:
-                break
+    for lineno, line in text_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ParseError(f"{path}:{lineno}: no vector components")
+        elif len(values) != dim:
+            raise ParseError(
+                f"{path}:{lineno}: expected {dim} components, got {len(values)}")
+        if token in vocab:
+            continue
+        try:
+            vec = np.array([float(v) for v in values], dtype=dtype)
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        vocab.add(token)
+        rows.append(vec)
+        linenos.append(lineno)
+        if vocab_limit is not None and len(vocab) >= vocab_limit:
+            break
     if not rows:
         raise DegenerateInputError(f"{path}: file holds no word vectors")
-    return vocab, WordEmbeddings(vocab, np.stack(rows))
+    matrix = np.stack(rows)
+    # A row's max and min carry any nan or inf in it, with no full-size mask.
+    finite = np.isfinite(matrix.max(axis=1)) & np.isfinite(matrix.min(axis=1))
+    if not finite.all():
+        raise ParseError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                         "vector component is not a finite number")
+    return vocab, WordEmbeddings(vocab, matrix)
 
 
 class SourceEmbeddingTable:

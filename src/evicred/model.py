@@ -18,11 +18,11 @@ step-major states (column t*B + b is token t of pair b), and everything
 after it works column-wise on (features, B) matrices.  Padding gets zero
 attention weight, and the pooled vector divides by the real length, so a
 pair's score does not depend on what it was batched with beyond the last
-bits of rounding.  Training bounds the padded tokens of a chunk (see
-``training.CHUNK_TOKENS``).  ``claim_score`` scores all of a claim's
-articles as one chunk, in a canonical order (shortest first, then by
-tokens and source), so its result is bit-identical under any article
-order.
+bits of rounding.  Training and ``claim_score`` both cut their pairs into
+chunks of at most ``CHUNK_TOKENS`` padded tokens, so memory grows with
+that budget.  ``claim_score`` takes a claim's articles in a canonical
+order (shortest first, then by tokens and source), so its result is
+bit-identical under any article order.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ from .numeric import (
     Tensor,
     add,
     affine,
+    bilstm,
     glorot_uniform,
-    lstm,
     matmul,
     mul_const,
     relu,
@@ -58,6 +58,7 @@ from .numeric import (
 
 __all__ = [
     "GATES",
+    "CHUNK_TOKENS",
     "Pair",
     "Hyperparams",
     "ModelParams",
@@ -77,6 +78,10 @@ __all__ = [
 MODES = ("classify", "regress")
 # Row-block order of each fused LSTM gate matrix and bias.
 GATES = ("input", "forget", "output", "cell")
+# Padded tokens per chunk of pairs.  Peak memory, not speed, caps it: a
+# training chunk's forward and backward take about 7 KB per padded token
+# at the snopes sizes (d=100, H=64), and scoring about 6 KB.
+CHUNK_TOKENS = 800
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,23 @@ class ForwardTrace:
     score: float | np.ndarray
 
 
+def _chunk_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """(start, stop) bounds of consecutive chunks within ``CHUNK_TOKENS``.
+
+    ``lengths`` are the articles' token counts.  A chunk of B articles
+    pads to its longest, so it costs B times that length; an article
+    longer than the budget gets a chunk alone.
+    """
+    spans: list[tuple[int, int]] = []
+    start, longest = 0, 0
+    for i, k in enumerate(lengths):
+        longest = max(longest, k)
+        if i > start and (i - start + 1) * longest > CHUNK_TOKENS:
+            spans.append((start, i))
+            start, longest = i, k
+    return spans + [(start, len(lengths))]
+
+
 def _as_batch(embeds: np.ndarray, word_dim: int) -> np.ndarray:
     """(T, B, d) word vectors; a single (k, d) article is a batch of one."""
     if embeds.ndim == 2:
@@ -256,9 +278,8 @@ def bilstm_encode(embeds: np.ndarray, params: ModelParams,
     steps, batch, _ = embeds.shape
     if lengths is None:
         lengths = np.full(batch, steps)
-    forward = lstm(embeds, lengths, params.lstm_fw_w, params.lstm_fw_b)
-    backward = lstm(embeds, lengths, params.lstm_bw_w, params.lstm_bw_b, reverse=True)
-    return vstack([forward, backward])
+    return bilstm(embeds, lengths, params.lstm_fw_w, params.lstm_fw_b,
+                  params.lstm_bw_w, params.lstm_bw_b)
 
 
 def attend(embeds: np.ndarray, claim_vecs: np.ndarray, params: ModelParams,
@@ -416,15 +437,17 @@ class CredibilityModel:
     def claim_score(self, instance) -> tuple[float | np.ndarray, list[ForwardTrace]]:
         """Credibility of a claim: plain mean of its per-article scores.
 
-        All of the claim's articles are scored in one pass, in a canonical
-        order, so every score, and thus the result, is the same bits under
-        any article order; the traces come back in the instance's order.
+        The articles are scored in a canonical order, in chunks within
+        ``CHUNK_TOKENS``, so every score, and thus the result, is the same
+        bits under any article order; traces come in the instance's order.
         """
         pairs = Pair.of(instance)
         order = sorted(range(len(pairs)), key=lambda i: (
             len(pairs[i].article_tokens), pairs[i].article_tokens,
             pairs[i].article_source is not None, pairs[i].article_source or ""))
-        _, ranked = self.article_score([pairs[i] for i in order])
+        ranked: list[ForwardTrace] = []
+        for lo, hi in _chunk_spans([len(pairs[i].article_tokens) for i in order]):
+            ranked += self.article_score([pairs[i] for i in order[lo:hi]])[1]
         traces = [ranked[r] for r in np.argsort(order)]
         per_article = [t.score for t in traces]
         if self.hyper.mode == "classify" and self.hyper.classes > 2:

@@ -12,7 +12,7 @@ Columns are batch items: a batch of B feature vectors is an (n, B)
 matrix, and elementwise ops, ``softmax`` and matmuls by a weight on the
 left act on every column at once.  A batch of sequences padded to T steps
 is stored step-major, as an (n, T*B) matrix whose column t*B + b holds
-step t of item b; ``lstm`` produces that layout and ``step_weighted_sum``
+step t of item b; ``bilstm`` produces that layout and ``step_weighted_sum``
 reduces it.
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "slice_rows",
     "take_rows",
     "reshape",
-    "lstm",
+    "bilstm",
     "step_weighted_sum",
     "zero_grads",
     "glorot_uniform",
@@ -456,101 +456,103 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
 
 
 # Steps whose gate gradients are gathered before they enter the weight
-# gradient as one product; bounds that buffer at (4H, 16 B).
+# gradient as one product; bounds that buffer at (2, 4H, 16, B).
 _BPTT_BLOCK = 16
 
 
-def lstm(x: np.ndarray, lengths: np.ndarray, w: Tensor, b: Tensor,
-         reverse: bool = False) -> Tensor:
-    """One LSTM direction over a padded batch, recorded as a single op.
+def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
+           w_bw: Tensor, b_bw: Tensor) -> Tensor:
+    """Both LSTM directions over a padded batch, recorded as a single op.
 
     ``x`` is (T, B, d): item b holds ``lengths[b]`` real steps, then
-    padding.  ``w`` is the fused (4H, d+H) gate matrix acting on
-    [x_t; h_prev], its row blocks input, forget, output, cell, and ``b``
-    the (4H, 1) bias.  Each step is one (4H, d+H) @ (d+H, B) product for
-    the whole batch.  The forward direction runs t = 0..T-1 with h_prev =
-    h_{t-1}; ``reverse`` runs t = T-1..0 with h_prev = h_{t+1}.  Cell
-    states of padding steps are held at zero, so their hidden states are
-    zero and every item starts from zero states in either direction.
-    Returns the (H, T*B) step-major states.
-
-    The op keeps ``x`` itself (not a copy) plus the hidden and cell state
-    of every step; the hand-written backward (BPTT) recomputes the gates
-    from them.
+    padding.  Each direction has a fused (4H, d+H) gate matrix on
+    [x_t; h_prev], row blocks input, forget, output, cell, and a (4H, 1)
+    bias.  The backward direction reads each item reversed within its own
+    length, so both run t = 0..T-1 from zero states, one stacked
+    (2, 4H, d+H) @ (2, d+H, B) product per step; padding steps keep zero
+    cell and hidden states.  Returns the (2H, T*B) step-major states,
+    forward half over backward half: column t*B + b has read steps 0..t of
+    item b forward and t..k-1 backward.  Under an active tape the op keeps
+    every step's [x_t; h_prev] and cell state in both directions, from
+    which the hand-written backward (BPTT) recomputes the gates.
     """
     steps, batch, dim = x.shape
-    size = w.rows // 4
-    if w.cols != dim + size or b.shape != (4 * size, 1):
-        raise ShapeError(f"gate weights {w.shape} and bias {b.shape} do not fit "
-                         f"{dim}-dimensional inputs")
+    size = w_fw.rows // 4
+    params = (w_fw, b_fw, w_bw, b_bw)
+    shapes = [(4 * size, dim + size), (4 * size, 1)] * 2
+    if any(p.shape != shape for p, shape in zip(params, shapes)):
+        raise ShapeError(f"gate weights and biases do not fit {dim}-dimensional inputs")
     lengths = np.asarray(lengths)
     if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > steps:
         raise ShapeError(f"lengths {lengths} do not fit {steps} padded steps")
-    dtype = w.data.dtype
-    live = (np.arange(steps)[:, None] < lengths).astype(dtype)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    # Column block s + shift of ``hs`` holds h_prev of step s, and h_s
-    # lands in block s + 1 - shift; the extra block is the zero start.
-    shift = 1 if reverse else 0
+    requires_grad = any(p.requires_grad for p in params)
+    taped = requires_grad and active_tape() is not None
+    dtype = w_fw.data.dtype
+    t_col = np.arange(steps)[:, None]
+    live = (t_col < lengths).astype(dtype)
+    # Backward step t of item b reads step k-1-t, k its length; padding stays
+    # put.  ``flip`` maps column t*B + b to the one it reads: an involution.
+    flip = (np.where(t_col < lengths, lengths - 1 - t_col, t_col) * batch
+            + np.arange(batch)).reshape(-1)
+    w = np.stack([w_fw.data, w_bw.data])
+    bias = np.stack([b_fw.data, b_bw.data])
+    # xh[t] is the (2, d+H, B) operand [x_t; h_prev] of step t for both
+    # directions, so h_t is written straight into xh[t + 1]; xh[0] starts
+    # from zero states.
+    xh = np.zeros((steps + 1, 2, dim + size, batch), dtype=dtype)
+    xh[:steps, 0, :dim] = x.transpose(0, 2, 1)
+    xh[:steps, 1, :dim] = x.reshape(-1, dim)[flip].reshape(x.shape).transpose(0, 2, 1)
 
-    def cols(block: int) -> slice:
-        return slice(block * batch, (block + 1) * batch)
+    def gates(t: int) -> tuple[np.ndarray, np.ndarray]:
+        z = w @ xh[t]
+        z += bias
+        return _stable_sigmoid(z[:, :3 * size]), np.tanh(z[:, 3 * size:])
 
-    def gates(s: int, xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sigmoid input, forget, output rows and tanh candidate of step s."""
-        xh[:dim] = x[s].T
-        xh[dim:] = hs[:, cols(s + shift)]
-        z = w.data @ xh
-        z += b.data
-        return _stable_sigmoid(z[:3 * size]), np.tanh(z[3 * size:])
-
-    hs = np.zeros((size, (steps + 1) * batch), dtype=dtype)
-    cells = np.empty((size, steps * batch), dtype=dtype)
-    xh = np.empty((dim + size, batch), dtype=dtype)
-    c = np.zeros((size, batch), dtype=dtype)
-    for s in order:
-        ifo, cand = gates(s, xh)
-        c = (ifo[size:2 * size] * c + ifo[:size] * cand) * live[s]
-        cells[:, cols(s)] = c
-        hs[:, cols(s + 1 - shift)] = ifo[2 * size:] * np.tanh(c)
-    out = Tensor(hs[:, (1 - shift) * batch:(1 - shift + steps) * batch],
-                 requires_grad=w.requires_grad or b.requires_grad)
+    cells = np.empty((steps, 2, size, batch), dtype=dtype) if taped else None
+    c = np.zeros((2, size, batch), dtype=dtype)
+    for t in range(steps):
+        ifo, cand = gates(t)
+        c = np.multiply(ifo[:, size:2 * size] * c + ifo[:, :size] * cand, live[t],
+                        out=cells[t] if taped else None)
+        np.multiply(ifo[:, 2 * size:], np.tanh(c), out=xh[t + 1, :, dim:])
+    states = np.empty((2 * size, steps * batch), dtype=dtype)
+    states.reshape(2, size, steps, batch)[:] = xh[1:, :, dim:].transpose(1, 2, 0, 3)
+    states[size:] = states[size:, flip]
+    out = Tensor(states, requires_grad=requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        w_h = w.data[:, dim:].T
-        gw = np.zeros_like(w.data)
-        gb = np.zeros_like(b.data)
-        dz = np.empty((4 * size, _BPTT_BLOCK * batch), dtype=dtype)
-        dh = np.zeros((size, batch), dtype=dtype)
-        dc = np.zeros((size, batch), dtype=dtype)
-        for s in reversed(order):
-            ifo, cand = gates(s, xh)
-            i, f, o = ifo[:size], ifo[size:2 * size], ifo[2 * size:]
-            tc = np.tanh(cells[:, cols(s)])
-            t = s + 1 if reverse else s - 1
-            c_prev = cells[:, cols(t)] if 0 <= t < steps else 0.0
-            dh = dh + g[:, cols(s)]
-            dc = (dc + dh * o * (1.0 - tc * tc)) * live[s]
-            step = dz[:, cols(s % _BPTT_BLOCK)]
-            step[:size] = dc * cand * i * (1.0 - i)
-            step[size:2 * size] = dc * c_prev * f * (1.0 - f)
-            step[2 * size:3 * size] = dh * tc * o * (1.0 - o)
-            step[3 * size:] = dc * i * (1.0 - cand * cand)
+        # ``flip`` is its own inverse, so it also reorders the backward gradient.
+        g2 = g.reshape(2, size, steps * batch)
+        g_cols = np.stack([np.arange(steps * batch), flip]).reshape(2, 1, steps, batch)
+        w_h = w[:, :, dim:].transpose(0, 2, 1)
+        gw = np.zeros_like(w)
+        gb = np.zeros_like(bias)
+        dz = np.empty((2, 4 * size, _BPTT_BLOCK, batch), dtype=dtype)
+        dh = dc = np.zeros((2, size, batch), dtype=dtype)
+        for t in range(steps - 1, -1, -1):
+            ifo, cand = gates(t)
+            i, f, o = ifo[:, :size], ifo[:, size:2 * size], ifo[:, 2 * size:]
+            tc = np.tanh(cells[t])
+            c_prev = cells[t - 1] if t else 0.0
+            dh = dh + np.take_along_axis(g2, g_cols[:, :, t], axis=2)
+            dc = (dc + dh * o * (1.0 - tc * tc)) * live[t]
+            step = dz[:, :, t % _BPTT_BLOCK]
+            step[:, :size] = dc * cand * i * (1.0 - i)
+            step[:, size:2 * size] = dc * c_prev * f * (1.0 - f)
+            step[:, 2 * size:3 * size] = dh * tc * o * (1.0 - o)
+            step[:, 3 * size:] = dc * i * (1.0 - cand * cand)
             dc = dc * f
             dh = w_h @ step
-            # Steps first..last share dz in step order; fold them into the
-            # weight gradient once this pass has filled them all.
-            first = s - s % _BPTT_BLOCK
-            last = min(first + _BPTT_BLOCK, steps) - 1
-            if s == (last if reverse else first):
-                block = dz[:, :(last - first + 1) * batch]
-                gw[:, :dim] += block @ x[first:last + 1].reshape(-1, dim)
-                gw[:, dim:] += block @ hs[:, (first + shift) * batch:
-                                         (last + 1 + shift) * batch].T
-                gb += block.sum(axis=1, keepdims=True)
-        if w.requires_grad:
-            w.grad = gw if w.grad is None else np.add(gw, w.grad, out=gw)
-        _accumulate(b, gb)
+            if t % _BPTT_BLOCK == 0:
+                # dz holds steps t..stop-1: one product folds them in.
+                stop = min(t + _BPTT_BLOCK, steps)
+                block = dz[:, :, :stop - t].reshape(2, 4 * size, -1)
+                inputs = xh[t:stop].transpose(1, 2, 0, 3).reshape(2, dim + size, -1)
+                gw += block @ inputs.transpose(0, 2, 1)
+                gb += block.sum(axis=2, keepdims=True)
+        for p, grad in zip(params, (gw[0], gb[0], gw[1], gb[1])):
+            if p.requires_grad:
+                p.grad = grad if p.grad is None else np.add(grad, p.grad, out=grad)
 
     _register(out, backward)
     return out

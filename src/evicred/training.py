@@ -2,7 +2,7 @@
 
 Training instances are (claim, article) pairs; every article of a claim
 is its own example with the claim's label.  A mini-batch is split into
-chunks of at most ``CHUNK_TOKENS`` padded tokens, so memory grows with
+chunks of at most ``model.CHUNK_TOKENS`` padded tokens, so memory grows with
 that budget, not with the batch size; each chunk is one forward pass and
 one tape, and the chunks' gradients are summed and then averaged over
 the mini-batch.  Parameters move under bias-corrected Adam, and early
@@ -20,12 +20,11 @@ from .embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
 from .errors import ContractError, DegenerateInputError
 from .metrics import MetricReport, classification_report, multiclass_report, \
     regression_report
-from .model import CredibilityModel, Hyperparams, ModelParams, Pair
+from .model import CredibilityModel, Hyperparams, ModelParams, Pair, _chunk_spans
 from .numeric import Tensor, Tape, add, affine, clip, log, matmul, mul, mul_const, \
     sum_all, zero_grads
 
 __all__ = [
-    "CHUNK_TOKENS",
     "TrainConfig",
     "OptimizerState",
     "loss",
@@ -39,12 +38,6 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-7
-# Padded tokens per training chunk.  A chunk's tape holds about 5 KB per
-# padded token at the snopes sizes (d=100, H=64).  Larger chunks run
-# faster, but peak memory caps them: on the train-snopes benchmark the
-# process peaked 2% above per-pair taping at 800 tokens and 8% above it
-# at 1,200.
-CHUNK_TOKENS = 800
 
 
 @dataclass
@@ -190,25 +183,6 @@ def _expand_pairs(instances: Sequence[ClaimInstance]) -> list[tuple[Pair, float]
     if not pairs:
         raise DegenerateInputError("no training pairs")
     return pairs
-
-
-def _chunk_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
-    """(start, stop) bounds of consecutive chunks within ``CHUNK_TOKENS``.
-
-    ``lengths`` are the articles' token counts.  A chunk of B articles
-    pads to its longest, so it costs B times that length; an article
-    longer than the budget gets a chunk alone.
-    """
-    spans: list[tuple[int, int]] = []
-    start, longest = 0, 0
-    for i, k in enumerate(lengths):
-        if i > start and (i - start + 1) * max(longest, k) > CHUNK_TOKENS:
-            spans.append((start, i))
-            start, longest = i, 0
-        longest = max(longest, k)
-    if len(lengths):
-        spans.append((start, len(lengths)))
-    return spans
 
 
 def _chunk_gradients(model: CredibilityModel, chunk: Sequence[Pair], labels,

@@ -450,3 +450,29 @@ def test_bad_checkpoint_path_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "p.jsonl")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["corpus", "vectors", "config", "predictions",
+                                    "blocklist"])
+def test_non_utf8_input_exits_one_naming_the_file(tmp_path, capsys, reader):
+    instances, emb = planted_corpus(n_claims=3, n_articles=1)
+    corpus = tmp_path / "in.jsonl"
+    vectors = tmp_path / "v.txt"
+    write_corpus_file(corpus, instances)
+    write_embedding_file(vectors, emb)
+    bad = tmp_path / f"{reader}.bin"
+    bad.write_bytes(b"caf\xe9\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "corpus": ["ingest", "--in", str(bad), "--out", out],
+        "vectors": ["ingest", "--in", str(corpus), "--out", out, "--snippets",
+                    "--embeddings", str(bad)],
+        "config": ["train", "--corpus", str(corpus), "--embeddings", str(vectors),
+                   "--out", out, "--config", str(bad)],
+        "predictions": ["eval", "--corpus", str(corpus), "--pred", str(bad)],
+        "blocklist": ["ingest", "--in", str(corpus), "--out", out,
+                      "--blocklist", str(bad)],
+    }[reader]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: not UTF-8 text (invalid continuation byte)\n")

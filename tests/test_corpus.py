@@ -23,7 +23,7 @@ from evicred.corpus import (
     write_corpus,
 )
 from evicred.embeddings import Vocabulary, WordEmbeddings, claim_mean
-from evicred.errors import DegenerateInputError, ParseError
+from evicred.errors import ContractError, DegenerateInputError, ParseError
 from tests.conftest import planted_corpus
 
 
@@ -260,6 +260,14 @@ class TestExtractSnippet:
         assert snip is not None
         assert snip.start == 0
         assert snip.tokens == ["alpha", "beta"]
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_raises(self, window):
+        # Unchecked, a zero window scores NaN, which passes every delta,
+        # and a negative one slices off the article's last token.
+        emb = toy_embeddings(["alpha", "beta"])
+        with pytest.raises(ContractError, match="window"):
+            extract_snippet(["alpha"], ["alpha", "beta"], emb, delta=0.0, window=window)
 
     def test_earliest_window_wins_ties(self):
         emb = toy_embeddings(["alpha", "x"])

@@ -55,6 +55,13 @@ class TestLoadWordVectors:
         with pytest.raises(ParseError, match=r"nan\.txt:1"):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_component_reports_lineno(self, tmp_path, literal):
+        path = tmp_path / "big.txt"
+        path.write_text(f"cat 1.0 2.0\n\ndog 1.0 {literal}\n")
+        with pytest.raises(ParseError, match=r"big\.txt:3: .*not a finite number"):
+            load_word_vectors(path)
+
     def test_empty_file_is_degenerate(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

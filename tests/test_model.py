@@ -23,6 +23,7 @@ from evicred.errors import (
     ShapeError,
 )
 from evicred.model import (
+    CHUNK_TOKENS,
     GATES,
     CredibilityModel,
     Hyperparams,
@@ -413,6 +414,36 @@ class TestCredibilityModel:
             label=inst.label)
         cred2, _ = model.claim_score(shuffled)
         assert cred == cred2
+
+    def test_over_budget_claim_is_chunked_and_order_free(self, monkeypatch):
+        hyper, vocab, emb, params = tiny_world(seed=20)
+        model = CredibilityModel(hyper, params, emb)
+        rng = np.random.default_rng(21)
+        tokens = list(vocab.tokens)
+        articles = [[tokens[j] for j in rng.integers(0, len(tokens), size=n)]
+                    for n in (CHUNK_TOKENS // 2, 30, CHUNK_TOKENS + 5, 250)]
+        sources = ["siteA", None, "elsewhere", "siteA"]
+        passes = []
+        score_chunk = model.article_score
+
+        def counted(pairs):
+            passes.append(len(pairs))
+            return score_chunk(pairs)
+
+        monkeypatch.setattr(model, "article_score", counted)
+        results = []
+        for perm in [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]:
+            inst = ClaimInstance(
+                claim_id="c0", claim_text="", claim_tokens=["t1", "t2"],
+                claim_source="speaker", articles=[articles[i] for i in perm],
+                article_texts=["" for _ in perm],
+                article_sources=[sources[i] for i in perm], label=1)
+            cred, traces = model.claim_score(inst)
+            scores = dict(zip(perm, (t.score for t in traces)))
+            results.append((cred, [scores[i] for i in range(4)]))
+        # Shortest first: 30 + 250 tokens share a chunk, 400 and 805 do not.
+        assert passes == [2, 1, 1] * 4
+        assert all(r == results[0] for r in results)
 
     def test_claim_score_returns_traces_in_input_order(self):
         hyper, vocab, emb, params = tiny_world(seed=18)

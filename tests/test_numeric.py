@@ -16,6 +16,7 @@ from evicred.numeric import (
     Tensor,
     add,
     affine,
+    bilstm,
     clip,
     log,
     matmul,
@@ -23,7 +24,6 @@ from evicred.numeric import (
     mul_const,
     relu,
     sigmoid,
-    lstm,
     reshape,
     slice_rows,
     softmax,
@@ -245,24 +245,23 @@ class TestBatchLayout:
 
 
 class TestLstm:
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradient_matches_finite_difference_across_blocks(self, reverse):
+    def test_gradient_matches_finite_difference_in_both_directions(self):
         # 20 steps span two 16-step gradient blocks; the second item is
-        # padded after 7 steps.
+        # padded after 7 steps, so its backward direction starts at step 6.
         rng = np.random.default_rng(6)
         steps, lengths, dim, size = 20, np.array([20, 7]), 2, 2
         x = rng.standard_normal((steps, 2, dim))
-        w = Tensor(rng.standard_normal((4 * size, dim + size)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4 * size, 1)), requires_grad=True)
-        weights = rng.standard_normal((size, steps * 2))
+        params = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in [(4 * size, dim + size), (4 * size, 1)] * 2]
+        weights = rng.standard_normal((2 * size, steps * 2))
 
         def value():
-            return float(np.sum(weights * lstm(x, lengths, w, b, reverse).data))
+            return float(np.sum(weights * bilstm(x, lengths, *params).data))
 
         with Tape() as tape:
-            out = sum_all(mul_const(lstm(x, lengths, w, b, reverse), weights))
+            out = sum_all(mul_const(bilstm(x, lengths, *params), weights))
         tape.backward(out)
-        for t in (w, b):
+        for t in params:
             assert np.max(np.abs(numeric_gradient(value, t.data) - t.grad)) < 1e-7
 
 

@@ -12,12 +12,17 @@ import pytest
 from evicred.corpus import make_folds
 from evicred.errors import ContractError, DegenerateInputError
 from evicred.embeddings import SourceEmbeddingTable
-from evicred.model import CredibilityModel, Hyperparams, ModelParams, Pair
+from evicred.model import (
+    CHUNK_TOKENS,
+    CredibilityModel,
+    Hyperparams,
+    ModelParams,
+    Pair,
+    _chunk_spans,
+)
 from evicred.numeric import Tape, Tensor, sum_all
 from evicred.training import (
-    CHUNK_TOKENS,
     OptimizerState,
-    _chunk_spans,
     TrainConfig,
     adam_step,
     evaluate,
