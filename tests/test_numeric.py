@@ -245,15 +245,20 @@ class TestBatchLayout:
 
 
 class TestLstm:
-    def test_gradient_matches_finite_difference_in_both_directions(self):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_matches_finite_difference_across_blocks(self, reverse):
         # 20 steps span two 16-step gradient blocks; the second item is
         # padded after 7 steps, so its backward direction starts at step 6.
+        # The loss reads one direction's half of the output, so the other
+        # direction's weights and bias must get a zero gradient.
         rng = np.random.default_rng(6)
         steps, lengths, dim, size = 20, np.array([20, 7]), 2, 2
         x = rng.standard_normal((steps, 2, dim))
         params = [Tensor(rng.standard_normal(shape), requires_grad=True)
                   for shape in [(4 * size, dim + size), (4 * size, 1)] * 2]
-        weights = rng.standard_normal((2 * size, steps * 2))
+        weights = np.zeros((2 * size, steps * 2))
+        half = slice(size, 2 * size) if reverse else slice(0, size)
+        weights[half] = rng.standard_normal((size, steps * 2))
 
         def value():
             return float(np.sum(weights * bilstm(x, lengths, *params).data))
@@ -262,7 +267,10 @@ class TestLstm:
             out = sum_all(mul_const(bilstm(x, lengths, *params), weights))
         tape.backward(out)
         for t in params:
-            assert np.max(np.abs(numeric_gradient(value, t.data) - t.grad)) < 1e-7
+            grad = np.zeros_like(t.data) if t.grad is None else t.grad
+            assert np.max(np.abs(numeric_gradient(value, t.data) - grad)) < 1e-7
+        unused = params[:2] if reverse else params[2:]
+        assert all(t.grad is None or not t.grad.any() for t in unused)
 
 
 class TestBackward:
