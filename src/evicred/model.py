@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import json
 import math
-import struct
+import os
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import container
 from .embeddings import SourceEmbeddingTable, WordEmbeddings, claim_mean
 from .errors import ContractError, DegenerateInputError, ParseError, ShapeError
 from .numeric import (
@@ -480,18 +481,28 @@ def verdict(credibility: float) -> int:
 # --- checkpoints ------------------------------------------------------------
 
 _MAGIC = b"EVCR"
-_VERSION = 2
-_HEADER_KEYS = ("hyper", "vocab_hash", "arrays", "article_sources", "claim_sources")
+_VERSION = 3
+_HEADER_KEYS = ("hyper", "vocab_hash", "arrays", "article_sources", "claim_sources",
+                "sha256")
 _ARRAY_KEYS = ("name", "shape", "dtype")
 _DTYPE_CODES = {"float32": np.float32, "float64": np.float64}
+
+
+def _digest(header: dict, payload) -> str:
+    """SHA-256 over every header field but the digest itself, then the payload
+    (the arrays and the zero gaps between them)."""
+    fields = {key: value for key, value in header.items() if key != "sha256"}
+    blob = json.dumps(fields, sort_keys=True).encode("utf-8")
+    return container.sha256_hex([blob, *payload])
 
 
 def save_checkpoint(path: str, params: ModelParams, vocab_hash: str) -> None:
     """Write a self-describing binary checkpoint.
 
-    Layout: magic, version, header length, JSON header, then every array
-    raw in row-major order, each LSTM direction as its fused gate matrix
-    and bias.  The writer emits no timestamps, so equal models produce
+    Layout: the ``container`` format with a JSON header and one section per
+    array, raw in row-major order, each LSTM direction as its fused gate
+    matrix and bias.  The header's ``sha256`` covers its other fields and
+    every byte after the header's padding.  Equal models produce
     byte-identical files.
     """
     named = params.named()
@@ -507,37 +518,9 @@ def save_checkpoint(path: str, params: ModelParams, vocab_hash: str) -> None:
         "claim_sources": (None if params.claim_sources is None
                           else params.claim_sources.sources),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(blob)))
-        fh.write(blob)
-        for t in named.values():
-            fh.write(np.ascontiguousarray(t.data).tobytes())
-
-
-def _read_header(fh, path: str) -> dict:
-    if fh.read(4) != _MAGIC:
-        raise ParseError(f"{path}: not a checkpoint file")
-    preamble = fh.read(8)
-    if len(preamble) != 8:
-        raise ParseError(f"{path}: truncated checkpoint preamble")
-    version, header_len = struct.unpack("<II", preamble)
-    if version != _VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    blob = fh.read(header_len)
-    if len(blob) != header_len:
-        raise ParseError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError as e:  # covers both bad UTF-8 and bad JSON
-        raise ParseError(f"{path}: checkpoint header is not UTF-8 JSON") from e
-    _require_keys(header, _HEADER_KEYS, path)
-    if not isinstance(header["arrays"], list):
-        raise ParseError(f"{path}: checkpoint header 'arrays' is not a list")
-    for spec in header["arrays"]:
-        _require_keys(spec, _ARRAY_KEYS, path)
-    return header
+    arrays = [np.ascontiguousarray(t.data) for t in named.values()]
+    header["sha256"] = _digest(header, container.payload_chunks(arrays))
+    container.write(path, _MAGIC, _VERSION, header, arrays)
 
 
 def _require_keys(entry, keys: tuple[str, ...], path: str) -> None:
@@ -548,41 +531,76 @@ def _require_keys(entry, keys: tuple[str, ...], path: str) -> None:
             raise ParseError(f"{path}: checkpoint header lacks {key!r}")
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, str]:
-    """Rebuild model parameters from a checkpoint; bit-exact round trip."""
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            dtype = _DTYPE_CODES.get(spec["dtype"])
-            if dtype is None:
-                raise ParseError(f"{path}: unknown dtype {spec['dtype']!r}")
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * np.dtype(dtype).itemsize)
-            if len(raw) != count * np.dtype(dtype).itemsize:
-                raise ParseError(f"{path}: truncated array {spec['name']!r}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        if fh.read(1):
-            raise ParseError(f"{path}: unexpected bytes after the last array")
+def _array_layout(spec: dict, path: str) -> tuple[str, type, tuple[int, ...]]:
+    name, dtype, shape = spec["name"], spec["dtype"], spec["shape"]
+    if not isinstance(name, str):
+        raise ParseError(f"{path}: array name {name!r} is not a string")
+    if not isinstance(dtype, str) or dtype not in _DTYPE_CODES:
+        raise ParseError(f"{path}: unknown dtype {dtype!r}")
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ParseError(f"{path}: array {name!r} has a malformed shape {shape!r}")
+    return name, _DTYPE_CODES[dtype], tuple(shape)
 
-    hyper = Hyperparams(**header["hyper"])
-    dtype = arrays["article_source_table"].dtype
-    article_table = SourceEmbeddingTable(
-        header["article_sources"], arrays["article_source_table"],
-        "article_source_table")
-    claim_table = None
-    if header["claim_sources"] is not None:
-        claim_table = SourceEmbeddingTable(
-            header["claim_sources"], arrays["claim_source_table"],
-            "claim_source_table")
-    params = ModelParams(hyper, np.random.default_rng(0),
-                         article_sources=article_table,
-                         claim_sources=claim_table, dtype=dtype)
-    for name, t in params.named().items():
+
+def load_checkpoint(path: str) -> tuple[ModelParams, str]:
+    """Rebuild model parameters from a checkpoint; bit-exact round trip.
+
+    Anything but an intact version-3 file raises ParseError: a wrong magic
+    or version, a header that is not JSON or lacks a key, a file too short
+    or too long for its arrays, or a digest that does not match its bytes.
+    """
+    with open(path, "rb") as fh:
+        header, header_len = container.read_header(fh, path, _MAGIC, _VERSION,
+                                                   "checkpoint")
+        _require_keys(header, _HEADER_KEYS, path)
+        if not isinstance(header["arrays"], list):
+            raise ParseError(f"{path}: checkpoint header 'arrays' is not a list")
+        layouts = []
+        for spec in header["arrays"]:
+            _require_keys(spec, _ARRAY_KEYS, path)
+            layouts.append(_array_layout(spec, path))
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+                 for _, dtype, shape in layouts]
+        offsets, end = container.section_offsets(header_len, sizes)
+        file_size = os.fstat(fh.fileno()).st_size
+        for (name, _, _), start, size in zip(layouts, offsets, sizes):
+            if start + size > file_size:
+                raise ParseError(f"{path}: truncated array {name!r}")
+        if file_size > end:
+            raise ParseError(f"{path}: unexpected bytes after the last array")
+        payload_at = offsets[0] if offsets else end
+        fh.seek(payload_at)
+        payload = fh.read(end - payload_at)
+    if _digest(header, [payload]) != header["sha256"]:
+        raise ParseError(f"{path}: checkpoint digest does not match its contents")
+    arrays = {
+        name: np.frombuffer(payload, dtype, math.prod(shape), start - payload_at)
+        .reshape(shape).copy()
+        for (name, dtype, shape), start in zip(layouts, offsets)}
+
+    def array(name: str) -> np.ndarray:
         if name not in arrays:
             raise ParseError(f"{path}: checkpoint is missing array {name!r}")
-        if tuple(arrays[name].shape) != t.shape:
+        return arrays[name]
+
+    try:  # a header with a valid digest can still be hand-made
+        hyper = Hyperparams(**header["hyper"])
+        article_table = SourceEmbeddingTable(
+            header["article_sources"], array("article_source_table"),
+            "article_source_table")
+        claim_table = None
+        if header["claim_sources"] is not None:
+            claim_table = SourceEmbeddingTable(
+                header["claim_sources"], array("claim_source_table"),
+                "claim_source_table")
+    except TypeError as e:
+        raise ParseError(f"{path}: checkpoint header does not fit the model: {e}") from None
+    params = ModelParams(hyper, np.random.default_rng(0),
+                         article_sources=article_table, claim_sources=claim_table,
+                         dtype=array("article_source_table").dtype)
+    for name, t in params.named().items():
+        if array(name).shape != t.shape:
             raise ParseError(
                 f"{path}: array {name!r} has shape {arrays[name].shape}, "
                 f"expected {t.shape}")

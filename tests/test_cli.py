@@ -321,6 +321,22 @@ class TestPredictCommand:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_flipped_payload_byte_exits_one_with_one_line(self, cli_world,
+                                                            tmp_path, capsys):
+        raw = bytearray((cli_world["run"] / "fold_00.ckpt").read_bytes())
+        raw[-1] ^= 0x01
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(raw))
+        code = main(["predict", "--checkpoint", str(bad),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--corpus", str(cli_world["corpus"]),
+                     "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "digest does not match" in err
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def predictions(self, cli_world, tmp_path):

@@ -1,9 +1,13 @@
-"""Word vector loading, vocabulary, and source bucketing."""
+"""Word vector loading and its cache, vocabulary, and source bucketing."""
+import json
 import os
+import struct
+import threading
 
 import numpy as np
 import pytest
 
+from evicred import container, embeddings
 from evicred.embeddings import (
     SourceEmbeddingTable,
     Vocabulary,
@@ -62,6 +66,19 @@ class TestLoadWordVectors:
         with pytest.raises(ParseError, match=r"big\.txt:3: .*not a finite number"):
             load_word_vectors(path)
 
+    def test_float32_blocks_match_one_cast(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CAST_BLOCK", 4)  # a cast every other row
+        path = make_embedding_file(tmp_path, [f"t{i}" for i in range(7)], dim=3)
+        _, wide = load_word_vectors(path)
+        _, narrow = load_word_vectors(path, dtype=np.float32)
+        assert narrow.vectors.dtype == np.float32
+        assert narrow.vectors.tobytes() == wide.vectors.astype(np.float32).tobytes()
+        bad = tmp_path / "big.txt"
+        bad.write_text("".join(f"t{i} 1.0 2.0\n" for i in range(4)) + "t4 1.0 1e39\n")
+        assert load_word_vectors(bad)[1].vectors[4, 1] == 1e39
+        with pytest.raises(ParseError, match=r"big\.txt:5: .*not a finite number"):
+            load_word_vectors(bad, dtype=np.float32)
+
     def test_empty_file_is_degenerate(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -85,6 +102,181 @@ class TestLoadWordVectors:
         path.write_text("pi 3.14159 -2.5\n")
         _, emb = load_word_vectors(path)
         assert emb.vector("pi").tolist() == [3.14159, -2.5]
+
+
+def cache_of(path):
+    return path.with_name(path.name + ".evicache")
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts text parses, so a test can tell a warm load from a cold one."""
+    calls = []
+    parse = embeddings._parse_word_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(embeddings, "_parse_word_vectors", counted)
+    return calls
+
+
+def assert_same_load(got, want):
+    (vocab, emb), (want_vocab, want_emb) = got, want
+    assert vocab.tokens == want_vocab.tokens
+    assert vocab.content_hash() == want_vocab.content_hash()
+    assert [vocab.index(t) for t in vocab.tokens] == list(range(len(vocab)))
+    assert emb.vectors.dtype == want_emb.vectors.dtype
+    assert emb.vectors.shape == want_emb.vectors.shape
+    assert emb.vectors.tobytes() == want_emb.vectors.tobytes()
+
+
+class TestWordVectorCache:
+    @pytest.mark.parametrize("dtype,limit", [(np.float64, None), (np.float32, None),
+                                             (np.float64, 5), (np.float32, 5)])
+    def test_warm_load_equals_cold(self, tmp_path, parses, dtype, limit):
+        path = make_embedding_file(tmp_path, [f"t{i}" for i in range(9)], dim=3)
+        cold = load_word_vectors(path, limit, dtype)
+        assert cache_of(path).is_file() and len(parses) == 1
+        warm = load_word_vectors(path, limit, dtype)
+        assert len(parses) == 1
+        assert_same_load(warm, cold)
+        assert len(warm[0]) == (limit or 9)
+
+    def test_warm_matrix_is_read_only(self, tmp_path, parses):
+        path = make_embedding_file(tmp_path, ["cat", "dog"], dim=3)
+        load_word_vectors(path)
+        _, emb = load_word_vectors(path)
+        assert len(parses) == 1
+        with pytest.raises(ValueError):
+            emb.vectors[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            emb.vector("cat")[0] = 5.0
+
+    def test_text_change_of_equal_size_rebuilds(self, tmp_path, parses):
+        path = tmp_path / "v.txt"
+        path.write_text("cat 1.5 2.0\ndog 3.0 4.0\n")
+        load_word_vectors(path)
+        path.write_text("cat 1.5 2.0\ndog 3.0 5.0\n")
+        _, emb = load_word_vectors(path)
+        assert len(parses) == 2
+        assert emb.vector("dog").tolist() == [3.0, 5.0]
+        assert load_word_vectors(path)[1].vector("dog").tolist() == [3.0, 5.0]
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("first,second", [
+        ((None, np.float64), (None, np.float32)),
+        ((None, np.float64), (2, np.float64)),
+        ((2, np.float32), (None, np.float32)),
+    ], ids=["dtype", "limit-added", "limit-dropped"])
+    def test_dtype_or_vocab_limit_change_rebuilds(self, tmp_path, parses, first, second):
+        path = make_embedding_file(tmp_path, ["a", "b", "c"], dim=2)
+        load_word_vectors(path, *first)
+        got = load_word_vectors(path, *second)
+        assert len(parses) == 2
+        cache_of(path).unlink()
+        assert_same_load(got, load_word_vectors(path, *second))
+
+    def test_truncated_or_garbled_cache_is_rebuilt(self, tmp_path, parses):
+        path = make_embedding_file(tmp_path, ["a", "b", "c"], dim=4)
+        want = load_word_vectors(path)
+        cache = cache_of(path)
+        whole = cache.read_bytes()
+        (header_len,) = struct.unpack("<I", whole[8:12])
+        (tokens_at, _), _ = container.section_offsets(header_len, [5, 0])
+        garbled = bytearray(whole)
+        garbled[tokens_at] ^= 0x01  # "a" becomes "`": a token, not a length, changes
+        for bad in (whole[:-1], whole[:20], b"", bytes(garbled),
+                    b"EVCR" + whole[4:], whole + b"\0"):
+            cache.write_bytes(bad)
+            assert_same_load(load_word_vectors(path), want)
+            assert cache.read_bytes() == whole
+        assert len(parses) == 7
+
+    def test_unwritable_cache_path_still_loads(self, tmp_path, parses):
+        path = make_embedding_file(tmp_path, ["a", "b"], dim=2)
+        want = load_word_vectors(path)
+        cache_of(path).unlink()
+        cache_of(path).mkdir()
+        assert_same_load(load_word_vectors(path), want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt",
+                                                              "vectors.txt.evicache"]
+        assert cache_of(path).is_dir() and len(parses) == 2
+
+    def test_failed_rename_leaves_no_files(self, tmp_path, parses, monkeypatch):
+        path = make_embedding_file(tmp_path, ["a", "b"], dim=2)
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        load_word_vectors(path)
+        _, emb = load_word_vectors(path)
+        assert emb.vector("b").shape == (2,) and len(parses) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
+
+    def test_file_that_fails_to_parse_leaves_no_cache(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("cat 1.0 2.0\ndog 1.0\n")
+        with pytest.raises(ParseError):
+            load_word_vectors(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_parsed_once_and_not_cached(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as fh:
+                fh.write("cat 1.0 2.0\ndog 3.0 4.0\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        vocab, emb = load_word_vectors(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert vocab.tokens == ["cat", "dog"] and emb.vector("dog").tolist() == [3.0, 4.0]
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_mutated_cache_header_or_tokens_never_change_the_load(self, tmp_path):
+        """Truncate the cache anywhere, or flip or overwrite any byte ahead of
+        the matrix: the load neither raises nor differs from the text parse,
+        since a damaged cache is rebuilt.  The matrix is trusted as written,
+        so its bytes are not mutated here."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = tmp_path / "v.txt"
+        path.write_text("cat 1.5 -2.0 0.25\ndog 3.0 4.0 1e-300\nbird 0 7 -1\n")
+        cache = cache_of(path)
+        want = {dtype: load_word_vectors(path, None, dtype)
+                for dtype in (np.float32, np.float64)}
+        whole = cache.read_bytes()  # the float64 cache, written last
+        (header_len,) = struct.unpack("<I", whole[8:12])
+        header = json.loads(whole[12:12 + header_len])
+        (_, matrix_at), _ = container.section_offsets(header_len,
+                                                      [header["token_bytes"], 0])
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=300)
+        @hypothesis.given(st.data())
+        def check(data):
+            raw = bytearray(whole)
+            kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+            if kind == "truncate":
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+            else:
+                at = data.draw(st.integers(0, matrix_at - 1))
+                if kind == "flip":
+                    raw[at] ^= 1 << data.draw(st.integers(0, 7))
+                else:
+                    raw[at] = data.draw(st.integers(0, 255))
+            cache.write_bytes(bytes(raw))
+            dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+            assert_same_load(load_word_vectors(path, None, dtype), want[dtype])
+
+        check()
 
 
 class TestWordEmbeddings:

@@ -10,15 +10,18 @@ kill the state) are checked as well.
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from evicred import container
 from evicred.corpus import ClaimInstance
 from evicred.embeddings import SourceEmbeddingTable, WordEmbeddings
 from evicred.errors import (
     ContractError,
     DegenerateInputError,
+    EvicredError,
     ParseError,
     ShapeError,
 )
@@ -38,6 +41,7 @@ from evicred.model import (
     save_checkpoint,
     score_article,
     verdict,
+    _digest,
 )
 from evicred.numeric import Tensor, glorot_uniform
 from tests.conftest import tiny_world
@@ -541,10 +545,11 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_future_version_raises(self, tmp_path):
-        # Version 1 (four matrices per LSTM direction) has no reader either.
+        # Versions 1 (four matrices per LSTM direction) and 2 (no digest)
+        # have no reader either.
         path = self.saved(tmp_path)
         whole = path.read_bytes()
-        for version in (250, 1):
+        for version in (250, 1, 2):
             # little-endian version field right after the magic
             path.write_bytes(whole[:4] + bytes([version]) + whole[5:])
             with pytest.raises(ParseError,
@@ -590,6 +595,80 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(ParseError, match="after the last array"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("at", [-1, -200])
+    def test_flipped_payload_byte_raises(self, tmp_path, at):
+        path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[at] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="digest does not match"):
+            load_checkpoint(path)
+
+    def test_edited_header_value_raises(self, tmp_path):
+        path = self.saved(tmp_path)
+        whole = path.read_bytes()
+        assert whole.count(b'"siteA"') == 1
+        path.write_bytes(whole.replace(b'"siteA"', b'"siteB"'))
+        with pytest.raises(ParseError, match="digest does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", ["drop claim table", "unknown hyper field"])
+    def test_hand_made_header_with_valid_digest_raises(self, tmp_path, change):
+        _, _, _, params = tiny_world()
+        named = params.named()
+        if change == "drop claim table":
+            del named["claim_source_table"]
+        header = {
+            "version": 3, "hyper": asdict(params.hyper), "vocab_hash": "h",
+            "arrays": [{"name": n, "shape": list(t.shape), "dtype": str(t.data.dtype)}
+                       for n, t in named.items()],
+            "article_sources": ["siteA"], "claim_sources": ["speaker"]}
+        if change == "unknown hyper field":
+            header["hyper"]["depth"] = 2
+        arrays = [t.data for t in named.values()]
+        header["sha256"] = _digest(header, container.payload_chunks(arrays))
+        path = tmp_path / "hand.ckpt"
+        container.write(path, b"EVCR", 3, header, arrays)
+        with pytest.raises(ParseError, match="missing array|does not fit"):
+            load_checkpoint(path)
+
+    def test_mutated_bytes_raise_or_load_unchanged(self, tmp_path):
+        """Truncate a checkpoint anywhere, or flip or overwrite any byte: the
+        load raises a typed error or returns exactly the saved model."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = self.saved(tmp_path)
+        whole = path.read_bytes()
+        want, want_hash = load_checkpoint(path)
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=300)
+        @hypothesis.given(st.data())
+        def check(data):
+            raw = bytearray(whole)
+            kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+            if kind == "truncate":
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+            else:
+                at = data.draw(st.integers(0, len(raw) - 1))
+                if kind == "flip":
+                    raw[at] ^= 1 << data.draw(st.integers(0, 7))
+                else:
+                    raw[at] = data.draw(st.integers(0, 255))
+            path.write_bytes(bytes(raw))
+            try:
+                got, got_hash = load_checkpoint(path)
+            except EvicredError:
+                return
+            assert (got.hyper, got_hash) == (want.hyper, want_hash)
+            assert got.article_sources.sources == want.article_sources.sources
+            assert got.claim_sources.sources == want.claim_sources.sources
+            expected = want.named()
+            for name, t in got.named().items():
+                assert t.data.tobytes() == expected[name].data.tobytes(), name
+
+        check()
 
     def test_no_claim_table_roundtrip(self, tmp_path):
         hyper, _, _, params = tiny_world(claim_source_dim=None)
