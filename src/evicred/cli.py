@@ -26,7 +26,7 @@ from . import training as training_mod
 from .embeddings import build_source_table, load_word_vectors
 from .errors import EvicredError, ParseError, UsageError, text_lines
 from .explain import annotate, pca_project, render
-from .metrics import classification_report, multiclass_report, regression_report
+from .metrics import mode_report
 from .model import (
     CredibilityModel,
     Hyperparams,
@@ -37,30 +37,31 @@ from .model import (
 
 DATA_DIR_ENV = "EVICRED_DATA_DIR"
 
-# Per-dataset defaults: embedding width, source-embedding widths, layer
+# Settings a run starts from, before any preset, config file or flag.
+_DEFAULTS: dict = dict(word_dim=100, hidden_size=64, fc_size=32,
+                       article_source_dim=8, min_claim_support=5,
+                       min_article_support=10, folds=10, vocab_limit=None)
+
+# Per-dataset settings: embedding width, source-embedding widths, layer
 # sizes, dropout, output head, and the support thresholds below which a
 # source collapses into the shared fallback row.
 PRESETS: dict[str, dict] = {
-    "snopes": dict(
-        hyper=dict(word_dim=100, hidden_size=64, fc_size=32,
+    "snopes": dict(word_dim=100, hidden_size=64, fc_size=32,
                    article_source_dim=8, claim_source_dim=None, dropout=0.5,
-                   mode="classify", classes=2),
-        min_claim_support=5, min_article_support=10),
-    "politifact": dict(
-        hyper=dict(word_dim=100, hidden_size=64, fc_size=32,
-                   article_source_dim=4, claim_source_dim=4, dropout=0.5,
-                   mode="classify", classes=2),
-        min_claim_support=5, min_article_support=10),
-    "newstrust": dict(
-        hyper=dict(word_dim=300, hidden_size=64, fc_size=64,
-                   article_source_dim=8, claim_source_dim=8, dropout=0.3,
-                   mode="regress", classes=2),
-        min_claim_support=5, min_article_support=10),
-    "semeval": dict(
-        hyper=dict(word_dim=100, hidden_size=16, fc_size=8,
-                   article_source_dim=4, claim_source_dim=4, dropout=0.3,
-                   mode="classify", classes=3),
-        min_claim_support=5, min_article_support=5),
+                   mode="classify", classes=2,
+                   min_claim_support=5, min_article_support=10),
+    "politifact": dict(word_dim=100, hidden_size=64, fc_size=32,
+                       article_source_dim=4, claim_source_dim=4, dropout=0.5,
+                       mode="classify", classes=2,
+                       min_claim_support=5, min_article_support=10),
+    "newstrust": dict(word_dim=300, hidden_size=64, fc_size=64,
+                      article_source_dim=8, claim_source_dim=8, dropout=0.3,
+                      mode="regress", classes=2,
+                      min_claim_support=5, min_article_support=10),
+    "semeval": dict(word_dim=100, hidden_size=16, fc_size=8,
+                    article_source_dim=4, claim_source_dim=4, dropout=0.3,
+                    mode="classify", classes=3,
+                    min_claim_support=5, min_article_support=5),
 }
 
 _HYPER_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
@@ -138,60 +139,22 @@ class TrainSettings:
 
 
 def resolve_train_settings(args) -> TrainSettings:
-    """Layer the knobs: preset, then config file, then explicit flags."""
-    settings: dict = {}
-    preset_name = getattr(args, "preset", None)
-    file_settings: dict = {}
-    if getattr(args, "config", None):
-        file_settings = load_config(resolve_input(args.config))
-        preset_name = preset_name or file_settings.get("preset")
-    hyper_kw: dict = {}
-    extras = {"min_claim_support": 5, "min_article_support": 10}
-    if preset_name:
-        if preset_name not in PRESETS:
-            raise UsageError(f"unknown preset {preset_name!r}; "
-                             f"choose from {sorted(PRESETS)}")
-        preset = PRESETS[preset_name]
-        hyper_kw.update(preset["hyper"])
-        extras["min_claim_support"] = preset["min_claim_support"]
-        extras["min_article_support"] = preset["min_article_support"]
-    config_kw: dict = {}
-    for key, value in file_settings.items():
-        if key == "preset":
-            continue
-        if key in _HYPER_KEYS:
-            hyper_kw[key] = value
-        elif key in _CONFIG_KEYS:
-            config_kw[key] = value
-        else:
-            extras[key] = value
-    for key in _HYPER_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            hyper_kw[key] = flag
-    if getattr(args, "no_claim_sources", False):
-        hyper_kw["claim_source_dim"] = None
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            config_kw[key] = flag
-    for key in ("min_claim_support", "min_article_support", "folds", "vocab_limit"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            extras[key] = flag
-    hyper_kw.setdefault("word_dim", 100)
-    hyper_kw.setdefault("hidden_size", 64)
-    hyper_kw.setdefault("fc_size", 32)
-    hyper_kw.setdefault("article_source_dim", 8)
-    return TrainSettings(
-        hyper=Hyperparams(**hyper_kw),
-        config=training_mod.TrainConfig(**config_kw),
-        min_claim_support=int(extras["min_claim_support"]),
-        min_article_support=int(extras["min_article_support"]),
-        folds=int(extras.get("folds", 10)),
-        vocab_limit=(int(extras["vocab_limit"])
-                     if extras.get("vocab_limit") is not None else None),
-    )
+    """Layer the knobs: defaults, preset, config file, then explicit flags."""
+    file_settings = load_config(resolve_input(args.config)) if args.config else {}
+    preset_name = args.preset or file_settings.get("preset")
+    if preset_name is not None and preset_name not in PRESETS:
+        raise UsageError(f"unknown preset {preset_name!r}; "
+                         f"choose from {sorted(PRESETS)}")
+    flags = {key: value for key, value in vars(args).items()
+             if key in _KEY_TYPES and value is not None}
+    merged = {**_DEFAULTS, **PRESETS.get(preset_name, {}), **file_settings, **flags}
+    merged.pop("preset", None)
+    if args.no_claim_sources:
+        merged["claim_source_dim"] = None
+    hyper = Hyperparams(**{k: merged.pop(k) for k in _HYPER_KEYS if k in merged})
+    config = training_mod.TrainConfig(
+        **{k: merged.pop(k) for k in _CONFIG_KEYS if k in merged})
+    return TrainSettings(hyper=hyper, config=config, **merged)
 
 
 def _load_blocklist(path: str | None) -> set[str]:
@@ -351,13 +314,7 @@ def _cmd_predict(args) -> int:
 
 def _read_predictions(path: str) -> dict[str, dict]:
     preds: dict[str, dict] = {}
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+    for lineno, record in corpus_mod.json_lines(path):
         if not isinstance(record, dict) or "id" not in record:
             raise ParseError(f"{path}:{lineno}: prediction without an id")
         preds[str(record["id"])] = record
@@ -370,38 +327,28 @@ def _cmd_eval(args) -> int:
     missing = [i.claim_id for i in instances if i.claim_id not in preds]
     if missing:
         raise EvicredError(f"{args.pred}: no prediction for claims {missing[:3]}")
-    labels = [inst.label for inst in instances]
     records = [preds[inst.claim_id] for inst in instances]
-
-    def field(name: str) -> list:
-        """The named field of every record: a number, or for
-        ``probabilities`` a non-empty list of numbers."""
-        values = []
-        for r in records:
-            if name not in r:
-                raise ParseError(f"{args.pred}: prediction {r['id']}: "
-                                 f"missing field {name!r}")
-            value = r[name]
-            items = value if name == "probabilities" and value else [value]
-            if not isinstance(items, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in items):
-                raise ParseError(f"{args.pred}: prediction {r['id']}: "
-                                 f"field {name!r} is not numeric")
-            values.append(value)
-        return values
-
     if args.mode == "regress":
-        report = regression_report([float(v) for v in field("score")],
-                                   [float(t) for t in labels])
+        name = "score"
     elif records and "probabilities" in records[0]:
-        probs = field("probabilities")
-        picked = [int(np.argmax(p)) for p in probs]
-        classes = max(len(probs[0]), max(int(t) for t in labels) + 1)
-        report = multiclass_report(picked, [int(t) for t in labels], classes)
+        name = "probabilities"
     else:
-        report = classification_report([float(v) for v in field("credibility")],
-                                       [int(t) for t in labels])
+        name = "credibility"
+    values = []
+    for r in records:
+        # A number, or for ``probabilities`` a non-empty list of numbers.
+        if name not in r:
+            raise ParseError(f"{args.pred}: prediction {r['id']}: "
+                             f"missing field {name!r}")
+        value = r[name]
+        items = value if name == "probabilities" and value else [value]
+        if not isinstance(items, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in items):
+            raise ParseError(f"{args.pred}: prediction {r['id']}: "
+                             f"field {name!r} is not numeric")
+        values.append(value)
+    report = mode_report(args.mode, values, [inst.label for inst in instances])
     print(report.to_text())
     if args.out:
         Path(args.out).write_text(
@@ -457,8 +404,7 @@ def _cmd_explain(args) -> int:
             structured_lines.append(json.dumps({
                 "id": inst.claim_id,
                 "verdict": verdict_str,
-                "articles": [json.loads(render(ann, "structured"))
-                             for ann in annotations],
+                "articles": [dataclasses.asdict(ann) for ann in annotations],
             }, sort_keys=True))
     if args.format == "structured":
         (out_dir / "explanations.jsonl").write_text(

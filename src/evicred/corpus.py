@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "SnippetScore",
     "Snippet",
     "ingest",
+    "json_lines",
     "write_corpus",
     "extract_snippet",
     "map_politifact_label",
@@ -96,6 +98,23 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def json_lines(path: str) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a JSON-lines file, decoded, with its number.
+
+    A line that is not standard JSON, including one holding a NaN or
+    Infinity literal, raises ParseError naming the file and the line.
+    """
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            value = _DECODER.decode(line)
+        except ValueError as e:  # JSONDecodeError, or a NaN/Infinity literal
+            reason = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({reason})") from None
+        yield lineno, value
+
+
 def _require(record: dict, key: str, rid: str, where: str):
     if key not in record:
         raise ParseError(f"{where}: record {rid}: missing field {key!r}")
@@ -116,14 +135,7 @@ def ingest(path: str, *, label_scheme: str | None = None,
     seen_ids: set[str] = set()
     skipped = 0
     blocklist = blocklist or set()
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        try:
-            record = _DECODER.decode(line)
-        except ValueError as e:  # JSONDecodeError, or a NaN/Infinity literal
-            reason = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({reason})") from None
+    for lineno, record in json_lines(path):
         if not isinstance(record, dict):
             raise ParseError(f"{path}:{lineno}: record is not a JSON object")
         rid = str(record.get("id", f"line {lineno}"))

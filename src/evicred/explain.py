@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import html as html_lib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -113,13 +113,7 @@ def _render_html(a: AttentionAnnotation) -> str:
 
 def _render_structured(a: AttentionAnnotation) -> str:
     # json round-trips float64 exactly via repr, so nothing is lost here.
-    return json.dumps({
-        "claim": a.claim,
-        "verdict": a.verdict,
-        "source": a.source,
-        "tokens": a.tokens,
-        "weights": a.weights,
-    }, sort_keys=True)
+    return json.dumps(asdict(a), sort_keys=True)
 
 
 def render(annotation: AttentionAnnotation, fmt: str) -> str:

@@ -15,6 +15,7 @@ from .errors import ContractError, DegenerateInputError
 
 __all__ = [
     "MetricReport",
+    "mode_report",
     "classification_report",
     "multiclass_report",
     "regression_report",
@@ -143,7 +144,7 @@ def classification_report(scores, labels) -> MetricReport:
         raise ContractError("scores and labels must be equal-length vectors")
     if len(scores) == 0:
         raise DegenerateInputError("empty evaluation")
-    if np.any((scores < 0.0) | (scores > 1.0)):
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails both
         raise ContractError("credibility scores must lie in [0, 1]")
     if np.any((labels != 0) & (labels != 1)):
         raise ContractError("binary labels must be 0 or 1")
@@ -191,3 +192,21 @@ def regression_report(predictions, targets) -> MetricReport:
     mse = float(math.fsum(errors * errors) / len(errors))
     return MetricReport(mode="regress", n=len(predictions), mse=mse,
                         rmse=math.sqrt(mse))
+
+
+def mode_report(mode: str, predictions, labels) -> MetricReport:
+    """The report for an output mode, as ``train`` and ``eval`` write it.
+
+    ``regress`` gives the regression report.  Otherwise scalar
+    predictions are credibilities for the binary report, and rows of
+    class probabilities give the multi-class report of their argmax.
+    """
+    if mode == "regress":
+        return regression_report([float(p) for p in predictions],
+                                 [float(t) for t in labels])
+    if len(predictions) == 0 or np.ndim(predictions[0]) == 0:
+        return classification_report([float(p) for p in predictions],
+                                     [int(t) for t in labels])
+    true = [int(t) for t in labels]
+    return multiclass_report([int(np.argmax(p)) for p in predictions], true,
+                             max([len(predictions[0])] + [t + 1 for t in true]))

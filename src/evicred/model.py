@@ -44,7 +44,6 @@ from .numeric import (
     bilstm,
     glorot_uniform,
     matmul,
-    mul_const,
     relu,
     reshape,
     sigmoid,
@@ -70,7 +69,6 @@ __all__ = [
     "score_article",
     "CredibilityModel",
     "aggregate",
-    "aggregate_class_probs",
     "verdict",
     "save_checkpoint",
     "load_checkpoint",
@@ -359,9 +357,9 @@ def score_article(article_vec: Tensor, claim_source_vec: Tensor | None,
     keep1, keep2 = _dropout_factors(hyper, article_vec.cols, dropout_rng,
                                     article_vec.data.dtype)
     fc1 = relu(add(matmul(params.fuse1_w, features), params.fuse1_b))
-    fc1_live = fc1 if keep1 is None else mul_const(fc1, keep1)
+    fc1_live = fc1 if keep1 is None else affine(fc1, keep1)
     fc2 = relu(add(matmul(params.fuse2_w, fc1_live), params.fuse2_b))
-    fc2_live = fc2 if keep2 is None else mul_const(fc2, keep2)
+    fc2_live = fc2 if keep2 is None else affine(fc2, keep2)
     logits = add(matmul(params.head_w, fc2_live), params.head_b)
     if hyper.mode == "regress":
         out = logits
@@ -450,27 +448,21 @@ class CredibilityModel:
         for lo, hi in _chunk_spans([len(pairs[i].article_tokens) for i in order]):
             ranked += self.article_score([pairs[i] for i in order[lo:hi]])[1]
         traces = [ranked[r] for r in np.argsort(order)]
-        per_article = [t.score for t in traces]
-        if self.hyper.mode == "classify" and self.hyper.classes > 2:
-            return aggregate_class_probs(per_article), traces
-        return aggregate(per_article), traces
+        return aggregate([t.score for t in traces]), traces
 
 
-def aggregate(scores: Sequence[float]) -> float:
-    """Mean per-article score; exact summation keeps it order-independent."""
+def aggregate(scores: Sequence) -> float | np.ndarray:
+    """Mean per-article score; exact summation keeps it order-independent.
+
+    Scalar scores give a float; rows of class probabilities give the
+    per-class means as an array.
+    """
     if len(scores) == 0:
         raise DegenerateInputError("no article scores to aggregate")
-    return math.fsum(float(s) for s in scores) / len(scores)
-
-
-def aggregate_class_probs(prob_rows: Sequence[np.ndarray]) -> np.ndarray:
-    if len(prob_rows) == 0:
-        raise DegenerateInputError("no article scores to aggregate")
-    k = len(prob_rows[0])
-    return np.array([
-        math.fsum(float(p[i]) for p in prob_rows) / len(prob_rows)
-        for i in range(k)
-    ])
+    if np.ndim(scores[0]) == 0:
+        return math.fsum(float(s) for s in scores) / len(scores)
+    return np.array([math.fsum(float(p[i]) for p in scores) / len(scores)
+                     for i in range(len(scores[0]))])
 
 
 def verdict(credibility: float) -> int:

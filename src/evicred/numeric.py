@@ -30,7 +30,6 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "mul_const",
     "affine",
     "tanh",
     "sigmoid",
@@ -246,17 +245,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(a, g * b.data)
         if b.requires_grad:
             _accumulate(b, g * a.data)
-
-    _register(out, backward)
-    return out
-
-
-def mul_const(a: Tensor, factor) -> Tensor:
-    """Multiply by a fixed array or scalar that never receives gradient."""
-    out = Tensor(a.data * factor, requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * factor)
 
     _register(out, backward)
     return out

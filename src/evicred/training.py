@@ -18,10 +18,9 @@ import numpy as np
 from .corpus import ClaimInstance, FoldPlan
 from .embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
 from .errors import ContractError, DegenerateInputError
-from .metrics import MetricReport, classification_report, multiclass_report, \
-    regression_report
+from .metrics import MetricReport, mode_report
 from .model import CredibilityModel, Hyperparams, ModelParams, Pair, _chunk_spans
-from .numeric import Tensor, Tape, add, affine, clip, log, matmul, mul, mul_const, \
+from .numeric import Tensor, Tape, add, affine, clip, log, matmul, mul, \
     sum_all, zero_grads
 
 __all__ = [
@@ -97,7 +96,7 @@ def loss(score: Tensor, target, hyper: Hyperparams,
         onehot = np.zeros((hyper.classes, score.cols), dtype=dtype)
         onehot[[_label(t, hyper.classes) for t in targets], np.arange(score.cols)] = 1.0
         picked = matmul(Tensor(np.ones((1, hyper.classes), dtype=dtype)),
-                        mul_const(clip(score, PROB_FLOOR, 1.0), onehot))
+                        affine(clip(score, PROB_FLOOR, 1.0), onehot))
         base = affine(log(picked), -1.0)
     if params is not None and l2_lambda > 0.0:
         penalty = None
@@ -308,17 +307,7 @@ def evaluate(model: CredibilityModel,
         cred, _ = model.claim_score(inst)
         preds.append(cred)
         labels.append(inst.label)
-    hyper = model.hyper
-    if hyper.mode == "regress":
-        report = regression_report([float(p) for p in preds],
-                                   [float(t) for t in labels])
-    elif hyper.classes == 2:
-        report = classification_report([float(p) for p in preds],
-                                       [int(t) for t in labels])
-    else:
-        picked = [int(np.argmax(p)) for p in preds]
-        report = multiclass_report(picked, [int(t) for t in labels], hyper.classes)
-    return preds, report
+    return preds, mode_report(model.hyper.mode, preds, labels)
 
 
 def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams,

@@ -22,6 +22,18 @@ from evicred.embeddings import (
 )
 from evicred.model import Hyperparams, ModelParams
 
+try:
+    import hypothesis
+except ImportError:  # the property tests then skip themselves
+    pass
+else:
+    # One profile for every property test: the same examples on every run,
+    # no example database and no per-example time limit, so tier-1 stays
+    # deterministic.  Tests set only their own ``max_examples``.
+    hypothesis.settings.register_profile(
+        "evicred", derandomize=True, database=None, deadline=None)
+    hypothesis.settings.load_profile("evicred")
+
 CREDIBLE_CUES = ["confirmed", "verified", "accurate", "documented"]
 REFUTED_CUES = ["hoax", "fabricated", "debunked", "baseless"]
 FILLER = [f"w{i:02d}" for i in range(40)]

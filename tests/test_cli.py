@@ -15,7 +15,7 @@ from evicred.cli import (
     resolve_input,
     resolve_train_settings,
 )
-from evicred.errors import ParseError
+from evicred.errors import EvicredError, ParseError
 from evicred.model import load_checkpoint
 from tests.conftest import make_embedding_file, planted_corpus, write_corpus_file, \
     write_embedding_file
@@ -390,6 +390,29 @@ class TestEvalCommand:
         assert "field 'credibility' is not numeric" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name, bad, literal", [
+        ("credibility", "NaN", "NaN"), ("score", "NaN", "NaN"),
+        ("score", "Infinity", "Infinity"), ("score", "-Infinity", "-Infinity"),
+        ("probabilities", "[0.5, NaN, 0.5]", "NaN")])
+    def test_non_standard_number_exits_one_naming_the_line(
+            self, cli_world, tmp_path, capsys, name, bad, literal):
+        good = {"credibility": "0.5", "score": "0.5",
+                "probabilities": "[0.2, 0.3, 0.5]"}[name]
+        mode = "regress" if name == "score" else "classify"
+        pred = tmp_path / "p.jsonl"
+        argv = ["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred),
+                "--mode", mode]
+        ids = [inst.claim_id for inst in cli_world["instances"]]
+        for fourth in (good, bad):
+            pred.write_text("".join(
+                f'{{"id": "{cid}", "{name}": {fourth if i == 3 else good}}}\n'
+                for i, cid in enumerate(ids)))
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == (0 if fourth == good else 1)
+        assert err == f"error: {pred}:4: invalid JSON (non-standard number {literal})\n"
+
+
 class TestExplainCommand:
     def test_ansi_prints_annotations(self, cli_world, capsys):
         code = main(["explain", "--checkpoint",
@@ -492,3 +515,114 @@ def test_non_utf8_input_exits_one_naming_the_file(tmp_path, capsys, reader):
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}:1: not UTF-8 text (invalid continuation byte)\n")
+
+
+class TestFuzzedReaders:
+    """Mutated config and prediction files: each either loads or fails with a
+    typed error, and the command then exits 1 with one line, no traceback."""
+
+    # What a mutation may put in place of a value, as config text and as JSON.
+    CONFIG_VALUES = ["nan", "inf", "abc", "true", "[[1, 2], [3]]"]
+    JSON_VALUES = ["NaN", "Infinity", '"abc"', "true", "[[0.5], [0.5, 1]]"]
+
+    @staticmethod
+    def mutate(data, lines: list[bytes], replace) -> bytes:
+        """Drop, duplicate, truncate or rewrite lines, or insert bad bytes."""
+        st = pytest.importorskip("hypothesis").strategies
+        lines = list(lines)
+        for _ in range(data.draw(st.integers(1, 3))):
+            if not lines:
+                break
+            i = data.draw(st.integers(0, len(lines) - 1))
+            kind = data.draw(st.sampled_from(
+                ["drop", "duplicate", "truncate", "replace", "bytes"]))
+            if kind == "drop":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, lines[i])
+            elif kind == "truncate":
+                lines[i] = lines[i][:data.draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+            elif kind == "replace":
+                lines[i] = replace(data, lines[i])
+            else:
+                at = data.draw(st.integers(0, len(lines[i])))
+                bad = data.draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3(", b"\x80"]))
+                lines[i] = lines[i][:at] + bad + lines[i][at:]
+        return b"".join(line if line.endswith(b"\n") else line + b"\n"
+                        for line in lines)
+
+    def test_mutated_config_loads_or_exits_one(self, cli_world, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        base = [b"preset = politifact\n", b"hidden_size = 4  # small\n",
+                b"dropout = 0.25\n", b"learning_rate = 0.01\n", b"folds = 3\n",
+                b"claim_source_dim = none\n", b"mode = classify\n"]
+        cfg = tmp_path / "fuzz.cfg"
+        argv = ["train", "--corpus", str(cli_world["corpus"]),
+                "--embeddings", str(cli_world["vectors"]),
+                "--out", str(tmp_path / "run"), "--config", str(cfg)]
+
+        def replace(data, line):
+            key = line.split(b"=", 1)[0]
+            value = data.draw(st.sampled_from(self.CONFIG_VALUES))
+            return key + b"= " + value.encode() + b"\n"
+
+        @hypothesis.settings(max_examples=150)
+        @hypothesis.given(st.data())
+        def check(data):
+            cfg.write_bytes(self.mutate(data, base, replace))
+            try:
+                load_config(str(cfg))
+            except EvicredError as e:
+                assert main(argv) == 1
+                assert capsys.readouterr().err == f"error: {e}\n"
+                return
+            try:
+                settings_for(["--config", str(cfg)])
+            except EvicredError:
+                pass
+
+        check()
+
+    def test_mutated_predictions_evaluate_or_exit_one(self, cli_world, tmp_path,
+                                                      capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ids = [inst.claim_id for inst in cli_world["instances"]]
+        fields = {"classify": {"credibility": 0.75, "verdict": "credible"},
+                  "regress": {"score": 0.25}}
+        multi = {"probabilities": [0.25, 0.5, 0.25], "verdict": 1}
+        pred = tmp_path / "fuzz.jsonl"
+
+        def replace(data, line):
+            try:
+                record = json.loads(line)
+            except ValueError:  # already mutated past JSON
+                return line
+            if not isinstance(record, dict) or not record:
+                return line
+            key = data.draw(st.sampled_from(sorted(record)))
+            record[key] = "\0"
+            value = data.draw(st.sampled_from(self.JSON_VALUES))
+            return json.dumps(record).replace('"\\u0000"', value).encode()
+
+        @hypothesis.settings(max_examples=150)
+        @hypothesis.given(st.data())
+        def check(data):
+            mode = data.draw(st.sampled_from(["classify", "regress"]))
+            record = multi if mode == "classify" and data.draw(st.booleans()) \
+                else fields[mode]
+            base = [json.dumps({"id": cid, **record}).encode() + b"\n"
+                    for cid in ids]
+            pred.write_bytes(self.mutate(data, base, replace))
+            code = main(["eval", "--corpus", str(cli_world["corpus"]),
+                         "--pred", str(pred), "--mode", mode])
+            captured = capsys.readouterr()
+            if code == 0:
+                assert captured.err == "" and "claims: 12" in captured.out
+            else:
+                assert code == 1
+                assert captured.err.startswith("error: ")
+                assert captured.err.count("\n") == 1
+
+        check()

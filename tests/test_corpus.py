@@ -309,8 +309,7 @@ class TestExtractSnippet:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
-        @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                             max_examples=200)
+        @hypothesis.settings(max_examples=200)
         @hypothesis.given(st.data())
         def check(data):
             words = [f"w{i}" for i in range(data.draw(st.integers(3, 8)))]

@@ -258,8 +258,7 @@ class TestWordVectorCache:
         (_, matrix_at), _ = container.section_offsets(header_len,
                                                       [header["token_bytes"], 0])
 
-        @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                             max_examples=300)
+        @hypothesis.settings(max_examples=300)
         @hypothesis.given(st.data())
         def check(data):
             raw = bytearray(whole)

@@ -13,6 +13,7 @@ from evicred.errors import ContractError, DegenerateInputError
 from evicred.metrics import (
     classification_report,
     macro_f1,
+    mode_report,
     multiclass_report,
     ranking_auc,
     regression_report,
@@ -116,8 +117,9 @@ class TestClassificationReport:
         assert report.macro_accuracy == pytest.approx(0.75)
 
     def test_out_of_range_scores_raise(self):
-        with pytest.raises(ContractError):
-            classification_report([1.2], [1])
+        for score in (1.2, -0.1, float("nan")):
+            with pytest.raises(ContractError):
+                classification_report([score], [1])
 
     def test_non_binary_labels_raise(self):
         with pytest.raises(ContractError):
@@ -170,3 +172,15 @@ class TestRegressionReport:
     def test_report_text_mentions_both_errors(self):
         text = regression_report([1.0], [2.0]).to_text()
         assert "MSE" in text and "RMSE" in text
+
+
+def test_mode_report_picks_the_report_from_mode_and_shape():
+    assert mode_report("regress", [1.0, 2.5], [1, 2]) == \
+        regression_report([1.0, 2.5], [1.0, 2.0])
+    assert mode_report("classify", [0.9, 0.2], [1.0, 0]) == \
+        classification_report([0.9, 0.2], [1, 0])
+    rows = [np.array([0.7, 0.2, 0.1]), np.array([0.1, 0.3, 0.6])]
+    assert mode_report("classify", rows, [0, 1]) == \
+        multiclass_report([0, 2], [0, 1], 3)
+    # A label past the last probability widens the report, never indexes out.
+    assert mode_report("classify", [[0.4, 0.6]], [2]).support == [0, 0, 1]

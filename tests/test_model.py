@@ -33,7 +33,6 @@ from evicred.model import (
     ModelParams,
     Pair,
     aggregate,
-    aggregate_class_probs,
     article_vector,
     attend,
     bilstm_encode,
@@ -492,7 +491,7 @@ class TestAggregate:
 
     def test_class_probs_average_per_class(self):
         rows = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.3])]
-        got = aggregate_class_probs(rows)
+        got = aggregate(rows)
         assert np.allclose(got, [0.4, 0.2, 0.4], atol=1e-15)
         assert math.fsum(got) == pytest.approx(1.0, abs=1e-12)
 
@@ -642,8 +641,7 @@ class TestCheckpoints:
         whole = path.read_bytes()
         want, want_hash = load_checkpoint(path)
 
-        @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                             max_examples=300)
+        @hypothesis.settings(max_examples=300)
         @hypothesis.given(st.data())
         def check(data):
             raw = bytearray(whole)

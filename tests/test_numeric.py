@@ -21,7 +21,6 @@ from evicred.numeric import (
     log,
     matmul,
     mul,
-    mul_const,
     relu,
     sigmoid,
     reshape,
@@ -204,7 +203,7 @@ class TestSoftmax:
             return float(np.sum(weights * softmax(t, mask).data))
 
         with Tape() as tape:
-            out = sum_all(mul_const(softmax(t, mask), weights))
+            out = sum_all(affine(softmax(t, mask), weights))
         tape.backward(out)
         assert np.max(np.abs(numeric_gradient(value, t.data) - t.grad)) < 1e-7
 
@@ -214,7 +213,7 @@ class TestBatchLayout:
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         with Tape() as tape:
             rows = take_rows(table, [2, 0, 2])
-            out = sum_all(mul_const(rows, np.array([[1.0, 1.0], [3.0, 3.0], [5.0, 5.0]])))
+            out = sum_all(affine(rows, np.array([[1.0, 1.0], [3.0, 3.0], [5.0, 5.0]])))
         tape.backward(out)
         assert np.array_equal(rows.data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
         assert np.array_equal(table.grad, [[3.0, 3.0], [0.0, 0.0], [6.0, 6.0]])
@@ -224,7 +223,7 @@ class TestBatchLayout:
     def test_reshape_round_trips_gradient(self):
         t = Tensor(np.arange(6.0).reshape(6, 1), requires_grad=True)
         with Tape() as tape:
-            out = sum_all(mul_const(reshape(t, 3, 2), np.arange(6.0).reshape(3, 2)))
+            out = sum_all(affine(reshape(t, 3, 2), np.arange(6.0).reshape(3, 2)))
         tape.backward(out)
         assert np.array_equal(t.grad, np.arange(6.0).reshape(6, 1))
         with pytest.raises(ShapeError):
@@ -264,7 +263,7 @@ class TestLstm:
             return float(np.sum(weights * bilstm(x, lengths, *params).data))
 
         with Tape() as tape:
-            out = sum_all(mul_const(bilstm(x, lengths, *params), weights))
+            out = sum_all(affine(bilstm(x, lengths, *params), weights))
         tape.backward(out)
         for t in params:
             grad = np.zeros_like(t.data) if t.grad is None else t.grad
@@ -356,7 +355,7 @@ class TestStackingAndSlicing:
         a = Tensor([[1.0]], requires_grad=True)
         b = Tensor([[2.0], [3.0]], requires_grad=True)
         with Tape() as tape:
-            out = sum_all(mul_const(vstack([a, b]), np.array([[1.0], [10.0], [100.0]])))
+            out = sum_all(affine(vstack([a, b]), np.array([[1.0], [10.0], [100.0]])))
         tape.backward(out)
         assert a.grad[0, 0] == 1.0
         assert b.grad[:, 0].tolist() == [10.0, 100.0]
@@ -372,7 +371,7 @@ class TestStackingAndSlicing:
         table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
         with Tape() as tape:
             part = slice_rows(table, 1, 3)
-            out = sum_all(mul_const(part, np.array([[1.0, 2.0], [3.0, 4.0]])))
+            out = sum_all(affine(part, np.array([[1.0, 2.0], [3.0, 4.0]])))
         tape.backward(out)
         assert np.array_equal(part.data, [[2, 3], [4, 5]])
         assert np.array_equal(table.grad, [[0, 0], [1, 2], [3, 4], [0, 0]])
