@@ -125,6 +125,8 @@ def _check_type(key: str, value, where: str):
     if isinstance(value, bool) or not isinstance(value, allowed):
         expected = " or ".join("none" if t is type(None) else t.__name__ for t in types)
         raise ParseError(f"{where}: {key} must be {expected}, got {value!r}")
+    if float in types and value is not None and not corpus_mod.finite_number(value):
+        raise ParseError(f"{where}: {key} must be a finite number, got {value!r}")
     return value
 
 
@@ -347,6 +349,9 @@ def _cmd_eval(args) -> int:
                 for v in items):
             raise ParseError(f"{args.pred}: prediction {r['id']}: "
                              f"field {name!r} is not numeric")
+        if not all(map(corpus_mod.finite_number, items)):
+            raise ParseError(f"{args.pred}: prediction {r['id']}: "
+                             f"field {name!r} holds a number no float can hold")
         values.append(value)
     report = mode_report(args.mode, values, [inst.label for inst in instances])
     print(report.to_text())

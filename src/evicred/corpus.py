@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -26,6 +27,7 @@ __all__ = [
     "Snippet",
     "ingest",
     "json_lines",
+    "finite_number",
     "write_corpus",
     "extract_snippet",
     "map_politifact_label",
@@ -115,6 +117,11 @@ def json_lines(path: str) -> Iterator[tuple[int, object]]:
         yield lineno, value
 
 
+def finite_number(value) -> bool:
+    """Whether a float holds ``value``: not NaN, infinite or too large an int."""
+    return abs(value) <= sys.float_info.max
+
+
 def _require(record: dict, key: str, rid: str, where: str):
     if key not in record:
         raise ParseError(f"{where}: record {rid}: missing field {key!r}")
@@ -155,7 +162,7 @@ def ingest(path: str, *, label_scheme: str | None = None,
                 label = int(label)
             elif not isinstance(label, (int, float)):
                 raise ParseError(f"{path}: record {rid}: label must be numeric")
-            elif isinstance(label, float) and not math.isfinite(label):
+            elif not finite_number(label):
                 raise ParseError(f"{path}: record {rid}: label must be finite")
         raw_articles = _require(record, "articles", rid, path)
         if not isinstance(raw_articles, list):

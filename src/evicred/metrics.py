@@ -199,14 +199,18 @@ def mode_report(mode: str, predictions, labels) -> MetricReport:
 
     ``regress`` gives the regression report.  Otherwise scalar
     predictions are credibilities for the binary report, and rows of
-    class probabilities give the multi-class report of their argmax.
+    class probabilities give the multi-class report of their argmax, over
+    as many classes as a row has or the largest label needs.  A class
+    label that is not a whole number from 0 up raises ContractError.
     """
     if mode == "regress":
         return regression_report([float(p) for p in predictions],
                                  [float(t) for t in labels])
-    if len(predictions) == 0 or np.ndim(predictions[0]) == 0:
-        return classification_report([float(p) for p in predictions],
-                                     [int(t) for t in labels])
+    for t in labels:
+        if not float(t).is_integer() or t < 0:
+            raise ContractError(f"class labels must be whole numbers from 0 up, got {t!r}")
     true = [int(t) for t in labels]
+    if len(predictions) == 0 or np.ndim(predictions[0]) == 0:
+        return classification_report([float(p) for p in predictions], true)
     return multiclass_report([int(np.argmax(p)) for p in predictions], true,
                              max([len(predictions[0])] + [t + 1 for t in true]))

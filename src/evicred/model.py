@@ -78,8 +78,9 @@ MODES = ("classify", "regress")
 # Row-block order of each fused LSTM gate matrix and bias.
 GATES = ("input", "forget", "output", "cell")
 # Padded tokens per chunk of pairs.  Peak memory, not speed, caps it: a
-# training chunk's forward and backward take about 7 KB per padded token
-# at the snopes sizes (d=100, H=64), and scoring about 6 KB.
+# training chunk's forward and backward peak at about 12.5 KB per padded
+# token at the snopes sizes (d=100, H=64), and scoring at about 9.5 KB;
+# the encoder's (2, 4H) gates per token are the largest part of both.
 CHUNK_TOKENS = 800
 
 

@@ -135,6 +135,7 @@ class Tape:
     def __init__(self):
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._produced: set[int] = set()
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -158,12 +159,16 @@ class Tape:
 
         ``loss`` must be a scalar produced while this tape was active.
         Tensors that do not influence the loss keep a ``grad`` of None,
-        which readers must treat as zero.
+        which readers must treat as zero.  A tape is replayed once: ops may
+        reuse what they kept for it (``bilstm`` overwrites its gates).
         """
         if loss.data.size != 1:
             raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
         if id(loss) not in self._produced:
             raise ContractError("loss was not produced while this tape was active")
+        if self._replayed:
+            raise ContractError("a tape can be replayed only once")
+        self._replayed = True
         loss.grad = np.ones_like(loss.data)
         for out, backward in reversed(self._ops):
             if out.grad is not None:
@@ -443,11 +448,6 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     return out
 
 
-# Steps whose gate gradients are gathered before they enter the weight
-# gradient as one product; bounds that buffer at (2, 4H, 16, B).
-_BPTT_BLOCK = 16
-
-
 def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
            w_bw: Tensor, b_bw: Tensor) -> Tensor:
     """Both LSTM directions over a padded batch, recorded as a single op.
@@ -456,13 +456,14 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     padding.  Each direction has a fused (4H, d+H) gate matrix on
     [x_t; h_prev], row blocks input, forget, output, cell, and a (4H, 1)
     bias.  The backward direction reads each item reversed within its own
-    length, so both run t = 0..T-1 from zero states, one stacked
-    (2, 4H, d+H) @ (2, d+H, B) product per step; padding steps keep zero
-    cell and hidden states.  Returns the (2H, T*B) step-major states,
-    forward half over backward half: column t*B + b has read steps 0..t of
-    item b forward and t..k-1 backward.  Under an active tape the op keeps
-    every step's [x_t; h_prev] and cell state in both directions, from
-    which the hand-written backward (BPTT) recomputes the gates.
+    length, so both run t = 0..T-1 from zero states; padding steps keep
+    zero cell and hidden states.  The input half of the gates is one product
+    over all steps; the step loop adds only the recurrent (2, B, H) @ (2, H, 4H).
+    Returns the (2H, T*B) step-major states, forward half over backward
+    half: column t*B + b has read steps 0..t of item b forward and
+    t..k-1 backward.  Under an active tape the op keeps every step's gates
+    and states; the hand-written backward (BPTT) overwrites the gates with
+    their gradients, so the tape can be replayed only once.
     """
     steps, batch, dim = x.shape
     size = w_fw.rows // 4
@@ -477,67 +478,70 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     taped = requires_grad and active_tape() is not None
     dtype = w_fw.data.dtype
     t_col = np.arange(steps)[:, None]
-    live = (t_col < lengths).astype(dtype)
+    live = (t_col < lengths).astype(dtype)[:, :, None]
     # Backward step t of item b reads step k-1-t, k its length; padding stays
-    # put.  ``flip`` maps column t*B + b to the one it reads: an involution.
+    # put.  ``flip`` maps row t*B + b to the one it reads: an involution.
     flip = (np.where(t_col < lengths, lengths - 1 - t_col, t_col) * batch
             + np.arange(batch)).reshape(-1)
+    rows = np.stack([np.arange(steps * batch), flip])
+
+    def inputs() -> np.ndarray:
+        # (2, T*B, d): the rows of x each direction reads, in order.  Only
+        # the two products need it, so it is gathered for each, not kept.
+        return x.reshape(-1, dim)[rows].astype(dtype, copy=False)
+
     w = np.stack([w_fw.data, w_bw.data])
-    bias = np.stack([b_fw.data, b_bw.data])
-    # xh[t] is the (2, d+H, B) operand [x_t; h_prev] of step t for both
-    # directions, so h_t is written straight into xh[t + 1]; xh[0] starts
-    # from zero states.
-    xh = np.zeros((steps + 1, 2, dim + size, batch), dtype=dtype)
-    xh[:steps, 0, :dim] = x.transpose(0, 2, 1)
-    xh[:steps, 1, :dim] = x.reshape(-1, dim)[flip].reshape(x.shape).transpose(0, 2, 1)
-
-    def gates(t: int) -> tuple[np.ndarray, np.ndarray]:
-        z = w @ xh[t]
-        z += bias
-        return _stable_sigmoid(z[:, :3 * size]), np.tanh(z[:, 3 * size:])
-
-    cells = np.empty((steps, 2, size, batch), dtype=dtype) if taped else None
-    c = np.zeros((2, size, batch), dtype=dtype)
+    w_h_t = np.ascontiguousarray(w[:, :, dim:].transpose(0, 2, 1))
+    # z[:, t*B + b] holds the (2, 4H) gates of step t of item b in both
+    # directions, so each step's gates are one contiguous (2, B, 4H) slab.
+    z = inputs() @ w[:, :, :dim].transpose(0, 2, 1)
+    z += np.stack([b_fw.data, b_bw.data]).transpose(0, 2, 1)
+    # hs[:, t] is the (2, B, H) hidden state step t reads; hs[:, 0] is zero.
+    hs = np.zeros((2, steps + 1, batch, size), dtype=dtype)
+    cells = np.empty((steps, 2, batch, size), dtype=dtype) if taped else None
+    c = np.zeros((2, batch, size), dtype=dtype)
     for t in range(steps):
-        ifo, cand = gates(t)
-        c = np.multiply(ifo[:, size:2 * size] * c + ifo[:, :size] * cand, live[t],
-                        out=cells[t] if taped else None)
-        np.multiply(ifo[:, 2 * size:], np.tanh(c), out=xh[t + 1, :, dim:])
+        slab = z[:, t * batch:(t + 1) * batch]
+        slab += hs[:, t] @ w_h_t
+        slab[:, :, :3 * size] = _stable_sigmoid(slab[:, :, :3 * size])
+        np.tanh(slab[:, :, 3 * size:], out=slab[:, :, 3 * size:])
+        i, f = slab[:, :, :size], slab[:, :, size:2 * size]
+        o, cand = slab[:, :, 2 * size:3 * size], slab[:, :, 3 * size:]
+        c = np.multiply(f * c + i * cand, live[t], out=cells[t] if taped else None)
+        np.multiply(o, np.tanh(c), out=hs[:, t + 1])
     states = np.empty((2 * size, steps * batch), dtype=dtype)
-    states.reshape(2, size, steps, batch)[:] = xh[1:, :, dim:].transpose(1, 2, 0, 3)
+    states.reshape(2, size, -1)[:] = hs[:, 1:].reshape(2, -1, size).transpose(0, 2, 1)
     states[size:] = states[size:, flip]
     out = Tensor(states, requires_grad=requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        # ``flip`` is its own inverse, so it also reorders the backward gradient.
-        g2 = g.reshape(2, size, steps * batch)
-        g_cols = np.stack([np.arange(steps * batch), flip]).reshape(2, 1, steps, batch)
-        w_h = w[:, :, dim:].transpose(0, 2, 1)
-        gw = np.zeros_like(w)
-        gb = np.zeros_like(bias)
-        dz = np.empty((2, 4 * size, _BPTT_BLOCK, batch), dtype=dtype)
-        dh = dc = np.zeros((2, size, batch), dtype=dtype)
+        # ``flip`` is its own inverse, so ``rows`` also puts each direction's
+        # output gradient in the order its steps ran.
+        g_rows = g.reshape(2, size, -1).transpose(0, 2, 1)
+        both = np.arange(2)[:, None]
+        dh = dc = np.zeros((2, batch, size), dtype=dtype)
         for t in range(steps - 1, -1, -1):
-            ifo, cand = gates(t)
-            i, f, o = ifo[:, :size], ifo[:, size:2 * size], ifo[:, 2 * size:]
+            span = slice(t * batch, (t + 1) * batch)
+            slab = z[:, span]
+            i, f = slab[:, :, :size], slab[:, :, size:2 * size]
+            o, cand = slab[:, :, 2 * size:3 * size], slab[:, :, 3 * size:]
             tc = np.tanh(cells[t])
             c_prev = cells[t - 1] if t else 0.0
-            dh = dh + np.take_along_axis(g2, g_cols[:, :, t], axis=2)
+            dh = dh + g_rows[both, rows[:, span]]
             dc = (dc + dh * o * (1.0 - tc * tc)) * live[t]
-            step = dz[:, :, t % _BPTT_BLOCK]
-            step[:, :size] = dc * cand * i * (1.0 - i)
-            step[:, size:2 * size] = dc * c_prev * f * (1.0 - f)
-            step[:, 2 * size:3 * size] = dh * tc * o * (1.0 - o)
-            step[:, 3 * size:] = dc * i * (1.0 - cand * cand)
+            d_i = dc * cand * i * (1.0 - i)
+            d_f = dc * c_prev * f * (1.0 - f)
+            d_o = dh * tc * o * (1.0 - o)
+            d_cand = dc * i * (1.0 - cand * cand)
             dc = dc * f
-            dh = w_h @ step
-            if t % _BPTT_BLOCK == 0:
-                # dz holds steps t..stop-1: one product folds them in.
-                stop = min(t + _BPTT_BLOCK, steps)
-                block = dz[:, :, :stop - t].reshape(2, 4 * size, -1)
-                inputs = xh[t:stop].transpose(1, 2, 0, 3).reshape(2, dim + size, -1)
-                gw += block @ inputs.transpose(0, 2, 1)
-                gb += block.sum(axis=2, keepdims=True)
+            i[:], f[:], o[:], cand[:] = d_i, d_f, d_o, d_cand
+            dh = slab @ w[:, :, dim:]
+        # z now holds every step's gate gradients: one product per weight
+        # block (input, recurrent) and a column sum for the bias.
+        z_t = z.transpose(0, 2, 1)
+        gw = np.concatenate(
+            [z_t @ inputs(), z_t @ hs[:, :steps].reshape(2, -1, size)], axis=2)
+        gb = z.sum(axis=1)[:, :, None]
         for p, grad in zip(params, (gw[0], gb[0], gw[1], gb[1])):
             if p.requires_grad:
                 p.grad = grad if p.grad is None else np.add(grad, p.grad, out=grad)

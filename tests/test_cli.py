@@ -15,6 +15,8 @@ from evicred.cli import (
     resolve_input,
     resolve_train_settings,
 )
+from evicred import corpus as corpus_mod
+from evicred.embeddings import load_word_vectors
 from evicred.errors import EvicredError, ParseError
 from evicred.model import load_checkpoint
 from tests.conftest import make_embedding_file, planted_corpus, write_corpus_file, \
@@ -109,6 +111,16 @@ class TestLoadConfig:
         for key, value in (("momentum", "0.9"), ("delta", "0.3")):
             cfg.write_text(f"{key} = {value}\n")
             with pytest.raises(ParseError, match=key):
+                load_config(cfg)
+
+    @pytest.mark.parametrize("key", ["learning_rate", "beta1", "beta2", "epsilon",
+                                     "l2_lambda"])
+    def test_non_finite_float_raises_naming_line_and_key(self, tmp_path, key):
+        cfg = tmp_path / "a.cfg"
+        for value in ("nan", "inf", "-inf", "1" + "0" * 400):
+            cfg.write_text(f"mode = regress\n{key} = {value}\n")
+            with pytest.raises(ParseError,
+                               match=rf"a\.cfg:2: {key} must be a finite number"):
                 load_config(cfg)
 
     def test_line_without_equals_raises(self, tmp_path):
@@ -413,6 +425,42 @@ class TestEvalCommand:
         assert err == f"error: {pred}:4: invalid JSON (non-standard number {literal})\n"
 
 
+    @pytest.mark.parametrize("name, bad", [
+        ("score", "1" + "0" * 400), ("score", "1e999"), ("credibility", "-1e999"),
+        ("probabilities", "[0.2, 1e999, 0.5]")],
+        ids=["401-digit-score", "1e999-score", "-1e999-credibility",
+             "1e999-probability"])
+    def test_number_no_float_holds_exits_one_naming_the_field(
+            self, cli_world, tmp_path, capsys, name, bad):
+        mode = "regress" if name == "score" else "classify"
+        good = "[0.2, 0.3, 0.5]" if name == "probabilities" else "0.5"
+        pred = tmp_path / "p.jsonl"
+        ids = [inst.claim_id for inst in cli_world["instances"]]
+        pred.write_text("".join(f'{{"id": "{cid}", "{name}": {bad if i == 3 else good}}}\n'
+                                for i, cid in enumerate(ids)))
+        code = main(["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred),
+                     "--mode", mode])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {pred}: prediction {ids[3]}: "
+            f"field {name!r} holds a number no float can hold\n")
+
+    def test_label_that_is_no_class_exits_one(self, cli_world, tmp_path, capsys):
+        lines = cli_world["corpus"].read_text().splitlines()
+        pred = tmp_path / "p.jsonl"
+        corpus = tmp_path / "c.jsonl"
+        pred.write_text("".join(json.dumps({"id": json.loads(line)["id"],
+                                            "probabilities": [0.2, 0.3, 0.5]}) + "\n"
+                                for line in lines))
+        for label in (-1, 2.5):
+            record = json.loads(lines[0])
+            record["label"] = label
+            corpus.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+            assert main(["eval", "--corpus", str(corpus), "--pred", str(pred)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: class labels must be whole numbers from 0 up, got {label}\n")
+
+
 class TestExplainCommand:
     def test_ansi_prints_annotations(self, cli_world, capsys):
         code = main(["explain", "--checkpoint",
@@ -518,8 +566,9 @@ def test_non_utf8_input_exits_one_naming_the_file(tmp_path, capsys, reader):
 
 
 class TestFuzzedReaders:
-    """Mutated config and prediction files: each either loads or fails with a
-    typed error, and the command then exits 1 with one line, no traceback."""
+    """Mutated config, prediction, corpus and word-vector files: each either
+    loads or fails with a typed error, and the command then exits 1 with one
+    line, no traceback."""
 
     # What a mutation may put in place of a value, as config text and as JSON.
     CONFIG_VALUES = ["nan", "inf", "abc", "true", "[[1, 2], [3]]"]
@@ -624,5 +673,104 @@ class TestFuzzedReaders:
                 assert code == 1
                 assert captured.err.startswith("error: ")
                 assert captured.err.count("\n") == 1
+
+        check()
+
+    def test_mutated_corpus_ingests_or_exits_one(self, cli_world, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        base = cli_world["corpus"].read_bytes().splitlines(keepends=True)[:4]
+        ids = [json.loads(line)["id"] for line in base]
+        values = ["null", "{}", '[{"text": 7}]', '""'] + self.JSON_VALUES
+        labels = ["-1", "2.5", "1" + "0" * 401, "1e999", "0", "2"]
+        corpus = tmp_path / "fuzz.jsonl"
+        preds = {"binary": tmp_path / "binary.jsonl", "multi": tmp_path / "multi.jsonl"}
+        for kind, field in (("binary", {"credibility": 0.75}),
+                            ("multi", {"probabilities": [0.5, 0.25, 0.25]})):
+            preds[kind].write_text("".join(json.dumps({"id": cid, **field}) + "\n"
+                                           for cid in ids))
+
+        def replace(data, line, key=None, pool=values):
+            try:
+                record = json.loads(line)
+            except ValueError:  # already mutated past JSON
+                return line
+            if not isinstance(record, dict) or not record:
+                return line
+            target = record
+            articles = record.get("articles")
+            if key is None and isinstance(articles, list) and articles \
+                    and isinstance(articles[0], dict) and data.draw(st.booleans()):
+                target = articles[0]
+            key = key or data.draw(st.sampled_from(sorted(target)))
+            target[key] = "\0"
+            value = data.draw(st.sampled_from(pool))
+            return json.dumps(record).replace('"\\u0000"', value).encode() + b"\n"
+
+        def exits_zero_or_one(argv, error=None):
+            """Exit 0 silently, or exit 1 with one line; with ``error``, the latter."""
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code == 0:
+                assert error is None and err == ""
+                return
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+            assert error is None or err == f"error: {error}\n"
+
+        @hypothesis.settings(max_examples=150)
+        @hypothesis.given(st.data())
+        def check(data):
+            # Labels reach the metrics as well as the reader: every example
+            # rewrites one, and half of them mutate nothing else.
+            lines = list(base)
+            i = data.draw(st.integers(0, len(lines) - 1))
+            lines[i] = replace(data, lines[i], "label", labels)
+            corpus.write_bytes(self.mutate(data, lines, replace)
+                               if data.draw(st.booleans()) else b"".join(lines))
+            argv = ["ingest", "--in", str(corpus), "--out", str(tmp_path / "out.jsonl")]
+            try:
+                corpus_mod.ingest(str(corpus))
+            except EvicredError as e:
+                exits_zero_or_one(argv, e)
+                return
+            exits_zero_or_one(argv)
+            kind = data.draw(st.sampled_from(sorted(preds)))
+            exits_zero_or_one(["eval", "--corpus", str(corpus), "--pred", str(preds[kind])])
+
+        check()
+
+    def test_mutated_vectors_load_or_exit_one(self, cli_world, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        base = cli_world["vectors"].read_bytes().splitlines(keepends=True)[:6]
+        values = [b"nan", b"inf", b"-inf", b"1e999", b"abc", b"1,5", b"", b"0x10",
+                  b"1e-400", b"0.5 0.5"]
+        vectors = tmp_path / "fuzz.txt"
+        argv = ["ingest", "--in", str(cli_world["corpus"]),
+                "--out", str(tmp_path / "out.jsonl"), "--snippets",
+                "--embeddings", str(vectors)]
+
+        def replace(data, line):
+            fields = line.split()
+            if not fields:
+                return line
+            i = data.draw(st.integers(0, len(fields) - 1))
+            fields[i] = data.draw(st.sampled_from(values))
+            return b" ".join(fields) + b"\n"
+
+        @hypothesis.settings(max_examples=150)
+        @hypothesis.given(st.data())
+        def check(data):
+            vectors.write_bytes(self.mutate(data, base, replace))
+            try:
+                load_word_vectors(str(vectors))
+            except EvicredError as e:
+                assert main(argv) == 1
+                assert capsys.readouterr().err == f"error: {e}\n"
+                return
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            assert captured.out.startswith("claims=")
 
         check()

@@ -98,10 +98,12 @@ class TestIngest:
             ingest(path)
 
     def test_overflowing_label_names_the_record(self, tmp_path):
-        line = corpus_line("c1", label=0).replace('"label": 0', '"label": 1e999')
-        path = write_lines(tmp_path / "c.jsonl", [line])
-        with pytest.raises(ParseError, match="record c1: label must be finite"):
-            ingest(path)
+        # 1e999 decodes to inf; a 401-digit integer decodes, but no float holds it.
+        for literal in ("1e999", "1" + "0" * 400):
+            line = corpus_line("c1", label=0).replace('"label": 0', f'"label": {literal}')
+            path = write_lines(tmp_path / "c.jsonl", [line])
+            with pytest.raises(ParseError, match="record c1: label must be finite"):
+                ingest(path)
 
     def test_tokenless_claim_raises(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", [corpus_line("c1", claim="?! --")])

@@ -184,3 +184,14 @@ def test_mode_report_picks_the_report_from_mode_and_shape():
         multiclass_report([0, 2], [0, 1], 3)
     # A label past the last probability widens the report, never indexes out.
     assert mode_report("classify", [[0.4, 0.6]], [2]).support == [0, 0, 1]
+
+
+@pytest.mark.parametrize("label", [-1, 2.5, 0.5])
+def test_mode_report_refuses_labels_that_are_not_classes(label):
+    # -1 would index the last class and 2.5 or 0.5 truncate to a class.
+    rows = [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]
+    with pytest.raises(ContractError, match=f"got {label}"):
+        mode_report("classify", rows, [0, label])
+    with pytest.raises(ContractError, match=f"got {label}"):
+        mode_report("classify", [0.2, 0.6], [0, label])
+    assert mode_report("classify", rows, [0, 2.0]) == multiclass_report([2, 0], [0, 2], 3)
