@@ -348,7 +348,8 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     Every window start (stride one) is scored by the product of the
     fraction of distinct claim words present and the cosine between mean
     claim and mean window vectors; the earliest window wins ties.
-    Articles shorter than the window are scored whole.
+    Articles shorter than the window are scored whole.  ``delta`` may be
+    infinite (``-inf`` keeps every article, ``inf`` none) but not NaN.
 
     Cost is linear in the article length: running claim-word counts and
     prefix sums of the token vectors screen every window at once, with a
@@ -358,6 +359,8 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     """
     if window < 1:
         raise ContractError(f"snippet window must be at least 1, got {window}")
+    if math.isnan(delta):
+        raise ContractError("snippet delta must be a number, got NaN")
     claim_vec = claim_mean(claim_tokens, embeddings)
     if not article_tokens:
         return None

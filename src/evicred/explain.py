@@ -78,7 +78,7 @@ def shade_buckets(weights: list[float], levels: int = SHADE_LEVELS) -> list[int]
         raise DegenerateInputError("no weights to bucket")
     arr = np.asarray(weights, dtype=np.float64)
     cuts = np.percentile(arr, np.linspace(0, 100, levels + 1)[1:-1])
-    return [int((w > cuts).sum()) for w in arr]
+    return (arr[:, None] > cuts).sum(axis=1).tolist()
 
 
 def _render_ansi(a: AttentionAnnotation) -> str:

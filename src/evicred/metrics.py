@@ -106,11 +106,19 @@ def ranking_auc(scores, labels) -> float | None:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _confusion(pred: np.ndarray, true: np.ndarray, classes: int) -> np.ndarray:
-    counts = np.zeros((classes, classes), dtype=np.int64)
-    for p, t in zip(pred, true):
-        counts[t, p] += 1
-    return counts
+def _class_counts(pred: np.ndarray, true: np.ndarray,
+                  classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per class: correct predictions, predictions, and labels held.
+
+    Counts take O(n + classes) memory, so a large label costs a few
+    counters, not a (classes, classes) matrix.
+    """
+    for name, values in (("prediction", pred), ("label", true)):
+        if len(values) and (values.min() < 0 or values.max() >= classes):
+            raise ContractError(f"every {name} must be a class from 0 to {classes - 1}")
+    correct = np.bincount(true[pred == true], minlength=classes)
+    return (correct, np.bincount(pred, minlength=classes),
+            np.bincount(true, minlength=classes))
 
 
 def macro_f1(pred, true, classes: int) -> float:
@@ -119,20 +127,11 @@ def macro_f1(pred, true, classes: int) -> float:
     A class nobody predicted and nobody holds scores zero, pulling the
     macro average down instead of being skipped.
     """
-    pred = np.asarray(pred)
-    true = np.asarray(true)
-    counts = _confusion(pred, true, classes)
-    scores = []
-    for c in range(classes):
-        tp = counts[c, c]
-        fp = counts[:, c].sum() - tp
-        fn = counts[c, :].sum() - tp
-        if tp == 0:
-            scores.append(0.0)
-            continue
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        scores.append(2 * precision * recall / (precision + recall))
+    tp, predicted, held = _class_counts(np.asarray(pred), np.asarray(true), classes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = tp / predicted
+        recall = tp / held
+        scores = np.where(tp > 0, 2 * precision * recall / (precision + recall), 0.0)
     return float(np.mean(scores))
 
 
@@ -164,12 +163,9 @@ def multiclass_report(pred, labels, classes: int) -> MetricReport:
         raise ContractError("predictions and labels must be equal-length vectors")
     if len(pred) == 0:
         raise DegenerateInputError("empty evaluation")
-    counts = _confusion(pred, labels, classes)
-    support = [int(counts[c, :].sum()) for c in range(classes)]
-    per_class = [
-        (float(counts[c, c] / support[c]) if support[c] else 0.0)
-        for c in range(classes)
-    ]
+    correct, _, held = _class_counts(pred, labels, classes)
+    support = held.tolist()
+    per_class = [(float(tp / n) if n else 0.0) for tp, n in zip(correct, support)]
     return MetricReport(
         mode="classify",
         n=len(pred),

@@ -18,11 +18,12 @@ step-major states (column t*B + b is token t of pair b), and everything
 after it works column-wise on (features, B) matrices.  Padding gets zero
 attention weight, and the pooled vector divides by the real length, so a
 pair's score does not depend on what it was batched with beyond the last
-bits of rounding.  Training and ``claim_score`` both cut their pairs into
-chunks of at most ``CHUNK_TOKENS`` padded tokens, so memory grows with
-that budget.  ``claim_score`` takes a claim's articles in a canonical
-order (shortest first, then by tokens and source), so its result is
-bit-identical under any article order.
+bits of rounding.  Training cuts its pairs into chunks of at most
+``CHUNK_TOKENS`` padded tokens and ``claim_score`` into passes of at most
+``SCORE_TOKENS``, so memory grows with those budgets.  ``claim_score``
+takes a claim's articles in a canonical order (shortest first, then by
+tokens and source), so its result is bit-identical under any article
+order.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ from .numeric import (
 __all__ = [
     "GATES",
     "CHUNK_TOKENS",
+    "SCORE_TOKENS",
     "Pair",
     "Hyperparams",
     "ModelParams",
@@ -77,11 +79,17 @@ __all__ = [
 MODES = ("classify", "regress")
 # Row-block order of each fused LSTM gate matrix and bias.
 GATES = ("input", "forget", "output", "cell")
-# Padded tokens per chunk of pairs.  Peak memory, not speed, caps it: a
-# training chunk's forward and backward peak at about 12.5 KB per padded
-# token at the snopes sizes (d=100, H=64), and scoring at about 9.5 KB;
-# the encoder's (2, 4H) gates per token are the largest part of both.
+# Padded tokens per training chunk of pairs.  Peak memory, not speed, caps
+# it: a taped chunk's forward and backward peak at about 12.5 KB per padded
+# token at the snopes sizes (d=100, H=64), most of it the encoder's (2, 4H)
+# gates per token, which BPTT reads back.
 CHUNK_TOKENS = 800
+# Padded tokens per scoring pass of ``claim_score``.  An untaped pass keeps
+# no gates beyond one projection block, so it peaks at about 4.1 KB per
+# padded token at the snopes sizes (6.6 MB for 1,600 tokens in 1 to 100
+# articles, tracemalloc), under the 7.6 MB of an 800-token pass that kept
+# every gate.  Fewer passes mean fewer serial LSTM steps per claim.
+SCORE_TOKENS = 1600
 
 
 @dataclass(frozen=True)
@@ -235,8 +243,9 @@ class ForwardTrace:
     score: float | np.ndarray
 
 
-def _chunk_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
-    """(start, stop) bounds of consecutive chunks within ``CHUNK_TOKENS``.
+def _chunk_spans(lengths: Sequence[int],
+                 budget: int = CHUNK_TOKENS) -> list[tuple[int, int]]:
+    """(start, stop) bounds of consecutive chunks within ``budget`` tokens.
 
     ``lengths`` are the articles' token counts.  A chunk of B articles
     pads to its longest, so it costs B times that length; an article
@@ -246,7 +255,7 @@ def _chunk_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
     start, longest = 0, 0
     for i, k in enumerate(lengths):
         longest = max(longest, k)
-        if i > start and (i - start + 1) * longest > CHUNK_TOKENS:
+        if i > start and (i - start + 1) * longest > budget:
             spans.append((start, i))
             start, longest = i, k
     return spans + [(start, len(lengths))]
@@ -402,12 +411,12 @@ class CredibilityModel:
         params = self.params
         emb = self.word_embeddings
         dtype = params.head_w.data.dtype
-        rows = [emb.matrix_for(p.article_tokens) for p in pairs]
-        lengths = np.array([len(r) for r in rows])
+        lengths = np.array([len(p.article_tokens) for p in pairs])
         steps, batch = int(lengths.max()), len(pairs)
+        # Filled one article at a time, so no second copy of the vectors is held.
         embeds = np.zeros((steps, batch, self.hyper.word_dim), dtype=dtype)
-        for b, r in enumerate(rows):
-            embeds[:len(r), b] = r
+        for b, p in enumerate(pairs):
+            embeds[:lengths[b], b] = emb.matrix_for(p.article_tokens)
         mask = np.arange(steps)[:, None] < lengths
         claim_vecs = np.stack([claim_mean(p.claim_tokens, emb) for p in pairs])
 
@@ -437,16 +446,19 @@ class CredibilityModel:
     def claim_score(self, instance) -> tuple[float | np.ndarray, list[ForwardTrace]]:
         """Credibility of a claim: plain mean of its per-article scores.
 
-        The articles are scored in a canonical order, in chunks within
-        ``CHUNK_TOKENS``, so every score, and thus the result, is the same
+        The articles are scored in a canonical order, in passes within
+        ``SCORE_TOKENS``, so every score, and thus the result, is the same
         bits under any article order; traces come in the instance's order.
+        A claim within the budget takes one padded pass; an article over it
+        takes a pass alone.
         """
         pairs = Pair.of(instance)
         order = sorted(range(len(pairs)), key=lambda i: (
             len(pairs[i].article_tokens), pairs[i].article_tokens,
             pairs[i].article_source is not None, pairs[i].article_source or ""))
         ranked: list[ForwardTrace] = []
-        for lo, hi in _chunk_spans([len(pairs[i].article_tokens) for i in order]):
+        for lo, hi in _chunk_spans([len(pairs[i].article_tokens) for i in order],
+                                   SCORE_TOKENS):
             ranked += self.article_score([pairs[i] for i in order[lo:hi]])[1]
         traces = [ranked[r] for r in np.argsort(order)]
         return aggregate([t.score for t in traces]), traces

@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 _FLOAT_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# Padded tokens per input-projection product in ``bilstm``: 32 steps of a
+# batch of 8.  An untaped pass keeps only one block of gates, 1 MB at H=64
+# in float64 (more only for batches over 256 items, at one step a block).
+_BLOCK_TOKENS = 256
 
 
 def _as_matrix(data, dtype=None) -> np.ndarray:
@@ -458,12 +462,16 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     bias.  The backward direction reads each item reversed within its own
     length, so both run t = 0..T-1 from zero states; padding steps keep
     zero cell and hidden states.  The input half of the gates is one product
-    over all steps; the step loop adds only the recurrent (2, B, H) @ (2, H, 4H).
-    Returns the (2H, T*B) step-major states, forward half over backward
-    half: column t*B + b has read steps 0..t of item b forward and
-    t..k-1 backward.  Under an active tape the op keeps every step's gates
-    and states; the hand-written backward (BPTT) overwrites the gates with
-    their gradients, so the tape can be replayed only once.
+    per block of steps (``_BLOCK_TOKENS`` padded tokens, at least one step),
+    made when the step loop reaches the block; the step loop adds only the
+    recurrent (2, B, H) @ (2, H, 4H).  Returns the (2H, T*B) step-major
+    states, forward half over backward half: column t*B + b has read steps
+    0..t of item b forward and t..k-1 backward.  Under an active tape the
+    blocks fill one (2, T*B, 4H) buffer that keeps every step's gates and
+    states for the hand-written backward (BPTT), which overwrites the gates
+    with their gradients, so the tape can be replayed only once.  Without a
+    tape every block reuses one block-sized buffer, so the op holds only its
+    inputs, hidden states and outputs.
     """
     steps, batch, dim = x.shape
     size = w_fw.rows // 4
@@ -485,23 +493,33 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
             + np.arange(batch)).reshape(-1)
     rows = np.stack([np.arange(steps * batch), flip])
 
-    def inputs() -> np.ndarray:
-        # (2, T*B, d): the rows of x each direction reads, in order.  Only
-        # the two products need it, so it is gathered for each, not kept.
-        return x.reshape(-1, dim)[rows].astype(dtype, copy=False)
+    def inputs(span: slice = slice(None)) -> np.ndarray:
+        # (2, n, d): the rows of x each direction reads at the steps of
+        # ``span``, in order.  Only the products need it, so it is gathered
+        # for each, not kept.
+        return x.reshape(-1, dim)[rows[:, span]].astype(dtype, copy=False)
 
     w = np.stack([w_fw.data, w_bw.data])
+    w_x_t = w[:, :, :dim].transpose(0, 2, 1)
     w_h_t = np.ascontiguousarray(w[:, :, dim:].transpose(0, 2, 1))
+    bias = np.stack([b_fw.data, b_bw.data]).transpose(0, 2, 1)
+    block = min(steps, max(1, _BLOCK_TOKENS // batch))
     # z[:, t*B + b] holds the (2, 4H) gates of step t of item b in both
     # directions, so each step's gates are one contiguous (2, B, 4H) slab.
-    z = inputs() @ w[:, :, :dim].transpose(0, 2, 1)
-    z += np.stack([b_fw.data, b_bw.data]).transpose(0, 2, 1)
+    # Untaped, z holds one block and step t sits at its place in the block.
+    z = np.empty((2, (steps if taped else block) * batch, 4 * size), dtype=dtype)
     # hs[:, t] is the (2, B, H) hidden state step t reads; hs[:, 0] is zero.
     hs = np.zeros((2, steps + 1, batch, size), dtype=dtype)
     cells = np.empty((steps, 2, batch, size), dtype=dtype) if taped else None
     c = np.zeros((2, batch, size), dtype=dtype)
     for t in range(steps):
-        slab = z[:, t * batch:(t + 1) * batch]
+        if t % block == 0:
+            span = slice(t * batch, min(t + block, steps) * batch)
+            gates = z[:, span] if taped else z[:, :span.stop - span.start]
+            np.matmul(inputs(span), w_x_t, out=gates)
+            gates += bias
+        at = t % block * batch
+        slab = gates[:, at:at + batch]
         slab += hs[:, t] @ w_h_t
         slab[:, :, :3 * size] = _stable_sigmoid(slab[:, :, :3 * size])
         np.tanh(slab[:, :, 3 * size:], out=slab[:, :, 3 * size:])
@@ -511,7 +529,11 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
         np.multiply(o, np.tanh(c), out=hs[:, t + 1])
     states = np.empty((2 * size, steps * batch), dtype=dtype)
     states.reshape(2, size, -1)[:] = hs[:, 1:].reshape(2, -1, size).transpose(0, 2, 1)
-    states[size:] = states[size:, flip]
+    # The backward half goes back into step order item by item, so no
+    # second copy of it is made; padding steps stay where they are.
+    backward_half = states[size:].reshape(size, steps, batch)
+    for b, k in enumerate(lengths):
+        backward_half[:, :k, b] = hs[1, k:0:-1, b].T
     out = Tensor(states, requires_grad=requires_grad)
 
     def backward(g: np.ndarray) -> None:

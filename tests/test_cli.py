@@ -220,6 +220,21 @@ class TestIngestCommand:
         assert code == 0
         assert "claims=4" in capsys.readouterr().out
 
+    def test_nan_delta_exits_one_with_one_line(self, tmp_path, capsys):
+        instances, emb = planted_corpus(n_claims=2, n_articles=1)
+        src = tmp_path / "in.jsonl"
+        vectors = tmp_path / "v.txt"
+        out = tmp_path / "out.jsonl"
+        write_corpus_file(src, instances)
+        write_embedding_file(vectors, emb)
+        code = main(["ingest", "--in", str(src), "--out", str(out),
+                     "--snippets", "--embeddings", str(vectors), "--delta", "nan"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "delta" in err
+        assert not out.exists()
+
     def test_blocklist_drops_sources(self, tmp_path, capsys):
         instances, _ = planted_corpus(n_claims=5, n_articles=2)
         src = tmp_path / "in.jsonl"

@@ -288,6 +288,17 @@ class TestExtractSnippet:
         assert snip.score.sim == pytest.approx(
             snip.score.sim_bow * snip.score.sim_semantic)
 
+    def test_nan_delta_raises_and_infinite_deltas_keep_their_meaning(self):
+        # NaN < delta is false for every window, so an unchecked NaN would
+        # keep every article.
+        emb = toy_embeddings(["alpha", "junk"])
+        with pytest.raises(ContractError, match="delta"):
+            extract_snippet(["alpha"], ["alpha", "junk"], emb, delta=float("nan"))
+        with pytest.raises(ContractError, match="delta"):
+            extract_snippet(["alpha"], [], emb, delta=float("nan"))
+        assert extract_snippet(["alpha"], ["alpha"], emb, delta=math.inf) is None
+        assert extract_snippet(["alpha"], ["junk"], emb, delta=-math.inf) is not None
+
     def test_below_threshold_returns_none(self):
         emb = toy_embeddings(["alpha", "junk"])
         assert extract_snippet(["alpha"], ["junk", "junk"], emb, delta=0.5) is None

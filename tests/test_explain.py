@@ -68,6 +68,18 @@ class TestShadeBuckets:
         assert sorted_buckets == sorted(sorted_buckets)
         assert all(0 <= b <= 4 for b in buckets)
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "uniform"])
+    def test_matches_a_per_weight_count_of_cut_points(self, kind):
+        rng = np.random.default_rng(43)
+        weights = {"random": rng.random(160),
+                   "tied": rng.integers(0, 4, 160) / 10.0,
+                   "uniform": np.full(160, 1 / 160)}[kind].tolist()
+        cuts = np.percentile(weights, np.linspace(0, 100, 6)[1:-1])
+        want = [int((w > cuts).sum()) for w in weights]
+        got = shade_buckets(weights)
+        assert got == want
+        assert all(type(level) is int for level in got)
+
     def test_empty_raises(self):
         with pytest.raises(DegenerateInputError):
             shade_buckets([])

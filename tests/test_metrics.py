@@ -5,12 +5,15 @@ pair, ties worth half) and macro F1 from an explicitly built confusion
 matrix, so the rank-based implementations cannot drift unnoticed.
 """
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from evicred.errors import ContractError, DegenerateInputError
 from evicred.metrics import (
+    MetricReport,
     classification_report,
     macro_f1,
     mode_report,
@@ -48,6 +51,25 @@ def f1_oracle(pred, true, classes):
             prec, rec = tp / (tp + fp), tp / (tp + fn)
             per_class.append(2 * prec * rec / (prec + rec))
     return sum(per_class) / classes
+
+
+def confusion_report(pred, true, classes):
+    """Multi-class report from sparse (label, prediction) confusion cells."""
+    cells, held, made = Counter(zip(true, pred)), Counter(true), Counter(pred)
+    per_class, f1 = [], []
+    for c in range(classes):
+        tp = cells[c, c]
+        per_class.append(tp / held[c] if held[c] else 0.0)
+        if tp == 0:
+            f1.append(0.0)
+        else:
+            prec, rec = tp / made[c], tp / held[c]
+            f1.append(2 * prec * rec / (prec + rec))
+    return MetricReport(
+        mode="classify", n=len(pred), support=[held[c] for c in range(classes)],
+        accuracy=float(np.mean(np.array(pred) == np.array(true))),
+        per_class_accuracy=per_class, macro_f1=float(np.mean(f1)),
+        macro_accuracy=float(np.mean(per_class)))
 
 
 class TestRankingAuc:
@@ -151,6 +173,24 @@ class TestMulticlassReport:
     def test_length_mismatch_raises(self):
         with pytest.raises(ContractError):
             multiclass_report([0, 1], [0], 2)
+
+    @pytest.mark.parametrize("pred, true", [([0, 3], [0, 1]), ([0, 1], [-1, 1])])
+    def test_value_that_is_no_class_raises(self, pred, true):
+        with pytest.raises(ContractError, match="class from 0 to 2"):
+            multiclass_report(pred, true, 3)
+
+    def test_large_label_needs_no_square_matrix(self):
+        # A label of 3000 widens the report to 3001 classes; the counts stay
+        # linear in that, where a confusion matrix would take 72 MB.
+        rows, labels = [[0.4, 0.6], [0.7, 0.3], [0.2, 0.8]], [3000, 1, 1]
+        tracemalloc.start()
+        try:
+            report = mode_report("classify", rows, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert report == confusion_report([1, 0, 1], labels, 3001)
 
 
 class TestRegressionReport:

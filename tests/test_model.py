@@ -10,6 +10,7 @@ kill the state) are checked as well.
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from evicred import container
 from evicred.corpus import ClaimInstance
-from evicred.embeddings import SourceEmbeddingTable, WordEmbeddings
+from evicred.embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
 from evicred.errors import (
     ContractError,
     DegenerateInputError,
@@ -26,8 +27,8 @@ from evicred.errors import (
     ShapeError,
 )
 from evicred.model import (
-    CHUNK_TOKENS,
     GATES,
+    SCORE_TOKENS,
     CredibilityModel,
     Hyperparams,
     ModelParams,
@@ -424,7 +425,7 @@ class TestCredibilityModel:
         rng = np.random.default_rng(21)
         tokens = list(vocab.tokens)
         articles = [[tokens[j] for j in rng.integers(0, len(tokens), size=n)]
-                    for n in (CHUNK_TOKENS // 2, 30, CHUNK_TOKENS + 5, 250)]
+                    for n in (SCORE_TOKENS // 2, 30, SCORE_TOKENS + 5, 250)]
         sources = ["siteA", None, "elsewhere", "siteA"]
         passes = []
         score_chunk = model.article_score
@@ -444,9 +445,63 @@ class TestCredibilityModel:
             cred, traces = model.claim_score(inst)
             scores = dict(zip(perm, (t.score for t in traces)))
             results.append((cred, [scores[i] for i in range(4)]))
-        # Shortest first: 30 + 250 tokens share a chunk, 400 and 805 do not.
+        # Shortest first: 30 + 250 tokens share a pass, 800 and 1605 do not.
         assert passes == [2, 1, 1] * 4
         assert all(r == results[0] for r in results)
+
+    def test_claim_within_the_budget_takes_one_pass(self, monkeypatch):
+        hyper, vocab, emb, params = tiny_world(seed=22)
+        model = CredibilityModel(hyper, params, emb)
+        rng = np.random.default_rng(23)
+        tokens = list(vocab.tokens)
+        lengths = (SCORE_TOKENS // 6, 3, SCORE_TOKENS // 6, 40, 100, SCORE_TOKENS // 6)
+        articles = [[tokens[j] for j in rng.integers(0, len(tokens), size=n)]
+                    for n in lengths]
+        passes = []
+        score_chunk = model.article_score
+
+        def counted(pairs):
+            passes.append(len(pairs))
+            return score_chunk(pairs)
+
+        monkeypatch.setattr(model, "article_score", counted)
+        inst = ClaimInstance(
+            claim_id="c0", claim_text="", claim_tokens=["t1", "t2"],
+            claim_source="speaker", articles=articles,
+            article_texts=["" for _ in articles],
+            article_sources=["siteA"] * len(articles), label=1)
+        model.claim_score(inst)
+        assert passes == [len(articles)]
+
+    @pytest.mark.parametrize("lengths", [[SCORE_TOKENS], [SCORE_TOKENS // 8] * 8,
+                                         [SCORE_TOKENS // 100] * 100])
+    def test_a_pass_at_the_scoring_budget_peaks_under_7_3_mb(self, lengths):
+        # At the snopes sizes (d=100, H=64, float64) an untaped pass keeps
+        # no gates but one projection block; an 800-token pass that kept
+        # every gate peaked at 7.3 MB.
+        rng = np.random.default_rng(24)
+        hyper = Hyperparams(word_dim=100, hidden_size=64, fc_size=32,
+                            article_source_dim=8, claim_source_dim=8)
+        vocab = Vocabulary([f"w{i}" for i in range(500)])
+        emb = WordEmbeddings(vocab, rng.standard_normal((500, 100)) * 0.3)
+        params = ModelParams(
+            hyper, rng,
+            article_sources=SourceEmbeddingTable(["s"], rng.standard_normal((2, 8)),
+                                                 "article_source_table"),
+            claim_sources=SourceEmbeddingTable(["c"], rng.standard_normal((2, 8)),
+                                               "claim_source_table"))
+        model = CredibilityModel(hyper, params, emb)
+        pairs = [Pair(["w1", "w2"], [f"w{j}" for j in rng.integers(0, 500, n)],
+                      "c", "s") for n in lengths]
+        model.article_score(pairs)
+        tracemalloc.start()
+        try:
+            model.article_score(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(lengths) == SCORE_TOKENS
+        assert peak < 7_300_000
 
     def test_claim_score_returns_traces_in_input_order(self):
         hyper, vocab, emb, params = tiny_world(seed=18)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from evicred import numeric
 from evicred.errors import ContractError, DegenerateInputError, ShapeError
 from evicred.numeric import (
     Tape,
@@ -304,6 +305,32 @@ class TestLstm:
         untaped, _ = self.run(x, lengths, arrays, weights, dtype, tape=False)
         assert taped.dtype == untaped.dtype == dtype
         assert np.array_equal(taped, untaped)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-15), (np.float32, 1e-6)])
+    def test_blocked_projection_matches_one_product(self, dtype, tol, monkeypatch):
+        # The input projection is one product per block of steps; one
+        # product over every step may round differently in the last bits,
+        # so the states agree to a relative tolerance, not bit for bit.
+        # Padded items end inside, at and past block boundaries.
+        rng = np.random.default_rng(9)
+        batch, dim, size = 3, 40, 8
+        block = numeric._BLOCK_TOKENS // batch
+        limit = np.sqrt(6.0 / (2 * size + dim))
+        arrays = [rng.uniform(-limit, limit, shape)
+                  for shape in [(4 * size, dim + size), (4 * size, 1)] * 2]
+        for steps in (1, block - 1, block, block + 1, 3 * block + 5):
+            x = rng.standard_normal((steps, batch, dim))
+            lengths = np.array([steps, max(1, steps - block), 1])
+            weights = rng.standard_normal((2 * size, steps * batch))
+            blocked, g_blocked = self.run(x, lengths, arrays, weights, dtype)
+            untaped, _ = self.run(x, lengths, arrays, weights, dtype, tape=False)
+            with monkeypatch.context() as m:
+                m.setattr(numeric, "_BLOCK_TOKENS", steps * batch)
+                whole, g_whole = self.run(x, lengths, arrays, weights, dtype)
+            assert np.array_equal(blocked, untaped), steps
+            assert np.max(np.abs(blocked - whole)) <= tol * np.max(np.abs(whole)), steps
+            for got, want in zip(g_blocked, g_whole):
+                assert np.max(np.abs(got - want)) <= 10 * tol * np.max(np.abs(want))
 
     def test_float32_stays_within_bound_of_float64(self):
         # float32 rounds at 6e-8 relative; over 30 steps of Glorot-sized
