@@ -28,6 +28,7 @@ from .errors import EvicredError, ParseError, UsageError, text_lines
 from .explain import annotate, pca_project, render
 from .metrics import mode_report
 from .model import (
+    MODES,
     CredibilityModel,
     Hyperparams,
     load_checkpoint,
@@ -66,13 +67,16 @@ PRESETS: dict[str, dict] = {
 
 _HYPER_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(training_mod.TrainConfig))
-# The type a config-file value must have, per key.
+# The type a setting must have, per key, in a config file or as a flag.
 _KEY_TYPES = {
     **typing.get_type_hints(Hyperparams),
     **typing.get_type_hints(training_mod.TrainConfig),
     "preset": str, "min_claim_support": int, "min_article_support": int,
     "folds": int, "vocab_limit": int | None,
 }
+# Adam's constants are config-file only; every other key is also a flag.
+_FILE_ONLY_KEYS = ("beta1", "beta2", "epsilon")
+_FLAG_CHOICES = {"preset": sorted(PRESETS), "mode": list(MODES), "precision": [32, 64]}
 
 
 def resolve_input(path: str) -> str:
@@ -114,20 +118,33 @@ def load_config(path: str) -> dict:
         key = key.strip()
         if key not in _KEY_TYPES:
             raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
-        settings[key] = _check_type(key, _parse_value(raw), f"{path}:{lineno}")
+        settings[key] = _check_type(key, _parse_value(raw), f"{path}:{lineno}: ")
     return settings
 
 
-def _check_type(key: str, value, where: str):
-    """``value`` if it fits the key's type (an int also fits a float)."""
+def _check_type(key: str, value, where: str = ""):
+    """``value`` if it fits the key's type; an int fits a float key and
+    comes back as a float.  A misfit raises ParseError prefixed by ``where``."""
     types = typing.get_args(_KEY_TYPES[key]) or (_KEY_TYPES[key],)
     allowed = types + (int,) if float in types else types
     if isinstance(value, bool) or not isinstance(value, allowed):
         expected = " or ".join("none" if t is type(None) else t.__name__ for t in types)
-        raise ParseError(f"{where}: {key} must be {expected}, got {value!r}")
-    if float in types and value is not None and not corpus_mod.finite_number(value):
-        raise ParseError(f"{where}: {key} must be a finite number, got {value!r}")
+        raise ParseError(f"{where}{key} must be {expected}, got {value!r}")
+    if float in types and value is not None:
+        if not corpus_mod.finite_number(value):
+            raise ParseError(f"{where}{key} must be a finite number, got {value!r}")
+        return float(value)
     return value
+
+
+def _flag_type(key: str):
+    """argparse ``type`` for ``key``: the config-file reader and check."""
+    def convert(raw: str):
+        try:
+            return _check_type(key, _parse_value(raw))
+        except ParseError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
 
 
 @dataclasses.dataclass
@@ -143,12 +160,11 @@ class TrainSettings:
 def resolve_train_settings(args) -> TrainSettings:
     """Layer the knobs: defaults, preset, config file, then explicit flags."""
     file_settings = load_config(resolve_input(args.config)) if args.config else {}
-    preset_name = args.preset or file_settings.get("preset")
+    flags = {key: value for key, value in vars(args).items() if key in _KEY_TYPES}
+    preset_name = {**file_settings, **flags}.get("preset")
     if preset_name is not None and preset_name not in PRESETS:
         raise UsageError(f"unknown preset {preset_name!r}; "
                          f"choose from {sorted(PRESETS)}")
-    flags = {key: value for key, value in vars(args).items()
-             if key in _KEY_TYPES and value is not None}
     merged = {**_DEFAULTS, **PRESETS.get(preset_name, {}), **file_settings, **flags}
     merged.pop("preset", None)
     if args.no_claim_sources:
@@ -463,31 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--corpus", required=True)
     train.add_argument("--embeddings", required=True)
     train.add_argument("--out", required=True)
-    train.add_argument("--preset", choices=sorted(PRESETS))
     train.add_argument("--config", help="key = value settings file")
-    train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--folds", type=int, default=None)
-    train.add_argument("--precision", type=int, choices=[32, 64], default=None)
-    train.add_argument("--vocab-limit", dest="vocab_limit", type=int)
     train.add_argument("--verbose", action="store_true")
-    for flag, kind in (("learning-rate", float), ("l2-lambda", float),
-                       ("batch-size", int), ("max-epochs", int),
-                       ("patience", int)):
-        train.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
-                           type=kind, default=None)
-    for flag, kind in (("word-dim", int), ("hidden-size", int),
-                       ("fc-size", int), ("article-source-dim", int),
-                       ("claim-source-dim", int), ("dropout", float),
-                       ("classes", int)):
-        train.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
-                           type=kind, default=None)
-    train.add_argument("--mode", choices=["classify", "regress"], default=None)
     train.add_argument("--no-claim-sources", action="store_true",
                        help="fuse only the article-source embedding")
-    train.add_argument("--min-claim-support", dest="min_claim_support",
-                       type=int, default=None)
-    train.add_argument("--min-article-support", dest="min_article_support",
-                       type=int, default=None)
+    # Only the flags given reach the namespace, to override preset and file.
+    for key in _KEY_TYPES:
+        if key not in _FILE_ONLY_KEYS:
+            train.add_argument("--" + key.replace("_", "-"), type=_flag_type(key),
+                               choices=_FLAG_CHOICES.get(key),
+                               default=argparse.SUPPRESS)
     train.set_defaults(func=_cmd_train)
 
     predict = sub.add_parser("predict", help="score claims with a checkpoint")

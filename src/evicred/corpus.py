@@ -392,9 +392,6 @@ class FoldPlan:
     def n_folds(self) -> int:
         return len(self.folds)
 
-    def fold_of(self) -> dict[str, int]:
-        return {cid: f for f, ids in enumerate(self.folds) for cid in ids}
-
     def train_ids(self, fold: int) -> list[str]:
         return [cid for f, ids in enumerate(self.folds) if f != fold for cid in ids]
 
@@ -406,9 +403,11 @@ def make_folds(instances: list[ClaimInstance], seed: int, n_folds: int = 10,
                validation_fraction: float = 0.1) -> FoldPlan:
     """Shuffle claims, hold out a validation slice, deal the rest round-robin.
 
-    Fold sizes differ by at most one.  Needs enough claims for one per
-    fold after the holdout.
+    Fold sizes differ by at most one.  Needs at least 2 folds and enough
+    claims for one per fold after the holdout.
     """
+    if n_folds < 2:
+        raise ContractError(f"cross-validation needs at least 2 folds, got {n_folds}")
     ids = [inst.claim_id for inst in instances]
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import container
-from .errors import DegenerateInputError, ParseError, text_lines
+from .errors import ContractError, DegenerateInputError, ParseError, text_lines
 from .numeric import Tensor, glorot_uniform
 
 __all__ = [
@@ -125,8 +125,8 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     The dimensionality is taken from the first line; any later line with a
     different number of fields, or a component that is not a finite number
     in ``dtype`` (nan, inf, 1e999), raises ParseError naming the line.
-    Reading stops after ``vocab_limit`` tokens when given.  Duplicate
-    tokens keep their first vector.
+    Reading stops after ``vocab_limit`` tokens (at least 1) when given.
+    Duplicate tokens keep their first vector.
 
     A parse is saved beside the file as ``<path>.evicache``, keyed by the
     SHA-256 of the file's bytes, ``dtype`` and ``vocab_limit``.  A later
@@ -134,6 +134,8 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     parsing; a cache that is missing, stale or damaged is rebuilt, and one
     that cannot be written is skipped.
     """
+    if vocab_limit is not None and vocab_limit < 1:
+        raise ContractError(f"vocab_limit must be at least 1, got {vocab_limit}")
     if not os.path.isfile(path):  # a pipe could not be read twice
         return _parse_word_vectors(path, vocab_limit, dtype)
     cache = os.fspath(path) + _CACHE_SUFFIX

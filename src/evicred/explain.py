@@ -1,15 +1,14 @@
 """Human-readable evidence: attention highlights and 2-D projections.
 
 Annotations pair each snippet token with its attention weight and are
-rendered as ANSI text, an HTML fragment, or a lossless structured form.
+rendered as ANSI text or an HTML fragment.
 Article vectors can also be projected onto their two main directions of
 variation to eyeball how well the classes separate.
 """
 from __future__ import annotations
 
 import html as html_lib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +20,12 @@ __all__ = [
     "annotate",
     "shade_buckets",
     "render",
-    "annotation_from_structured",
     "Projection2D",
     "pca_project",
 ]
 
 SHADE_LEVELS = 5
-RENDER_FORMATS = ("ansi", "html", "structured")
+RENDER_FORMATS = ("ansi", "html")
 
 # 8-bit background colors, weakest to strongest highlight.
 _ANSI_BACKGROUNDS = (None, 230, 229, 228, 220)
@@ -111,30 +109,12 @@ def _render_html(a: AttentionAnnotation) -> str:
     )
 
 
-def _render_structured(a: AttentionAnnotation) -> str:
-    # json round-trips float64 exactly via repr, so nothing is lost here.
-    return json.dumps(asdict(a), sort_keys=True)
-
-
 def render(annotation: AttentionAnnotation, fmt: str) -> str:
     if fmt == "ansi":
         return _render_ansi(annotation)
     if fmt == "html":
         return _render_html(annotation)
-    if fmt == "structured":
-        return _render_structured(annotation)
     raise UsageError(f"unknown render format {fmt!r}; pick one of {RENDER_FORMATS}")
-
-
-def annotation_from_structured(text: str) -> AttentionAnnotation:
-    record = json.loads(text)
-    return AttentionAnnotation(
-        claim=record["claim"],
-        verdict=record["verdict"],
-        source=record["source"],
-        tokens=list(record["tokens"]),
-        weights=[float(w) for w in record["weights"]],
-    )
 
 
 # --- projection --------------------------------------------------------------

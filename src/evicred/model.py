@@ -390,6 +390,9 @@ class CredibilityModel:
 
     def __init__(self, hyper: Hyperparams, params: ModelParams,
                  word_embeddings: WordEmbeddings):
+        if hyper != params.hyper:
+            raise ContractError(f"model hyperparameters {hyper} differ from "
+                                f"those of its parameters {params.hyper}")
         if word_embeddings.dim != hyper.word_dim:
             raise ShapeError(
                 f"word vectors are {word_embeddings.dim}-dimensional, model "

@@ -10,6 +10,7 @@ stopping watches a held-out validation slice, restoring the best epoch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -53,8 +54,10 @@ class TrainConfig:
     precision: int = 64
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError("learning_rate must be finite and positive")
+        if not math.isfinite(self.l2_lambda):
+            raise ContractError("l2_lambda must be finite")
         if self.batch_size < 1:
             raise ContractError("batch_size must be at least 1")
         if self.max_epochs < 1:
@@ -352,9 +355,10 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
     Builds a self-contained miniature model (one claim, both source
     tables) that scores one padded chunk of two articles of 2 and 3
     tokens, so the padding mask and the masked softmax are differentiated
-    too, and probes every entry of every parameter.  Returns the worst
-    relative error; ``corrupt`` doubles one group's analytic gradient
-    first so tests can prove the check has teeth.
+    too, and probes every entry of every parameter.  The analytic
+    gradients come from ``_chunk_gradients``, the step ``fit`` runs on
+    each chunk.  Returns the worst relative error; ``corrupt`` doubles one
+    group's analytic gradient first so tests can prove the check has teeth.
     """
     if hyper is None:
         hyper = Hyperparams(word_dim=4, hidden_size=3, fc_size=3,
@@ -392,10 +396,7 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
         score, _ = model.article_score(chunk)
         return sum_all(loss(score, targets, hyper, params, l2))
 
-    with Tape() as tape:
-        full = chunk_loss()
-    tape.backward(full)
-
+    _chunk_gradients(model, chunk, targets, l2, None)
     named = params.named()
     analytic = {name: (p.grad.copy() if p.grad is not None
                        else np.zeros_like(p.data))

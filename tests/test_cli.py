@@ -86,6 +86,30 @@ class TestSettingsLayering:
         assert s.hyper.hidden_size == 4
         assert s.hyper.claim_source_dim is None
 
+    def test_claim_source_dim_none_equals_no_claim_sources(self):
+        s = settings_for(["--preset", "politifact", "--claim-source-dim", "none"])
+        assert s.hyper.claim_source_dim is None
+        assert s == settings_for(["--preset", "politifact", "--no-claim-sources"])
+
+    def test_int_literal_for_a_float_key_is_a_float(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dropout = 0\n")
+        for argv in (["--dropout", "0"], ["--config", str(cfg)]):
+            dropout = settings_for(argv).hyper.dropout
+            assert dropout == 0.0 and type(dropout) is float
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ("--l2-lambda", "nan"), ("--batch-size", "2.5"), ("--batch-size", "abc")])
+    def test_bad_flag_value_exits_two_naming_the_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--corpus", "c", "--embeddings", "e", "--out", "o",
+                  flag, value])
+        assert exit_info.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"evicred train: error: argument {flag}: ")
+        assert last.count(flag) == 1 and value in last
+
     def test_explicit_preset_beats_config_preset(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("preset = snopes\n")
@@ -306,6 +330,21 @@ class TestTrainCommand:
         assert code == 1
         assert err.count("\n") == 1
         assert f"typed.cfg:1: {line.split()[0]} must be int" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--folds", "0"], ["--folds", "-2"], ["--vocab-limit", "0"],
+        ["--vocab-limit", "-5"], ["--learning-rate", "0"], ["--learning-rate", "-1"]])
+    def test_setting_that_means_nothing_exits_one(self, cli_world, tmp_path, capsys,
+                                                  argv):
+        out = tmp_path / "run"
+        code = main(["train", "--corpus", str(cli_world["corpus"]),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--out", str(out), "--min-article-support", "1", *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[0][2:].replace("-", "_") in err
+        assert not out.exists()
 
 
 class TestPredictCommand:

@@ -400,12 +400,10 @@ class TestFolds:
             assert train | test == pool
             assert train & test == set()
 
-    def test_fold_of_maps_each_test_claim(self):
-        plan, _ = self.make(40)
-        mapping = plan.fold_of()
-        for f, ids in enumerate(plan.folds):
-            for cid in ids:
-                assert mapping[cid] == f
+    @pytest.mark.parametrize("n_folds", [1, 0, -2])
+    def test_fewer_than_two_folds_raise(self, n_folds):
+        with pytest.raises(ContractError, match="at least 2 folds"):
+            self.make(40, n_folds=n_folds)
 
     def test_too_few_claims_raise(self):
         instances, _ = planted_corpus(n_claims=8, n_articles=1)

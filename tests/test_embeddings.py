@@ -16,7 +16,7 @@ from evicred.embeddings import (
     load_word_vectors,
     tokenize,
 )
-from evicred.errors import DegenerateInputError, ParseError
+from evicred.errors import ContractError, DegenerateInputError, ParseError
 from tests.conftest import make_embedding_file
 
 
@@ -96,6 +96,12 @@ class TestLoadWordVectors:
         path = make_embedding_file(tmp_path, [f"t{i}" for i in range(10)], dim=2)
         vocab, _ = load_word_vectors(path, vocab_limit=4)
         assert len(vocab) == 4
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_vocab_limit_below_one_raises_before_reading(self, tmp_path, limit):
+        # The file does not exist: the check runs before it is hashed or read.
+        with pytest.raises(ContractError, match="vocab_limit"):
+            load_word_vectors(tmp_path / "absent.txt", vocab_limit=limit)
 
     def test_values_round_trip(self, tmp_path):
         path = tmp_path / "exact.txt"

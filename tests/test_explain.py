@@ -10,18 +10,19 @@ import math
 import numpy as np
 import pytest
 
+from evicred.cli import main
+from evicred.corpus import ClaimInstance
 from evicred.errors import ContractError, DegenerateInputError, UsageError
 from evicred.explain import (
     RENDER_FORMATS,
     AttentionAnnotation,
     annotate,
-    annotation_from_structured,
     pca_project,
     render,
     shade_buckets,
 )
-from evicred.model import CredibilityModel, ForwardTrace, Pair
-from tests.conftest import tiny_world
+from evicred.model import CredibilityModel, ForwardTrace, Pair, save_checkpoint
+from tests.conftest import tiny_world, write_corpus_file, write_embedding_file
 
 
 def trace_of(tokens, weights):
@@ -112,21 +113,37 @@ class TestRender:
         assert "s&amp;s" in out
         assert 'title="0.9000"' in out
 
-    def test_structured_round_trip_is_lossless(self):
-        weights = [0.1 + 0.2, 1.0 / 3.0, 1e-17]
-        a = self.annotation(tokens=["x", "y", "z"], weights=weights)
-        text = render(a, "structured")
-        back = annotation_from_structured(text)
-        assert back.weights == weights
-        assert back.tokens == a.tokens
-        assert (back.claim, back.verdict, back.source) == (
-            a.claim, a.verdict, a.source)
-        json.loads(text)  # stays plain JSON
+    def test_structured_round_trip_is_lossless(self, tmp_path):
+        # ``explain --format structured`` writes each annotation as JSON;
+        # its weights must read back as the trace's float64s, bit for bit.
+        hyper, vocab, emb, params = tiny_world(seed=43)
+        inst = ClaimInstance(
+            claim_id="c1", claim_text="t0 t1", claim_tokens=["t0", "t1"],
+            claim_source="speaker", articles=[["t2", "t3", "t4"], ["t5", "t6"]],
+            article_texts=["t2 t3 t4", "t5 t6"], article_sources=["siteA", "siteB"],
+            label=1)
+        write_corpus_file(tmp_path / "corpus.jsonl", [inst])
+        write_embedding_file(tmp_path / "vectors.txt", emb)
+        save_checkpoint(tmp_path / "model.ckpt", params, vocab.content_hash())
+        assert main(["explain", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--embeddings", str(tmp_path / "vectors.txt"),
+                     "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--format", "structured", "--out", str(tmp_path / "out")]) == 0
+        (line,) = (tmp_path / "out" / "explanations.jsonl").read_text().splitlines()
+        record = json.loads(line)
+        _, traces = CredibilityModel(hyper, params, emb).claim_score(inst)
+        assert record["id"] == "c1" and len(record["articles"]) == len(traces) == 2
+        for article, trace, source in zip(record["articles"], traces,
+                                          inst.article_sources):
+            assert article["tokens"] == trace.tokens
+            assert article["source"] == source
+            assert np.array_equal(np.array(article["weights"]),
+                                  trace.attention_weights)
 
     def test_unknown_format_raises_usage_error(self):
         with pytest.raises(UsageError, match="watercolor"):
             render(self.annotation(), "watercolor")
-        assert RENDER_FORMATS == ("ansi", "html", "structured")
+        assert RENDER_FORMATS == ("ansi", "html")
 
 
 def eigh_oracle(vectors):

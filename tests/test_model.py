@@ -11,7 +11,7 @@ import json
 import math
 import struct
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -528,6 +528,13 @@ class TestCredibilityModel:
         wrong = WordEmbeddings(vocab, np.zeros((len(vocab), 7)))
         with pytest.raises(ShapeError):
             CredibilityModel(hyper, params, wrong)
+
+    def test_hyper_must_be_the_params_hyper(self):
+        # A classify model built with a regress hyper would score MSE on
+        # its sigmoid probabilities.
+        hyper, _, emb, params = tiny_world()
+        with pytest.raises(ContractError, match="hyperparameters"):
+            CredibilityModel(replace(hyper, mode="regress"), params, emb)
 
 
 class TestAggregate:
