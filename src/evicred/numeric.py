@@ -460,18 +460,22 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     padding.  Each direction has a fused (4H, d+H) gate matrix on
     [x_t; h_prev], row blocks input, forget, output, cell, and a (4H, 1)
     bias.  The backward direction reads each item reversed within its own
-    length, so both run t = 0..T-1 from zero states; padding steps keep
-    zero cell and hidden states.  The input half of the gates is one product
-    per block of steps (``_BLOCK_TOKENS`` padded tokens, at least one step),
-    made when the step loop reaches the block; the step loop adds only the
-    recurrent (2, B, H) @ (2, H, 4H).  Returns the (2H, T*B) step-major
-    states, forward half over backward half: column t*B + b has read steps
-    0..t of item b forward and t..k-1 backward.  Under an active tape the
-    blocks fill one (2, T*B, 4H) buffer that keeps every step's gates and
-    states for the hand-written backward (BPTT), which overwrites the gates
-    with their gradients, so the tape can be replayed only once.  Without a
-    tape every block reuses one block-sized buffer, so the op holds only its
-    inputs, hidden states and outputs.
+    length, so both run t = 0..T-1 from zero states.  Items step longest
+    first, so step t runs only the items still live there and padding costs
+    no step-loop work; its states are exactly zero.  The input half of the
+    gates is one product per block of steps (``_BLOCK_TOKENS`` padded
+    tokens, at least one step), made when the step loop reaches the block;
+    the step loop adds only the recurrent product of the live items.  The
+    sigmoid gates are 1 / (1 + exp(-a)): their weight and bias rows are
+    negated, exactly, so the product is -a and three in-place calls finish
+    the gate.  Returns the (2H, T*B) step-major states, forward half over
+    backward half: column t*B + b has read steps 0..t of item b forward and
+    t..k-1 backward.  Under an active tape the blocks fill one (2, T*B, 4H)
+    buffer that keeps every step's gates and cell states for the
+    hand-written backward (BPTT), which overwrites the gates with their
+    gradients, so the tape can be replayed only once.  Without a tape every
+    block reuses one block-sized buffer, so the op holds only its inputs,
+    hidden states and outputs.
     """
     steps, batch, dim = x.shape
     size = w_fw.rows // 4
@@ -485,13 +489,18 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     requires_grad = any(p.requires_grad for p in params)
     taped = requires_grad and active_tape() is not None
     dtype = w_fw.data.dtype
+    # Slot j holds item order[j], longest first, so the items live at step
+    # t are slots 0..live[t]-1 and a step's work is a prefix of its slab.
+    order = np.argsort(-lengths, kind="stable")
     t_col = np.arange(steps)[:, None]
-    live = (t_col < lengths).astype(dtype)[:, :, None]
-    # Backward step t of item b reads step k-1-t, k its length; padding stays
-    # put.  ``flip`` maps row t*B + b to the one it reads: an involution.
-    flip = (np.where(t_col < lengths, lengths - 1 - t_col, t_col) * batch
-            + np.arange(batch)).reshape(-1)
-    rows = np.stack([np.arange(steps * batch), flip])
+    live = (t_col < lengths).sum(axis=1)
+    # rows[:, t*B + j] is the row of x, and the output column, of slot j at
+    # step t in each direction: the backward direction's step t of an item
+    # of length k is its step k-1-t.  Dead slots point at their padding.
+    k = lengths[order]
+    step_read = np.where(t_col < k, k - 1 - t_col, t_col)
+    rows = np.stack([t_col.repeat(batch, axis=1), step_read]) * batch + order
+    rows = rows.reshape(2, -1)
 
     def inputs(span: slice = slice(None)) -> np.ndarray:
         # (2, n, d): the rows of x each direction reads at the steps of
@@ -499,67 +508,92 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
         # for each, not kept.
         return x.reshape(-1, dim)[rows[:, span]].astype(dtype, copy=False)
 
+    sig = 3 * size
     w = np.stack([w_fw.data, w_bw.data])
+    w[:, :sig] *= -1
     w_x_t = w[:, :, :dim].transpose(0, 2, 1)
     w_h_t = np.ascontiguousarray(w[:, :, dim:].transpose(0, 2, 1))
     bias = np.stack([b_fw.data, b_bw.data]).transpose(0, 2, 1)
+    bias[:, :, :sig] *= -1
     block = min(steps, max(1, _BLOCK_TOKENS // batch))
-    # z[:, t*B + b] holds the (2, 4H) gates of step t of item b in both
+    # z[:, t*B + j] holds the (2, 4H) gates of slot j at step t in both
     # directions, so each step's gates are one contiguous (2, B, 4H) slab.
     # Untaped, z holds one block and step t sits at its place in the block.
     z = np.empty((2, (steps if taped else block) * batch, 4 * size), dtype=dtype)
     # hs[:, t] is the (2, B, H) hidden state step t reads; hs[:, 0] is zero.
+    # Taped, cells[t + 1] is the cell state of step t; untaped, cells[0] is
+    # overwritten by each step.
     hs = np.zeros((2, steps + 1, batch, size), dtype=dtype)
-    cells = np.empty((steps, 2, batch, size), dtype=dtype) if taped else None
-    c = np.zeros((2, batch, size), dtype=dtype)
-    for t in range(steps):
-        if t % block == 0:
-            span = slice(t * batch, min(t + block, steps) * batch)
-            gates = z[:, span] if taped else z[:, :span.stop - span.start]
-            np.matmul(inputs(span), w_x_t, out=gates)
-            gates += bias
-        at = t % block * batch
-        slab = gates[:, at:at + batch]
-        slab += hs[:, t] @ w_h_t
-        slab[:, :, :3 * size] = _stable_sigmoid(slab[:, :, :3 * size])
-        np.tanh(slab[:, :, 3 * size:], out=slab[:, :, 3 * size:])
-        i, f = slab[:, :, :size], slab[:, :, size:2 * size]
-        o, cand = slab[:, :, 2 * size:3 * size], slab[:, :, 3 * size:]
-        c = np.multiply(f * c + i * cand, live[t], out=cells[t] if taped else None)
-        np.multiply(o, np.tanh(c), out=hs[:, t + 1])
-    states = np.empty((2 * size, steps * batch), dtype=dtype)
-    states.reshape(2, size, -1)[:] = hs[:, 1:].reshape(2, -1, size).transpose(0, 2, 1)
-    # The backward half goes back into step order item by item, so no
-    # second copy of it is made; padding steps stay where they are.
-    backward_half = states[size:].reshape(size, steps, batch)
-    for b, k in enumerate(lengths):
-        backward_half[:, :k, b] = hs[1, k:0:-1, b].T
+    cells = np.zeros((steps + 1 if taped else 1, 2, batch, size), dtype=dtype)
+    with np.errstate(over="ignore"):  # exp(-a) = inf makes a gate of exactly 0
+        for t in range(steps):
+            if t % block == 0:
+                span = slice(t * batch, min(t + block, steps) * batch)
+                gates = z[:, span] if taped else z[:, :span.stop - span.start]
+                np.matmul(inputs(span), w_x_t, out=gates)
+                gates += bias
+            n = live[t]
+            at = t % block * batch
+            slab = gates[:, at:at + n]
+            slab += hs[:, t, :n] @ w_h_t
+            s = slab[:, :, :sig]
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            np.tanh(slab[:, :, sig:], out=slab[:, :, sig:])
+            i, f = slab[:, :, :size], slab[:, :, size:2 * size]
+            o, cand = slab[:, :, 2 * size:sig], slab[:, :, sig:]
+            c = cells[t + 1 if taped else 0, :, :n]
+            np.multiply(f, cells[t if taped else 0, :, :n], out=c)
+            c += i * cand
+            h = hs[:, t + 1, :n]
+            np.tanh(c, out=h)
+            h *= o
+    # States go back into step order item by item, so no second copy of a
+    # half is made; padding columns stay zero.
+    states = np.zeros((2 * size, steps * batch), dtype=dtype)
+    halves = states.reshape(2, size, steps, batch)
+    for j, (b, n) in enumerate(zip(order, k)):
+        halves[0, :, :n, b] = hs[0, 1:n + 1, j].T
+        halves[1, :, :n, b] = hs[1, n:0:-1, j].T
     out = Tensor(states, requires_grad=requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        # ``flip`` is its own inverse, so ``rows`` also puts each direction's
-        # output gradient in the order its steps ran.
+        # ``rows`` also picks each slot's output gradient, in the order its
+        # steps ran.  Slots past live[t] keep zero dh and dc: a slot dead at
+        # step t is dead at every later step, so no gradient reaches it.
         g_rows = g.reshape(2, size, -1).transpose(0, 2, 1)
         both = np.arange(2)[:, None]
-        dh = dc = np.zeros((2, batch, size), dtype=dtype)
+        # The recurrent weights as given, not negated: the forward pass
+        # keeps no copy of them.
+        w_h = np.stack([w_fw.data[:, dim:], w_bw.data[:, dim:]])
+        dh = np.zeros((2, batch, size), dtype=dtype)
+        dc = np.zeros((2, batch, size), dtype=dtype)
+        d_sig = np.empty((2, batch, sig), dtype=dtype)
         for t in range(steps - 1, -1, -1):
-            span = slice(t * batch, (t + 1) * batch)
-            slab = z[:, span]
+            n = live[t]
+            at = t * batch
+            z[:, at + n:at + batch] = 0.0
+            slab = z[:, at:at + n]
+            s = slab[:, :, :sig]
             i, f = slab[:, :, :size], slab[:, :, size:2 * size]
-            o, cand = slab[:, :, 2 * size:3 * size], slab[:, :, 3 * size:]
-            tc = np.tanh(cells[t])
-            c_prev = cells[t - 1] if t else 0.0
-            dh = dh + g_rows[both, rows[:, span]]
-            dc = (dc + dh * o * (1.0 - tc * tc)) * live[t]
-            d_i = dc * cand * i * (1.0 - i)
-            d_f = dc * c_prev * f * (1.0 - f)
-            d_o = dh * tc * o * (1.0 - o)
-            d_cand = dc * i * (1.0 - cand * cand)
-            dc = dc * f
-            i[:], f[:], o[:], cand[:] = d_i, d_f, d_o, d_cand
-            dh = slab @ w[:, :, dim:]
+            o, cand = slab[:, :, 2 * size:sig], slab[:, :, sig:]
+            tc = np.tanh(cells[t + 1, :, :n])
+            h_grad, c_grad, d = dh[:, :n], dc[:, :n], d_sig[:, :n]
+            h_grad += g_rows[both, rows[:, at:at + n]]
+            c_grad += h_grad * o * (1.0 - tc * tc)
+            np.multiply(c_grad, cand, out=d[:, :, :size])
+            np.multiply(c_grad, cells[t, :, :n], out=d[:, :, size:2 * size])
+            np.multiply(h_grad, tc, out=d[:, :, 2 * size:])
+            d *= s
+            cand[:] = c_grad * i * (1.0 - cand * cand)
+            c_grad *= f
+            np.subtract(1.0, s, out=s)
+            np.multiply(d, s, out=s)
+            np.matmul(slab, w_h, out=h_grad)
         # z now holds every step's gate gradients: one product per weight
-        # block (input, recurrent) and a column sum for the bias.
+        # block (input, recurrent) and a column sum for the bias.  They are
+        # gradients of a, so the negated sigmoid rows need no correction.
         z_t = z.transpose(0, 2, 1)
         gw = np.concatenate(
             [z_t @ inputs(), z_t @ hs[:, :steps].reshape(2, -1, size)], axis=2)

@@ -40,6 +40,12 @@ __all__ = [
 PROB_FLOOR = 1e-7
 
 
+def _check_seed(seed: int) -> None:
+    # numpy seeds generators from non-negative integers only.
+    if seed < 0:
+        raise ContractError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.002
@@ -62,6 +68,9 @@ class TrainConfig:
             raise ContractError("batch_size must be at least 1")
         if self.max_epochs < 1:
             raise ContractError("max_epochs must be at least 1")
+        if self.patience < 1:
+            raise ContractError("patience must be at least 1")
+        _check_seed(self.seed)
         if self.precision not in (32, 64):
             raise ContractError("precision must be 32 or 64")
 
@@ -366,6 +375,7 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
                             dropout=0.0, mode="classify", classes=2)
     if hyper.dropout != 0.0:
         raise ContractError("gradient check needs dropout disabled")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     claim_tokens = ["rivers", "flow", "uphill"]
     articles = [["observed", "downhill"], ["rivers", "observed", "downhill"]]

@@ -333,7 +333,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--folds", "0"], ["--folds", "-2"], ["--vocab-limit", "0"],
-        ["--vocab-limit", "-5"], ["--learning-rate", "0"], ["--learning-rate", "-1"]])
+        ["--vocab-limit", "-5"], ["--learning-rate", "0"], ["--learning-rate", "-1"],
+        ["--seed", "-1"], ["--patience", "0"], ["--patience", "-3"]])
     def test_setting_that_means_nothing_exits_one(self, cli_world, tmp_path, capsys,
                                                   argv):
         out = tmp_path / "run"
@@ -344,6 +345,21 @@ class TestTrainCommand:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert argv[0][2:].replace("-", "_") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["seed = -1", "patience = 0", "patience = -3"])
+    def test_config_setting_that_means_nothing_exits_one(self, cli_world, tmp_path,
+                                                         capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "run"
+        code = main(["train", "--corpus", str(cli_world["corpus"]),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert line.split()[0] in err
         assert not out.exists()
 
 
@@ -578,6 +594,11 @@ class TestExplainCommand:
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--seed", "1"]) == 0
     assert "max relative gradient error" in capsys.readouterr().out
+
+
+def test_gradcheck_negative_seed_exits_one(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
 def test_bad_checkpoint_path_exits_one(tmp_path, capsys):

@@ -503,6 +503,33 @@ class TestCredibilityModel:
         assert sum(lengths) == SCORE_TOKENS
         assert peak < 7_300_000
 
+    def test_a_wide_pass_of_short_articles_peaks_under_9_5_mb(self):
+        # 400 four-token articles at the snopes sizes: the encoder's step
+        # temporaries are as wide as the batch, but its gates are finished
+        # in place, so a pass this wide stays near a long one.
+        rng = np.random.default_rng(25)
+        hyper = Hyperparams(word_dim=100, hidden_size=64, fc_size=32,
+                            article_source_dim=8, claim_source_dim=8)
+        vocab = Vocabulary([f"w{i}" for i in range(500)])
+        emb = WordEmbeddings(vocab, rng.standard_normal((500, 100)) * 0.3)
+        params = ModelParams(
+            hyper, rng,
+            article_sources=SourceEmbeddingTable(["s"], rng.standard_normal((2, 8)),
+                                                 "article_source_table"),
+            claim_sources=SourceEmbeddingTable(["c"], rng.standard_normal((2, 8)),
+                                               "claim_source_table"))
+        model = CredibilityModel(hyper, params, emb)
+        pairs = [Pair(["w1", "w2"], [f"w{j}" for j in rng.integers(0, 500, 4)],
+                      "c", "s") for _ in range(400)]
+        model.article_score(pairs)
+        tracemalloc.start()
+        try:
+            model.article_score(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9_500_000
+
     def test_claim_score_returns_traces_in_input_order(self):
         hyper, vocab, emb, params = tiny_world(seed=18)
         model = CredibilityModel(hyper, params, emb)

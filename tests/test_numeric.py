@@ -6,6 +6,7 @@ direct exp/sum evaluation.  The library must match them, not the other
 way round.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,69 @@ class TestLstm:
             assert np.max(np.abs(blocked - whole)) <= tol * np.max(np.abs(whole)), steps
             for got, want in zip(g_blocked, g_whole):
                 assert np.max(np.abs(got - want)) <= 10 * tol * np.max(np.abs(want))
+
+    def test_live_items_match_each_item_alone(self):
+        # Items step longest first and only while live; any mix of lengths,
+        # ties and one-step items, in any order, must leave each item's
+        # states as if it ran alone, its padding exactly zero, and the
+        # gradient the sum of the items' own gradients.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rng = np.random.default_rng(10)
+        dim, size = 3, 4
+        limit = np.sqrt(6.0 / (2 * size + dim))
+        arrays = [rng.uniform(-limit, limit, shape)
+                  for shape in [(4 * size, dim + size), (4 * size, 1)] * 2]
+
+        @hypothesis.settings(max_examples=40)
+        @hypothesis.given(st.data())
+        def check(data):
+            pool = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+            lengths = np.array(data.draw(
+                st.lists(st.sampled_from([1] + pool), min_size=1, max_size=9)))
+            steps, batch = int(lengths.max()), len(lengths)
+            x = rng.standard_normal((steps, batch, dim))
+            weights = rng.standard_normal((2 * size, steps * batch))
+            states, grads = self.run(x, lengths, arrays, weights)
+            untaped, _ = self.run(x, lengths, arrays, weights, tape=False)
+            assert np.array_equal(states, untaped)
+            by_item = states.reshape(2 * size, steps, batch)
+            w_by_item = weights.reshape(2 * size, steps, batch)
+            want = [np.zeros_like(a) for a in arrays]
+            for b, k in enumerate(lengths):
+                alone, g_alone = self.run(x[:k, b:b + 1], [k], arrays,
+                                          w_by_item[:, :k, b])
+                assert np.max(np.abs(by_item[:, :k, b] - alone)) <= 1e-13
+                assert not by_item[:, k:, b].any()
+                want = [w + g for w, g in zip(want, g_alone)]
+            for got, w in zip(grads, want):
+                assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+
+        check()
+
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 100.0), (np.float64, 1000.0)])
+    def test_gates_past_exp_overflow_are_exactly_zero_or_one(self, dtype, big):
+        # Gate preactivations of +-big overflow exp in this dtype.  With the
+        # input and output gates open and the forget gate shut, every state
+        # is tanh(tanh(cell bias)); with them flipped, every state is zero.
+        rng = np.random.default_rng(11)
+        steps, dim, size = 6, 3, 2
+        x = rng.standard_normal((steps, 2, dim))
+        lengths = np.array([steps, 3])
+        weights = rng.standard_normal((2 * size, steps * 2))
+        live = (np.arange(steps)[:, None] < lengths).reshape(-1)
+        for sign in (1.0, -1.0):
+            w = rng.uniform(-0.5, 0.5, (4 * size, dim + size))
+            w[3 * size:] = 0.0
+            cell = rng.uniform(0.1, 1.0)
+            b = np.repeat([sign * big, -sign * big, sign * big, cell], size)[:, None]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                states, grads = self.run(x, lengths, [w, b, w, b], weights, dtype)
+            want = np.tanh(np.tanh(np.asarray(cell, dtype))) if sign > 0 else 0.0
+            assert (states[:, live] == want).all()
+            assert not states[:, ~live].any()
+            assert all(np.isfinite(g).all() for g in grads)
 
     def test_float32_stays_within_bound_of_float64(self):
         # float32 rounds at 6e-8 relative; over 30 steps of Glorot-sized

@@ -137,7 +137,7 @@ class TestAdam:
     dict(learning_rate=0.0), dict(learning_rate=math.nan),
     dict(learning_rate=math.inf), dict(l2_lambda=math.nan),
     dict(l2_lambda=-math.inf), dict(batch_size=0), dict(max_epochs=0),
-    dict(precision=16),
+    dict(precision=16), dict(seed=-1), dict(patience=0), dict(patience=-3),
 ])
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ContractError):
