@@ -167,8 +167,6 @@ def resolve_train_settings(args) -> TrainSettings:
                          f"choose from {sorted(PRESETS)}")
     merged = {**_DEFAULTS, **PRESETS.get(preset_name, {}), **file_settings, **flags}
     merged.pop("preset", None)
-    if args.no_claim_sources:
-        merged["claim_source_dim"] = None
     hyper = Hyperparams(**{k: merged.pop(k) for k in _HYPER_KEYS if k in merged})
     config = training_mod.TrainConfig(
         **{k: merged.pop(k) for k in _CONFIG_KEYS if k in merged})
@@ -280,7 +278,6 @@ def _cmd_train(args) -> int:
     mean_report = {
         key: float(np.mean([e[key] for e in fold_reports if e.get(key) is not None]))
         for key in numeric_keys
-        if any(e.get(key) is not None for e in fold_reports)
     }
     summary = {"folds": fold_reports, "mean": mean_report,
                "n_claims": len(instances)}
@@ -318,8 +315,7 @@ def _cmd_predict(args) -> int:
                 record = {"id": inst.claim_id, "score": float(cred)}
             elif model.hyper.classes == 2:
                 record = {"id": inst.claim_id, "credibility": float(cred),
-                          "verdict": "credible" if verdict(float(cred))
-                          else "not credible"}
+                          "verdict": _verdict_text(model, cred)}
             else:
                 probs = [float(p) for p in cred]
                 record = {"id": inst.claim_id, "probabilities": probs,
@@ -335,7 +331,10 @@ def _read_predictions(path: str) -> dict[str, dict]:
     for lineno, record in corpus_mod.json_lines(path):
         if not isinstance(record, dict) or "id" not in record:
             raise ParseError(f"{path}:{lineno}: prediction without an id")
-        preds[str(record["id"])] = record
+        key = str(record["id"])
+        if key in preds:
+            raise ParseError(f"{path}:{lineno}: second prediction for id {key!r}")
+        preds[key] = record
     return preds
 
 
@@ -390,10 +389,16 @@ def _cmd_explain(args) -> int:
     model = _load_model(args.checkpoint, args.embeddings, args.vocab_limit)
     instances = corpus_mod.ingest(resolve_input(args.corpus), require_label=False)
     out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
     if args.format != "ansi" and out_dir is None:
         raise UsageError(f"--format {args.format} needs --out DIR")
+    if args.format == "html":
+        # Each page is named after its claim, so an id must be a plain file name.
+        for inst in instances:
+            if any(c in inst.claim_id for c in ("/", "\0", os.sep, os.altsep) if c):
+                raise ParseError(f"{args.corpus}: claim id {inst.claim_id!r} "
+                                 "cannot name an html page")
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     structured_lines = []
     vector_rows, vector_names, vector_labels = [], [], []
@@ -481,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True)
     train.add_argument("--config", help="key = value settings file")
     train.add_argument("--verbose", action="store_true")
-    train.add_argument("--no-claim-sources", action="store_true",
-                       help="fuse only the article-source embedding")
     # Only the flags given reach the namespace, to override preset and file.
     for key in _KEY_TYPES:
         if key not in _FILE_ONLY_KEYS:

@@ -42,6 +42,8 @@ SNIPPET_WINDOW = 100
 # Windows per block of the snippet screen's prefix sums, in window widths:
 # short sums keep both the rounding bound and the scratch arrays small.
 _BLOCK = 8
+# Share of claims ``make_folds`` holds out for early stopping.
+_VALIDATION_FRACTION = 0.1
 
 
 @dataclass
@@ -399,8 +401,8 @@ class FoldPlan:
         return list(self.folds[fold])
 
 
-def make_folds(instances: list[ClaimInstance], seed: int, n_folds: int = 10,
-               validation_fraction: float = 0.1) -> FoldPlan:
+def make_folds(instances: list[ClaimInstance], seed: int,
+               n_folds: int = 10) -> FoldPlan:
     """Shuffle claims, hold out a validation slice, deal the rest round-robin.
 
     Fold sizes differ by at most one.  Needs at least 2 folds and enough
@@ -412,7 +414,7 @@ def make_folds(instances: list[ClaimInstance], seed: int, n_folds: int = 10,
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
-    n_val = max(1, int(round(len(ids) * validation_fraction)))
+    n_val = max(1, int(round(len(ids) * _VALIDATION_FRACTION)))
     if len(ids) - n_val < n_folds:
         raise DegenerateInputError(
             f"{len(ids)} claims cannot fill {n_folds} folds after a "

@@ -52,10 +52,6 @@ class AttentionAnnotation:
 def annotate(trace: ForwardTrace, verdict: str, claim: str,
              source: str) -> AttentionAnnotation:
     """Turn a forward trace into an annotation over its own snippet."""
-    if len(trace.tokens) != len(trace.attention_weights):
-        raise ContractError(
-            f"trace holds {len(trace.tokens)} tokens but "
-            f"{len(trace.attention_weights)} weights")
     return AttentionAnnotation(
         claim=claim,
         verdict=verdict,
@@ -65,8 +61,8 @@ def annotate(trace: ForwardTrace, verdict: str, claim: str,
     )
 
 
-def shade_buckets(weights: list[float], levels: int = SHADE_LEVELS) -> list[int]:
-    """Quantile shade level per weight, 0 (faint) .. levels-1 (strong).
+def shade_buckets(weights: list[float]) -> list[int]:
+    """Quantile shade level per weight, 0 (faint) .. SHADE_LEVELS-1 (strong).
 
     A weight's level counts how many inner quantile cut points it strictly
     exceeds, so uniform weights all land in the bottom bucket and a single
@@ -75,7 +71,7 @@ def shade_buckets(weights: list[float], levels: int = SHADE_LEVELS) -> list[int]
     if not weights:
         raise DegenerateInputError("no weights to bucket")
     arr = np.asarray(weights, dtype=np.float64)
-    cuts = np.percentile(arr, np.linspace(0, 100, levels + 1)[1:-1])
+    cuts = np.percentile(arr, np.linspace(0, 100, SHADE_LEVELS + 1)[1:-1])
     return (arr[:, None] > cuts).sum(axis=1).tolist()
 
 

@@ -48,7 +48,6 @@ from .numeric import (
     relu,
     reshape,
     sigmoid,
-    slice_rows,
     softmax,
     step_weighted_sum,
     take_rows,
@@ -308,9 +307,9 @@ def attend(embeds: np.ndarray, claim_vecs: np.ndarray, params: ModelParams,
     embeds = _as_batch(embeds, dim)
     steps, batch, _ = embeds.shape
     w = transpose(params.attention_w)
-    words = matmul(Tensor(embeds.reshape(steps * batch, dim)), slice_rows(w, 0, dim))
+    words = matmul(Tensor(embeds.reshape(steps * batch, dim)), take_rows(w, range(dim)))
     claims = matmul(Tensor(np.asarray(claim_vecs).reshape(batch, dim)),
-                    slice_rows(w, dim, 2 * dim))
+                    take_rows(w, range(dim, 2 * dim)))
     pre = add(add(reshape(words, steps, batch), transpose(claims)), params.attention_b)
     scores = tanh(pre)
     return softmax(scores, mask), scores

@@ -40,7 +40,6 @@ __all__ = [
     "sum_all",
     "transpose",
     "vstack",
-    "slice_rows",
     "take_rows",
     "reshape",
     "bilstm",
@@ -56,11 +55,9 @@ _FLOAT_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _BLOCK_TOKENS = 256
 
 
-def _as_matrix(data, dtype=None) -> np.ndarray:
+def _as_matrix(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in _FLOAT_TYPES:
+    if arr.dtype not in _FLOAT_TYPES:
         arr = arr.astype(np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -81,9 +78,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 dtype=None):
-        self.data = _as_matrix(data, dtype)
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        self.data = _as_matrix(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -205,9 +201,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            # Summing into the fresh product spares one weight-sized buffer per step.
-            ga = g @ b.data.T
-            a.grad = ga if a.grad is None else np.add(ga, a.grad, out=ga)
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 
@@ -400,21 +394,6 @@ def vstack(parts: Sequence[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 _accumulate(p, g[lo:hi, :])
-
-    _register(out, backward)
-    return out
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start`` .. ``stop - 1`` as a tensor; gradient lands in those rows."""
-    if not 0 <= start < stop <= a.rows:
-        raise ShapeError(f"rows {start}:{stop} out of range for shape {a.shape}")
-    out = Tensor(a.data[start:stop, :].copy(), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[start:stop, :] = g
-        _accumulate(a, full)
 
     _register(out, backward)
     return out

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-7
+# Central-difference step of ``gradient_check``.
+_FD_STEP = 1e-5
 
 
 def _check_seed(seed: int) -> None:
@@ -62,6 +64,11 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractError("learning_rate must be finite and positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"{name} must lie in [0, 1)")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ContractError("epsilon must be finite and positive")
         if not math.isfinite(self.l2_lambda):
             raise ContractError("l2_lambda must be finite")
         if self.batch_size < 1:
@@ -302,7 +309,7 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
     if best_snapshot is not None:
         params.restore(best_snapshot)
     elif best_epoch == 0:
-        best_epoch = history[-1][0] if history else 0
+        best_epoch = history[-1][0]
     return FitResult(params=params, best_epoch=best_epoch, history=history)
 
 
@@ -358,7 +365,7 @@ def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams
 
 
 def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
-                   step: float = 1e-5, corrupt: str | None = None) -> float:
+                   corrupt: str | None = None) -> float:
     """Compare tape gradients with central finite differences.
 
     Builds a self-contained miniature model (one claim, both source
@@ -422,12 +429,12 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
         flat_grad = analytic[name].reshape(-1)
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + _FD_STEP
             up = chunk_loss().item()
-            flat[i] = original - step
+            flat[i] = original - _FD_STEP
             down = chunk_loss().item()
             flat[i] = original
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * _FD_STEP)
             err = abs(flat_grad[i] - numeric) / max(abs(flat_grad[i]) + abs(numeric),
                                                     1e-6)
             worst = max(worst, err)

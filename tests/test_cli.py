@@ -3,7 +3,10 @@
 One small training run is shared by the predict/eval/explain tests; it
 uses 2 folds and 2 epochs so the whole module stays fast.
 """
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -82,14 +85,18 @@ class TestSettingsLayering:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("preset = politifact\nhidden_size = 8\n")
         s = settings_for(["--config", str(cfg), "--hidden-size", "4",
-                          "--no-claim-sources"])
+                          "--claim-source-dim", "none"])
         assert s.hyper.hidden_size == 4
         assert s.hyper.claim_source_dim is None
 
-    def test_claim_source_dim_none_equals_no_claim_sources(self):
+    def test_claim_source_dim_none_equals_no_claim_sources(self, capsys):
         s = settings_for(["--preset", "politifact", "--claim-source-dim", "none"])
         assert s.hyper.claim_source_dim is None
-        assert s == settings_for(["--preset", "politifact", "--no-claim-sources"])
+        # One spelling only: the old flag is an unknown argument.
+        with pytest.raises(SystemExit) as exit_info:
+            settings_for(["--preset", "politifact", "--no-claim-sources"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-claim-sources" in capsys.readouterr().err
 
     def test_int_literal_for_a_float_key_is_a_float(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -347,7 +354,9 @@ class TestTrainCommand:
         assert argv[0][2:].replace("-", "_") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["seed = -1", "patience = 0", "patience = -3"])
+    @pytest.mark.parametrize("line", [
+        "seed = -1", "patience = 0", "patience = -3", "beta1 = 1.5", "beta1 = 1",
+        "beta2 = 1", "epsilon = 0", "epsilon = -1"])
     def test_config_setting_that_means_nothing_exits_one(self, cli_world, tmp_path,
                                                          capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -530,6 +539,21 @@ class TestEvalCommand:
             assert capsys.readouterr().err == (
                 f"error: class labels must be whole numbers from 0 up, got {label}\n")
 
+    # A repeated id, and ids that differ only as JSON types, since ids are
+    # compared as strings.
+    @pytest.mark.parametrize("extra, line, rid", [
+        (['{"id": "c003", "credibility": 0.5}'], 13, "c003"),
+        (['{"id": 5, "credibility": 0.5}', '{"id": "5", "credibility": 0.5}'], 14, "5"),
+    ], ids=["same-id", "int-and-string-id"])
+    def test_duplicate_prediction_id_exits_one_naming_the_line(
+            self, cli_world, predictions, tmp_path, capsys, extra, line, rid):
+        pred = tmp_path / "dup.jsonl"
+        pred.write_text(predictions.read_text() + "\n".join(extra) + "\n")
+        assert main(["eval", "--corpus", str(cli_world["corpus"]),
+                     "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pred}:{line}: second prediction for id {rid!r}\n")
+
 
 class TestExplainCommand:
     def test_ansi_prints_annotations(self, cli_world, capsys):
@@ -566,6 +590,24 @@ class TestExplainCommand:
         assert text.startswith("<!DOCTYPE html>")
         assert "annotation" in text
 
+    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "nul\0id"])
+    def test_html_refuses_an_id_that_is_no_file_name(self, cli_world, tmp_path,
+                                                     capsys, bad_id):
+        records = [json.loads(line)
+                   for line in cli_world["corpus"].read_text().splitlines()]
+        records[5]["id"] = bad_id
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "pages" / "html"
+        code = main(["explain", "--checkpoint",
+                     str(cli_world["run"] / "fold_00.ckpt"),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--corpus", str(corpus), "--format", "html", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: claim id {bad_id!r} cannot name an html page\n")
+        assert not out.exists() and list(tmp_path.rglob("*.html")) == []
+
     def test_structured_and_projection_outputs(self, cli_world, tmp_path, capsys):
         out = tmp_path / "structured"
         csv_path = tmp_path / "projection.csv"
@@ -589,6 +631,21 @@ class TestExplainCommand:
         assert name == "c000/0"
         float(x), float(y)  # parse back
         assert "of the variance" in capsys.readouterr().out
+
+
+# Flags README.md may name that no subcommand has: pip's, and the
+# ``--key-name`` pattern that stands for every train setting.
+NOT_EVICRED_FLAGS = {"--no-build-isolation", "--key-name"}
+
+
+def test_readme_names_only_flags_the_cli_accepts():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme.read_text(encoding="utf-8")))
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {flag for command in commands.values()
+                for action in command._actions for flag in action.option_strings}
+    assert named - accepted - NOT_EVICRED_FLAGS == set()
 
 
 def test_gradcheck_command(capsys):

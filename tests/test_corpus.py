@@ -357,10 +357,9 @@ class TestExtractSnippet:
 
 
 class TestFolds:
-    def make(self, n, seed=0, n_folds=10, validation_fraction=0.1):
+    def make(self, n, seed=0, n_folds=10):
         instances, _ = planted_corpus(n_claims=n, n_articles=1)
-        return make_folds(instances, seed, n_folds=n_folds,
-                          validation_fraction=validation_fraction), instances
+        return make_folds(instances, seed, n_folds=n_folds), instances
 
     def test_partition_covers_everything_once(self):
         plan, instances = self.make(57)

@@ -138,6 +138,10 @@ class TestAdam:
     dict(learning_rate=math.inf), dict(l2_lambda=math.nan),
     dict(l2_lambda=-math.inf), dict(batch_size=0), dict(max_epochs=0),
     dict(precision=16), dict(seed=-1), dict(patience=0), dict(patience=-3),
+    dict(beta1=1.5), dict(beta1=1.0), dict(beta1=-0.1), dict(beta1=math.nan),
+    dict(beta2=1.0), dict(beta2=-0.5), dict(beta2=math.inf),
+    dict(epsilon=0.0), dict(epsilon=-1.0), dict(epsilon=math.inf),
+    dict(epsilon=math.nan),
 ])
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ContractError):
