@@ -24,7 +24,8 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import training as training_mod
 from .embeddings import build_source_table, load_word_vectors
-from .errors import EvicredError, ParseError, UsageError, text_lines
+from .errors import (ContractError, EvicredError, ParseError, UsageError,
+                     text_lines)
 from .explain import annotate, pca_project, render
 from .metrics import mode_report
 from .model import (
@@ -107,6 +108,11 @@ def _parse_value(raw: str):
 
 def load_config(path: str) -> dict:
     """Parse a ``key = value`` config file; '#' starts a comment."""
+    return {key: value for key, (value, _) in _config_lines(path).items()}
+
+
+def _config_lines(path: str) -> dict[str, tuple[object, str]]:
+    """Each setting of a config file with the ``path:line`` that set it."""
     settings: dict = {}
     for lineno, line in text_lines(path):
         stripped = line.split("#", 1)[0].strip()
@@ -118,7 +124,8 @@ def load_config(path: str) -> dict:
         key = key.strip()
         if key not in _KEY_TYPES:
             raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
-        settings[key] = _check_type(key, _parse_value(raw), f"{path}:{lineno}: ")
+        where = f"{path}:{lineno}"
+        settings[key] = (_check_type(key, _parse_value(raw), where + ": "), where)
     return settings
 
 
@@ -159,7 +166,8 @@ class TrainSettings:
 
 def resolve_train_settings(args) -> TrainSettings:
     """Layer the knobs: defaults, preset, config file, then explicit flags."""
-    file_settings = load_config(resolve_input(args.config)) if args.config else {}
+    file_lines = _config_lines(resolve_input(args.config)) if args.config else {}
+    file_settings = {key: value for key, (value, _) in file_lines.items()}
     flags = {key: value for key, value in vars(args).items() if key in _KEY_TYPES}
     preset_name = {**file_settings, **flags}.get("preset")
     if preset_name is not None and preset_name not in PRESETS:
@@ -167,9 +175,17 @@ def resolve_train_settings(args) -> TrainSettings:
                          f"choose from {sorted(PRESETS)}")
     merged = {**_DEFAULTS, **PRESETS.get(preset_name, {}), **file_settings, **flags}
     merged.pop("preset", None)
-    hyper = Hyperparams(**{k: merged.pop(k) for k in _HYPER_KEYS if k in merged})
-    config = training_mod.TrainConfig(
-        **{k: merged.pop(k) for k in _CONFIG_KEYS if k in merged})
+    try:
+        hyper = Hyperparams(**{k: merged.pop(k) for k in _HYPER_KEYS if k in merged})
+        config = training_mod.TrainConfig(
+            **{k: merged.pop(k) for k in _CONFIG_KEYS if k in merged})
+    except ContractError as e:
+        # A refusal starts with the key it refuses; name the file line that
+        # set the value, unless a flag overrode it.
+        key = str(e).split(" ", 1)[0]
+        if key in file_lines and key not in flags:
+            raise ContractError(f"{file_lines[key][1]}: {e}") from None
+        raise
     return TrainSettings(hyper=hyper, config=config, **merged)
 
 
@@ -309,8 +325,7 @@ def _cmd_predict(args) -> int:
     model = _load_model(args.checkpoint, args.embeddings, args.vocab_limit)
     instances = corpus_mod.ingest(resolve_input(args.corpus), require_label=False)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            cred, _ = model.claim_score(inst)
+        for inst, (cred, _) in zip(instances, model.score_claims(instances)):
             if model.hyper.mode == "regress":
                 record = {"id": inst.claim_id, "score": float(cred)}
             elif model.hyper.classes == 2:

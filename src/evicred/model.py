@@ -19,11 +19,13 @@ after it works column-wise on (features, B) matrices.  Padding gets zero
 attention weight, and the pooled vector divides by the real length, so a
 pair's score does not depend on what it was batched with beyond the last
 bits of rounding.  Training cuts its pairs into chunks of at most
-``CHUNK_TOKENS`` padded tokens and ``claim_score`` into passes of at most
-``SCORE_TOKENS``, so memory grows with those budgets.  ``claim_score``
-takes a claim's articles in a canonical order (shortest first, then by
-tokens and source), so its result is bit-identical under any article
-order.
+``CHUNK_TOKENS`` padded tokens and ``score_claims`` into passes of at most
+``SCORE_TOKENS``, each article charged at least ``_SCORE_FLOOR`` tokens,
+so memory grows with those budgets.  ``score_claims`` packs the pairs of
+many claims into each pass, in a canonical order over whole pairs
+(shortest article first, then by article tokens and source, then by claim
+tokens and source), so its results are bit-identical under any claim or
+article order; ``claim_score`` is that scorer on one claim.
 """
 from __future__ import annotations
 
@@ -83,12 +85,18 @@ GATES = ("input", "forget", "output", "cell")
 # token at the snopes sizes (d=100, H=64), most of it the encoder's (2, 4H)
 # gates per token, which BPTT reads back.
 CHUNK_TOKENS = 800
-# Padded tokens per scoring pass of ``claim_score``.  An untaped pass keeps
-# no gates beyond one projection block, so it peaks at about 4.1 KB per
-# padded token at the snopes sizes (6.6 MB for 1,600 tokens in 1 to 100
-# articles, tracemalloc), under the 7.6 MB of an 800-token pass that kept
-# every gate.  Fewer passes mean fewer serial LSTM steps per claim.
+# Padded tokens per scoring pass of ``score_claims``, whose passes hold the
+# articles of many claims.  An untaped pass keeps no gates beyond one
+# projection block, so it peaks at about 4.1 KB per padded token at the
+# snopes sizes (6.6 MB for 1,600 tokens in 1 to 100 articles, tracemalloc),
+# under the 7.6 MB of an 800-token pass that kept every gate.  Fewer passes
+# mean fewer serial LSTM steps.
 SCORE_TOKENS = 1600
+# Tokens each article is charged in the scoring budget, at least.  The
+# encoder's step temporaries grow with a pass's width, so 1,600 one-token
+# articles would peak at 21.6 MB; the floor caps a pass at 400 articles
+# (8.3 MB at four tokens each).  Training chunks keep their plain lengths.
+_SCORE_FLOOR = 4
 
 
 @dataclass(frozen=True)
@@ -258,6 +266,14 @@ def _chunk_spans(lengths: Sequence[int],
             spans.append((start, i))
             start, longest = i, k
     return spans + [(start, len(lengths))]
+
+
+def _pair_key(pair: Pair) -> tuple:
+    """Sort key of the canonical scoring order, over the whole pair: equal
+    keys are equal pairs.  Shortest article first, so passes pad little."""
+    return (len(pair.article_tokens), pair.article_tokens,
+            pair.article_source is not None, pair.article_source or "",
+            pair.claim_tokens, pair.claim_source is not None, pair.claim_source or "")
 
 
 def _as_batch(embeds: np.ndarray, word_dim: int) -> np.ndarray:
@@ -445,25 +461,35 @@ class CredibilityModel:
             for b, (p, k) in enumerate(zip(pairs, lengths))]
         return out, traces
 
-    def claim_score(self, instance) -> tuple[float | np.ndarray, list[ForwardTrace]]:
-        """Credibility of a claim: plain mean of its per-article scores.
+    def score_claims(self, instances
+                     ) -> list[tuple[float | np.ndarray, list[ForwardTrace]]]:
+        """Credibility of each claim, the plain mean of its per-article
+        scores, with one trace per article in the instance's order.
 
-        The articles are scored in a canonical order, in passes within
-        ``SCORE_TOKENS``, so every score, and thus the result, is the same
-        bits under any article order; traces come in the instance's order.
-        A claim within the budget takes one padded pass; an article over it
+        The (claim, article) pairs of every claim are scored together in a
+        canonical order over whole pairs, in passes within ``SCORE_TOKENS``,
+        so identical keys are identical pairs and every result is the same
+        bits under any claim or article order.  An article over the budget
         takes a pass alone.
         """
-        pairs = Pair.of(instance)
-        order = sorted(range(len(pairs)), key=lambda i: (
-            len(pairs[i].article_tokens), pairs[i].article_tokens,
-            pairs[i].article_source is not None, pairs[i].article_source or ""))
+        pairs = [pair for inst in instances for pair in Pair.of(inst)]
+        order = sorted(range(len(pairs)), key=lambda i: _pair_key(pairs[i]))
+        charged = [max(len(pairs[i].article_tokens), _SCORE_FLOOR) for i in order]
         ranked: list[ForwardTrace] = []
-        for lo, hi in _chunk_spans([len(pairs[i].article_tokens) for i in order],
-                                   SCORE_TOKENS):
+        for lo, hi in _chunk_spans(charged, SCORE_TOKENS) if pairs else []:
             ranked += self.article_score([pairs[i] for i in order[lo:hi]])[1]
         traces = [ranked[r] for r in np.argsort(order)]
-        return aggregate([t.score for t in traces]), traces
+        results, start = [], 0
+        for inst in instances:
+            own = traces[start:start + len(inst.articles)]
+            start += len(inst.articles)
+            results.append((aggregate([t.score for t in own]), own))
+        return results
+
+    def claim_score(self, instance) -> tuple[float | np.ndarray, list[ForwardTrace]]:
+        """``score_claims`` on one claim: a claim within the budget takes
+        one padded pass."""
+        return self.score_claims([instance])[0]
 
 
 def aggregate(scores: Sequence) -> float | np.ndarray:

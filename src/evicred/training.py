@@ -315,18 +315,16 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
 
 def evaluate(model: CredibilityModel,
              instances: Sequence[ClaimInstance]) -> tuple[list, MetricReport]:
-    """Per-claim predictions plus the mode-appropriate report."""
+    """Per-claim predictions, scored in packed passes, plus the
+    mode-appropriate report."""
     if not instances:
         raise DegenerateInputError("no instances to evaluate")
-    preds = []
-    labels = []
     for inst in instances:
         if inst.label is None:
             raise ContractError(f"claim {inst.claim_id} has no label")
-        cred, _ = model.claim_score(inst)
-        preds.append(cred)
-        labels.append(inst.label)
-    return preds, mode_report(model.hyper.mode, preds, labels)
+    preds = [cred for cred, _ in model.score_claims(instances)]
+    return preds, mode_report(model.hyper.mode, preds,
+                              [inst.label for inst in instances])
 
 
 def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams,

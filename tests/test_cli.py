@@ -12,6 +12,7 @@ import pytest
 
 from evicred.cli import (
     PRESETS,
+    _load_model,
     build_parser,
     load_config,
     main,
@@ -21,7 +22,13 @@ from evicred.cli import (
 from evicred import corpus as corpus_mod
 from evicred.embeddings import load_word_vectors
 from evicred.errors import EvicredError, ParseError
-from evicred.model import load_checkpoint
+from evicred.model import (
+    SCORE_TOKENS,
+    CredibilityModel,
+    _chunk_spans,
+    _SCORE_FLOOR,
+    load_checkpoint,
+)
 from tests.conftest import make_embedding_file, planted_corpus, write_corpus_file, \
     write_embedding_file
 
@@ -356,7 +363,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("line", [
         "seed = -1", "patience = 0", "patience = -3", "beta1 = 1.5", "beta1 = 1",
-        "beta2 = 1", "epsilon = 0", "epsilon = -1"])
+        "beta2 = 1", "epsilon = 0", "epsilon = -1", "dropout = 1"])
     def test_config_setting_that_means_nothing_exits_one(self, cli_world, tmp_path,
                                                          capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -367,9 +374,26 @@ class TestTrainCommand:
                      "--out", str(out), "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert line.split()[0] in err
+        assert err.startswith(f"error: {cfg}:1: {line.split()[0]} ")
+        assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, flag", [
+        ("beta1 = 1.5", None), ("dropout = 0.2", ["--dropout", "1"]),
+        ("patience = 0", ["--patience", "-3"]), ("seed = -1", ["--seed", "-2"])])
+    def test_config_refusal_names_the_line_unless_a_flag_set_it(
+            self, cli_world, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings\n\nfolds = 2\n" + line + "\n")
+        code = main(["train", "--corpus", str(cli_world["corpus"]),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--out", str(tmp_path / "run"), "--config", str(cfg),
+                     *(flag or [])])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1
+        key = line.split()[0]
+        where = "" if flag else f"{cfg}:4: "
+        assert err.startswith(f"error: {where}{key} ")
 
 
 class TestPredictCommand:
@@ -386,6 +410,39 @@ class TestPredictCommand:
         for record in lines:
             assert 0.0 < record["credibility"] < 1.0
             assert record["verdict"] in ("credible", "not credible")
+
+    def test_scores_a_mixed_corpus_in_packed_passes(self, cli_world, tmp_path,
+                                                     monkeypatch):
+        # Articles of 1 to 1,700 tokens: claims share passes, and the
+        # article over the budget takes a pass alone.
+        instances, _ = planted_corpus(n_claims=9, n_articles=3, seed=8, dim=16)
+        lengths = (1, 3, 12, 40, 150, 700, 1700, 5, 90)
+        for n, inst in enumerate(instances):
+            inst.article_texts = [" ".join((a * 150)[:lengths[(3 * n + k) % 9]])
+                                  for k, a in enumerate(inst.articles)]
+        corpus = tmp_path / "mixed.jsonl"
+        write_corpus_file(corpus, instances)
+        widths = []
+        score_chunk = CredibilityModel.article_score
+
+        def counted(model, pairs):
+            widths.append(len(pairs))
+            return score_chunk(model, pairs)
+
+        monkeypatch.setattr(CredibilityModel, "article_score", counted)
+        checkpoint = str(cli_world["run"] / "fold_00.ckpt")
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--checkpoint", checkpoint,
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--corpus", str(corpus), "--out", str(out)]) == 0
+        scored = corpus_mod.ingest(str(corpus), require_label=False)
+        charged = sorted(max(len(a), _SCORE_FLOOR) for i in scored for a in i.articles)
+        assert len(widths) == len(_chunk_spans(charged, SCORE_TOKENS)) < len(scored)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in records] == [inst.claim_id for inst in scored]
+        model = _load_model(checkpoint, str(cli_world["vectors"]), None)
+        for record, inst in zip(records, scored):
+            assert abs(record["credibility"] - model.claim_score(inst)[0]) <= 1e-13
 
     def test_vocabulary_mismatch_is_refused(self, cli_world, tmp_path, capsys):
         other = make_embedding_file(tmp_path, ["alien", "words"], dim=16)

@@ -138,6 +138,21 @@ class TestModelParams:
                         claim_sources=wrong_dim)
 
 
+def snopes_model(rng):
+    """A model at the snopes sizes (d=100, H=64) over 500 words w0..w499."""
+    hyper = Hyperparams(word_dim=100, hidden_size=64, fc_size=32,
+                        article_source_dim=8, claim_source_dim=8)
+    vocab = Vocabulary([f"w{i}" for i in range(500)])
+    emb = WordEmbeddings(vocab, rng.standard_normal((500, 100)) * 0.3)
+    params = ModelParams(
+        hyper, rng,
+        article_sources=SourceEmbeddingTable(["s"], rng.standard_normal((2, 8)),
+                                             "article_source_table"),
+        claim_sources=SourceEmbeddingTable(["c"], rng.standard_normal((2, 8)),
+                                           "claim_source_table"))
+    return CredibilityModel(hyper, params, emb)
+
+
 def random_embeds(k, dim, seed=0):
     return np.random.default_rng(seed).standard_normal((k, dim))
 
@@ -480,17 +495,7 @@ class TestCredibilityModel:
         # no gates but one projection block; an 800-token pass that kept
         # every gate peaked at 7.3 MB.
         rng = np.random.default_rng(24)
-        hyper = Hyperparams(word_dim=100, hidden_size=64, fc_size=32,
-                            article_source_dim=8, claim_source_dim=8)
-        vocab = Vocabulary([f"w{i}" for i in range(500)])
-        emb = WordEmbeddings(vocab, rng.standard_normal((500, 100)) * 0.3)
-        params = ModelParams(
-            hyper, rng,
-            article_sources=SourceEmbeddingTable(["s"], rng.standard_normal((2, 8)),
-                                                 "article_source_table"),
-            claim_sources=SourceEmbeddingTable(["c"], rng.standard_normal((2, 8)),
-                                               "claim_source_table"))
-        model = CredibilityModel(hyper, params, emb)
+        model = snopes_model(rng)
         pairs = [Pair(["w1", "w2"], [f"w{j}" for j in rng.integers(0, 500, n)],
                       "c", "s") for n in lengths]
         model.article_score(pairs)
@@ -508,17 +513,7 @@ class TestCredibilityModel:
         # temporaries are as wide as the batch, but its gates are finished
         # in place, so a pass this wide stays near a long one.
         rng = np.random.default_rng(25)
-        hyper = Hyperparams(word_dim=100, hidden_size=64, fc_size=32,
-                            article_source_dim=8, claim_source_dim=8)
-        vocab = Vocabulary([f"w{i}" for i in range(500)])
-        emb = WordEmbeddings(vocab, rng.standard_normal((500, 100)) * 0.3)
-        params = ModelParams(
-            hyper, rng,
-            article_sources=SourceEmbeddingTable(["s"], rng.standard_normal((2, 8)),
-                                                 "article_source_table"),
-            claim_sources=SourceEmbeddingTable(["c"], rng.standard_normal((2, 8)),
-                                               "claim_source_table"))
-        model = CredibilityModel(hyper, params, emb)
+        model = snopes_model(rng)
         pairs = [Pair(["w1", "w2"], [f"w{j}" for j in rng.integers(0, 500, 4)],
                       "c", "s") for _ in range(400)]
         model.article_score(pairs)
@@ -529,6 +524,96 @@ class TestCredibilityModel:
         finally:
             tracemalloc.stop()
         assert peak < 9_500_000
+
+    def test_a_bulk_call_of_one_token_articles_keeps_passes_under_9_5_mb(
+            self, monkeypatch):
+        # 400 claims of four one-token articles.  Charged at their length,
+        # all 1,600 would share one pass and peak at 21.6 MB; the
+        # per-article floor cuts them into passes of 400.
+        rng = np.random.default_rng(26)
+        model = snopes_model(rng)
+        instances = [
+            ClaimInstance(claim_id=f"c{n}", claim_text="", claim_tokens=["w1", "w2"],
+                          claim_source="c",
+                          articles=[[f"w{j}"] for j in rng.integers(0, 500, 4)],
+                          article_texts=[""] * 4, article_sources=["s"] * 4, label=1)
+            for n in range(400)]
+        model.score_claims(instances)
+        widths, peaks = [], []
+        score_chunk = model.article_score
+
+        def measured(pairs):
+            widths.append(len(pairs))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = score_chunk(pairs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return result
+
+        monkeypatch.setattr(model, "article_score", measured)
+        tracemalloc.start()
+        try:
+            model.score_claims(instances)
+        finally:
+            tracemalloc.stop()
+        assert widths == [SCORE_TOKENS // 4] * 4
+        assert max(peaks) < 9_500_000
+
+    def test_bulk_scoring_matches_claim_by_claim(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        hyper, vocab, emb, params = tiny_world(seed=27)
+        model = CredibilityModel(hyper, params, emb)
+        tokens = list(vocab.tokens) + ["unseen"]
+        # (length, token seed, source); claims pick articles from a shared
+        # pool, so identical articles recur within and across claims.
+        article = st.tuples(st.integers(1, 300), st.integers(0, 3),
+                            st.sampled_from(["siteA", "elsewhere", None]))
+        claim = st.tuples(st.integers(0, 2), st.sampled_from(["speaker", None]),
+                          st.lists(st.integers(0, 7), min_size=1, max_size=6))
+
+        def values(result):
+            cred, traces = result
+            return [cred] + [v for t in traces
+                             for v in (t.score, t.attention_weights, t.article_vec)]
+
+        def same(a, b):
+            return all(map(np.array_equal, values(a), values(b)))
+
+        def close(a, b):
+            return all(np.max(np.abs(np.subtract(x, y))) <= 1e-13
+                       for x, y in zip(values(a), values(b)))
+
+        @hypothesis.settings(max_examples=25)
+        @hypothesis.given(st.lists(article, min_size=1, max_size=6),
+                          st.lists(claim, min_size=1, max_size=6), st.data())
+        def check(pool, claims, data):
+            texts = [[tokens[j] for j in np.random.default_rng(seed).integers(
+                0, len(tokens), n)] for n, seed, _ in pool]
+            instances = [
+                ClaimInstance(claim_id=f"c{n}", claim_text="",
+                              claim_tokens=tokens[c:c + 2], claim_source=source,
+                              articles=[texts[i % len(pool)] for i in picks],
+                              article_texts=[""] * len(picks),
+                              article_sources=[pool[i % len(pool)][2] for i in picks],
+                              label=1)
+                for n, (c, source, picks) in enumerate(claims)]
+            bulk = model.score_claims(instances)
+            assert len(bulk) == len(instances)
+            for inst, result in zip(instances, bulk):
+                assert [t.tokens for t in result[1]] == inst.articles
+                assert close(result, model.claim_score(inst))
+            perm = data.draw(st.permutations(range(len(instances))))
+            shuffled = model.score_claims([instances[i] for i in perm])
+            assert all(same(shuffled[k], bulk[i]) for k, i in enumerate(perm))
+            # A split changes which pairs share a pass, so BLAS may round
+            # the encoder differently: equal within 1e-13, not bit for bit.
+            cut = data.draw(st.integers(0, len(instances)))
+            split = model.score_claims(instances[:cut]) + model.score_claims(
+                instances[cut:])
+            assert all(close(a, b) for a, b in zip(split, bulk))
+
+        check()
 
     def test_claim_score_returns_traces_in_input_order(self):
         hyper, vocab, emb, params = tiny_world(seed=18)

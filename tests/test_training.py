@@ -253,6 +253,41 @@ class TestEvaluate:
         with pytest.raises(DegenerateInputError):
             evaluate(model, [])
 
+    def test_claims_share_one_packed_pass(self, monkeypatch):
+        # Six claims of two 100-token articles are 1,200 padded tokens: one
+        # pass, where scoring claim by claim takes six.
+        instances, emb = planted_corpus(n_claims=6, n_articles=2, seed=24, dim=8)
+        for inst in instances:
+            inst.articles = [(a * 9)[:100] for a in inst.articles]
+        _, _, hyper, table = small_world()
+        params = ModelParams(hyper, np.random.default_rng(0), article_sources=table)
+        model = CredibilityModel(hyper, params, emb)
+        widths = []
+        score_chunk = model.article_score
+
+        def counted(pairs):
+            widths.append(len(pairs))
+            return score_chunk(pairs)
+
+        monkeypatch.setattr(model, "article_score", counted)
+        preds, _ = evaluate(model, instances)
+        assert widths == [12]
+        for pred, inst in zip(preds, instances):
+            assert abs(pred - model.claim_score(inst)[0]) <= 1e-13
+
+    def test_unlabeled_claim_raises_before_any_scoring(self, monkeypatch):
+        instances, emb, hyper, table = small_world()
+        params = ModelParams(hyper, np.random.default_rng(0), article_sources=table)
+        model = CredibilityModel(hyper, params, emb)
+
+        def refuse(pairs):
+            raise AssertionError("scored before the labels were checked")
+
+        monkeypatch.setattr(model, "article_score", refuse)
+        instances[-1].label = None
+        with pytest.raises(ContractError, match=instances[-1].claim_id):
+            evaluate(model, instances)
+
 
 class TestCrossValidation:
     def test_one_outcome_per_fold(self):
