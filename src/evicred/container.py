@@ -3,8 +3,10 @@
 A file is a 4-byte magic, a little-endian uint32 pair (format version,
 header length), a UTF-8 JSON header, then raw sections.  Each section
 starts at a multiple of ``ALIGN`` bytes, the gap zero-filled, so an array
-can be memory-mapped in place.  Header keys are sorted and nothing
-time-dependent is written, so equal contents give byte-identical files.
+can be memory-mapped in place.  A section is a bytes-like array or a
+binary file, copied from its start a chunk at a time, so a section need
+not fit in memory.  Header keys are sorted and nothing time-dependent is
+written, so equal contents give byte-identical files.
 A file is written under a temporary name beside its target and renamed
 over it, so a reader never sees half a file.
 """
@@ -18,10 +20,12 @@ from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ParseError
 
-__all__ = ["ALIGN", "sha256_hex", "file_sha256", "section_offsets", "payload_chunks",
+__all__ = ["ALIGN", "sha256_hex", "prefix_sha256", "section_offsets", "payload_chunks",
            "write", "read_header"]
 
 ALIGN = 64
+# Bytes read at a time from a file that is hashed or copied into a section.
+_CHUNK = 1 << 18
 _PREAMBLE = struct.Struct("<II")
 _MAGIC_LEN = 4
 
@@ -34,10 +38,17 @@ def sha256_hex(chunks: Iterable[bytes]) -> str:
     return h.hexdigest()
 
 
-def file_sha256(path) -> str:
-    """Hex SHA-256 of a file's bytes, read a megabyte at a time."""
-    with open(path, "rb") as fh:
-        return sha256_hex(iter(lambda: fh.read(1 << 20), b""))
+def prefix_sha256(fh: BinaryIO, size: int) -> str:
+    """Hex SHA-256 of the next ``size`` bytes of an open binary file, or of
+    the bytes up to its end if it ends sooner."""
+    h = hashlib.sha256()
+    while size > 0:
+        chunk = fh.read(min(size, _CHUNK))
+        if not chunk:
+            break
+        h.update(chunk)
+        size -= len(chunk)
+    return h.hexdigest()
 
 
 def section_offsets(header_len: int, sizes: Iterable[int]) -> tuple[list[int], int]:
@@ -53,15 +64,22 @@ def section_offsets(header_len: int, sizes: Iterable[int]) -> tuple[list[int], i
 
 def payload_chunks(sections) -> Iterator[memoryview]:
     """The file's bytes from the first section on: sections and the zero gaps
-    between them.  ``sections`` are C-contiguous bytes-like objects."""
+    between them.  A section is a C-contiguous bytes-like object, or a binary
+    file whose whole contents are read, from its start, a chunk at a time."""
     pos = 0
     for section in sections:
         if pos % ALIGN:
             yield memoryview(bytes(-pos % ALIGN))
             pos += -pos % ALIGN
-        view = memoryview(section).cast("B")
-        yield view
-        pos += view.nbytes
+        if hasattr(section, "read"):
+            section.seek(0)
+            chunks = iter(lambda: section.read(_CHUNK), b"")
+        else:
+            chunks = [section]
+        for chunk in chunks:
+            view = memoryview(chunk).cast("B")
+            yield view
+            pos += view.nbytes
 
 
 def write(path, magic: bytes, version: int, header: dict, sections) -> None:

@@ -3,8 +3,10 @@
 Word vectors are loaded from a whitespace-separated text file (one token
 followed by its components per line) and are frozen: lookups return
 read-only rows, out-of-vocabulary tokens map to the zero vector, and the
-matrix is never registered with the optimizer.  A parsed file is cached
-beside itself, so later loads map the matrix instead of parsing it again.
+matrix is never registered with the optimizer.  A parse streams the matrix
+to disk a block at a time, and a parsed file is cached beside itself, so
+every load returns a read-only memory map and later loads map the cache
+instead of parsing again.
 Source names get small trainable tables in which rarely seen sources share
 a single fallback row.
 """
@@ -12,15 +14,17 @@ from __future__ import annotations
 
 import array
 import os
+import stat
 import string
+import tempfile
 from collections import Counter
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
 from . import container
-from .errors import ContractError, DegenerateInputError, ParseError, text_lines
+from .errors import ContractError, DegenerateInputError, ParseError, file_lines
 from .numeric import Tensor, glorot_uniform
 
 __all__ = [
@@ -112,9 +116,10 @@ class WordEmbeddings:
 
 _CACHE_SUFFIX = ".evicache"
 _CACHE_MAGIC = b"EVWV"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 _CACHE_KIND = "word-vector cache"
-# Components parsed as float64 before a cast to a narrower dtype (512 KB).
+# Components parsed as float64 before they are cast, checked and written out
+# (512 KB): all that a parse holds of the matrix at once.
 _CAST_BLOCK = 1 << 16
 
 
@@ -128,36 +133,75 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     Reading stops after ``vocab_limit`` tokens (at least 1) when given.
     Duplicate tokens keep their first vector.
 
-    A parse is saved beside the file as ``<path>.evicache``, keyed by the
-    SHA-256 of the file's bytes, ``dtype`` and ``vocab_limit``.  A later
-    load with the same key memory-maps the saved matrix read-only instead of
-    parsing; a cache that is missing, stale or damaged is rebuilt, and one
-    that cannot be written is skipped.
+    The matrix is a read-only memory map on every path.  A parse writes it a
+    block at a time to a private unnamed file, which lives as long as the
+    map: beside the cache, or in the system temp directory for a pipe or a
+    directory that takes no new file.  So no load holds the whole matrix in
+    memory, and nothing done to the cache changes a matrix already loaded.
+
+    A parse of a regular file is saved beside it as ``<path>.evicache``,
+    keyed by ``dtype``, ``vocab_limit`` and the SHA-256 of the bytes the
+    parse read: the whole file, or the part up to the line that reached
+    ``vocab_limit``, so text appended after that line keeps the cache.  A
+    later load with the same key maps the saved matrix instead of parsing;
+    a cache that is missing, stale or damaged is rebuilt, and one that
+    cannot be written is skipped.
     """
     if vocab_limit is not None and vocab_limit < 1:
         raise ContractError(f"vocab_limit must be at least 1, got {vocab_limit}")
-    if not os.path.isfile(path):  # a pipe could not be read twice
-        return _parse_word_vectors(path, vocab_limit, dtype)
+    dtype = np.dtype(dtype)
     cache = os.fspath(path) + _CACHE_SUFFIX
-    key = {"text_sha256": container.file_sha256(path),
-           "dtype": np.dtype(dtype).name, "vocab_limit": vocab_limit}
-    loaded = _read_cache(cache, key)
-    if loaded is not None:
-        return loaded
-    vocab, emb = _parse_word_vectors(path, vocab_limit, dtype)
-    blob = "\n".join(vocab.tokens).encode("utf-8")
-    header = {**key, "rows": len(vocab), "dim": emb.dim, "token_bytes": len(blob),
-              "vocab_sha256": vocab.content_hash()}
-    try:
-        container.write(cache, _CACHE_MAGIC, _CACHE_VERSION, header, [blob, emb.vectors])
-    except OSError:  # read-only directory, or the cache path is taken
-        pass
-    return vocab, emb
+    with open(path, "rb") as text:
+        # A pipe cannot be read twice, so it is neither keyed nor cached.
+        regular = stat.S_ISREG(os.fstat(text.fileno()).st_mode)
+        if regular:
+            loaded = _read_cache(cache, text, dtype, vocab_limit)
+            if loaded is not None:
+                return loaded
+            text.seek(0)
+        with _private_file((os.path.dirname(cache) or os.curdir) if regular else None) as out:
+            vocab, dim = _parse_word_vectors(text, vocab_limit, dtype, out)
+            out.flush()
+            matrix = np.memmap(out, dtype=dtype, mode="r", shape=(len(vocab), dim))
+            if regular:
+                text_bytes = text.tell()
+                text.seek(0)
+                blob = "\n".join(vocab.tokens).encode("utf-8")
+                header = {"text_sha256": container.prefix_sha256(text, text_bytes),
+                          "text_bytes": text_bytes, "dtype": dtype.name,
+                          "vocab_limit": vocab_limit, "rows": len(vocab), "dim": dim,
+                          "token_bytes": len(blob), "vocab_sha256": vocab.content_hash()}
+                try:
+                    container.write(cache, _CACHE_MAGIC, _CACHE_VERSION, header, [blob, out])
+                except OSError:  # read-only directory, or the cache path is taken
+                    pass
+    return vocab, WordEmbeddings(vocab, matrix)
 
 
-def _read_cache(cache: str, key: dict) -> tuple[Vocabulary, WordEmbeddings] | None:
+def _private_file(directory: str | None) -> BinaryIO:
+    """An unnamed temporary file for a parsed matrix, in ``directory`` if
+    that takes one, else in the system temp directory.
+
+    The cache's directory comes first: the system temp directory is often
+    memory-backed (tmpfs), where the matrix would take memory again, and
+    the cache needs room for the same bytes anyway.
+    """
+    if directory is not None:
+        try:
+            return tempfile.TemporaryFile(dir=directory)
+        except OSError:
+            pass
+    return tempfile.TemporaryFile()
+
+
+def _read_cache(cache: str, text: BinaryIO, dtype: np.dtype,
+                vocab_limit: int | None) -> tuple[Vocabulary, WordEmbeddings] | None:
     """The cached vocabulary and mapped matrix, or None unless all of it matches.
 
+    The cache must be for ``dtype`` and ``vocab_limit``, and the open text
+    file must still start with the ``text_bytes`` bytes it was parsed from,
+    which hash to its key.  Any bytes after them must be ones the parse
+    never read: it stopped at ``vocab_limit`` on a line ended by a newline.
     The token list is checked against its digest, ``Vocabulary.content_hash()``
     (the SHA-256 of each token followed by a newline).  The matrix is
     trusted as written, since it was saved only after a parse passed its
@@ -167,15 +211,25 @@ def _read_cache(cache: str, key: dict) -> tuple[Vocabulary, WordEmbeddings] | No
         with open(cache, "rb") as fh:
             header, header_len = container.read_header(
                 fh, cache, _CACHE_MAGIC, _CACHE_VERSION, _CACHE_KIND)
-            if any(header.get(name) != value for name, value in key.items()):
+            if header.get("dtype") != dtype.name or header.get("vocab_limit") != vocab_limit:
                 return None
-            rows, dim, token_bytes = (header.get(n) for n in ("rows", "dim", "token_bytes"))
-            if not all(type(n) is int and n > 0 for n in (rows, dim, token_bytes)):
+            rows, dim, token_bytes, text_bytes = (
+                header.get(n) for n in ("rows", "dim", "token_bytes", "text_bytes"))
+            if not all(type(n) is int and n > 0 for n in (rows, dim, token_bytes, text_bytes)):
                 return None
-            dtype = np.dtype(key["dtype"])
             (tokens_at, matrix_at), end = container.section_offsets(
                 header_len, [token_bytes, rows * dim * dtype.itemsize])
             if os.fstat(fh.fileno()).st_size != end:
+                return None
+            size = os.fstat(text.fileno()).st_size
+            if size < text_bytes:
+                return None
+            if size > text_bytes:
+                text.seek(text_bytes - 1)
+                if rows != vocab_limit or text.read(1) != b"\n":
+                    return None
+            text.seek(0)
+            if container.prefix_sha256(text, text_bytes) != header.get("text_sha256"):
                 return None
             fh.seek(tokens_at)
             blob = fh.read(token_bytes)
@@ -193,21 +247,22 @@ def _read_cache(cache: str, key: dict) -> tuple[Vocabulary, WordEmbeddings] | No
     return vocab, WordEmbeddings(vocab, matrix)
 
 
-def _parse_word_vectors(path: str, vocab_limit: int | None,
-                        dtype) -> tuple[Vocabulary, WordEmbeddings]:
+def _parse_word_vectors(text: BinaryIO, vocab_limit: int | None, dtype: np.dtype,
+                        out: BinaryIO) -> tuple[Vocabulary, int]:
     """The text parse behind ``load_word_vectors``, with all of its checks.
 
-    Components go into one growing float64 buffer.  For a narrower dtype,
-    every ``_CAST_BLOCK`` of them is cast into a second growing buffer, so
-    a load peaks near the size of the finished matrix either way.
+    Reads ``text`` from its current position and leaves it just after the
+    last line used.  Rows go to ``out`` as raw ``dtype`` values: components
+    are gathered as float64 until a block holds ``_CAST_BLOCK`` of them,
+    which is then cast, checked and written, so the parse holds one block
+    of the matrix, never all of it.  Returns the vocabulary and the number
+    of components per row.
     """
     vocab = Vocabulary()
-    flat = array.array("d")
-    narrow = np.dtype(dtype) != np.float64
-    cast = bytearray()
-    linenos: list[int] = []
+    block = array.array("d")
+    linenos: list[int] = []  # of the rows in ``block``
     dim: int | None = None
-    for lineno, line in text_lines(path):
+    for lineno, line in file_lines(text, text.name):
         parts = line.split()
         if not parts:
             continue
@@ -215,42 +270,42 @@ def _parse_word_vectors(path: str, vocab_limit: int | None,
         if dim is None:
             dim = len(values)
             if dim == 0:
-                raise ParseError(f"{path}:{lineno}: no vector components")
+                raise ParseError(f"{text.name}:{lineno}: no vector components")
         elif len(values) != dim:
             raise ParseError(
-                f"{path}:{lineno}: expected {dim} components, got {len(values)}")
+                f"{text.name}:{lineno}: expected {dim} components, got {len(values)}")
         if token in vocab:
             continue
         try:
-            flat.extend(map(float, values))
+            block.extend(map(float, values))
         except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from None
+            raise ParseError(f"{text.name}:{lineno}: {e}") from None
         vocab.add(token)
         linenos.append(lineno)
-        if narrow and len(flat) >= _CAST_BLOCK:
-            cast += _narrowed(flat, dtype)
-            del flat[:]
+        if len(block) >= _CAST_BLOCK:
+            _write_rows(block, linenos, dim, dtype, out, text.name)
+            del block[:]
+            linenos.clear()
         if vocab_limit is not None and len(vocab) >= vocab_limit:
             break
-    if not linenos:
-        raise DegenerateInputError(f"{path}: file holds no word vectors")
-    if narrow:
-        cast += _narrowed(flat, dtype)
-        matrix = np.frombuffer(cast, dtype=dtype)
-    else:
-        matrix = np.frombuffer(flat, dtype=np.float64)
-    matrix = matrix.reshape(len(linenos), dim)
-    # A row's max and min carry any nan or inf in it, with no full-size mask.
-    finite = np.isfinite(matrix.max(axis=1)) & np.isfinite(matrix.min(axis=1))
+    if not vocab:
+        raise DegenerateInputError(f"{text.name}: file holds no word vectors")
+    _write_rows(block, linenos, dim, dtype, out, text.name)
+    return vocab, dim
+
+
+def _write_rows(block: array.array, linenos: list[int], dim: int, dtype: np.dtype,
+                out: BinaryIO, name: str) -> None:
+    """Cast a block of parsed rows to ``dtype``, check that every component
+    is finite, naming the first bad row's line, and write the block to ``out``."""
+    with np.errstate(over="ignore"):  # overflow shows as inf, caught below
+        rows = np.frombuffer(block, dtype=np.float64).reshape(-1, dim).astype(dtype, copy=False)
+    # A row's max and min carry any nan or inf in it, with no block-size mask.
+    finite = np.isfinite(rows.max(axis=1)) & np.isfinite(rows.min(axis=1))
     if not finite.all():
-        raise ParseError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+        raise ParseError(f"{name}:{linenos[int(np.argmin(finite))]}: "
                          "vector component is not a finite number")
-    return vocab, WordEmbeddings(vocab, matrix)
-
-
-def _narrowed(flat: array.array, dtype) -> bytes:
-    with np.errstate(over="ignore"):  # overflow shows as inf, caught by the caller
-        return np.frombuffer(flat, dtype=np.float64).astype(dtype).tobytes()
+    out.write(rows)
 
 
 class SourceEmbeddingTable:

@@ -1,8 +1,8 @@
-"""Exception types shared across the package, and the text-file reader
-that turns undecodable bytes into one of them."""
+"""Exception types shared across the package, and the text-file readers
+that turn undecodable bytes into one of them."""
 from __future__ import annotations
 
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 
 class EvicredError(Exception):
@@ -36,10 +36,15 @@ def text_lines(path: str) -> Iterator[tuple[int, str]]:
     the line.  Lines end at "\\n" and keep their line ending.
     """
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(
-                    f"{path}:{lineno}: not UTF-8 text ({e.reason})") from None
-            yield lineno, line
+        yield from file_lines(fh, path)
+
+
+def file_lines(fh: BinaryIO, name) -> Iterator[tuple[int, str]]:
+    """``text_lines`` over a binary file that is already open, from its
+    current position; errors name the file as ``name``."""
+    for lineno, raw in enumerate(fh, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{name}:{lineno}: not UTF-8 text ({e.reason})") from None
+        yield lineno, line

@@ -1,8 +1,11 @@
 """Word vector loading and its cache, vocabulary, and source bucketing."""
 import json
 import os
+import shutil
 import struct
+import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +285,214 @@ class TestWordVectorCache:
             assert_same_load(load_word_vectors(path, None, dtype), want[dtype])
 
         check()
+
+
+def feed_pipe(fifo, source):
+    """Create a named pipe at ``fifo`` and start a thread that writes the
+    file ``source`` into it once a reader opens it."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(source, "rb") as src, open(fifo, "wb") as dst:
+            shutil.copyfileobj(src, dst)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
+
+
+PREFIX_ROWS = b"a 1.0 2.0\nb 3.0 4.0\nc 5.0 6.0\nd 7.0 8.0\n"
+
+
+class TestPrefixKey:
+    """A load with ``vocab_limit`` keys its cache on the bytes it read."""
+
+    @pytest.mark.parametrize("text,limit,edit,kept", [
+        (PREFIX_ROWS, 2, lambda raw: raw + b"e 9.0 1.0\n", True),
+        (PREFIX_ROWS, 2, lambda raw: raw.replace(b"d 7.0", b"d 7.5"), True),
+        (PREFIX_ROWS, 2, lambda raw: raw.replace(b"b 3.0", b"b 3.5"), False),
+        (PREFIX_ROWS, 9, lambda raw: raw + b"e 9.0 1.0\n", False),
+        (b"a 1.0 2.0\nb 3.0 4.0", 2, lambda raw: raw + b"5\n", False),
+    ], ids=["lines-appended", "line-after-prefix-changed", "byte-in-prefix-changed",
+            "short-file-appended", "unended-last-line-extended"])
+    def test_limited_load_keys_only_the_text_it_read(self, tmp_path, parses,
+                                                     text, limit, edit, kept):
+        path = tmp_path / "v.txt"
+        path.write_bytes(text)
+        load_word_vectors(path, limit)
+        path.write_bytes(edit(text))
+        got = load_word_vectors(path, limit)
+        assert len(parses) == (1 if kept else 2)
+        cache_of(path).unlink()
+        assert_same_load(got, load_word_vectors(path, limit))
+
+    def test_warm_limited_load_hashes_only_the_text_it_read(self, tmp_path, parses,
+                                                            monkeypatch):
+        path = make_embedding_file(tmp_path, [f"t{i}" for i in range(50)], dim=4)
+        load_word_vectors(path, vocab_limit=3)
+        read = len(b"".join(path.read_bytes().splitlines(keepends=True)[:3]))
+        hashed = []
+        prefix_sha256 = container.prefix_sha256
+
+        def counted(fh, size):
+            start = fh.tell()
+            digest = prefix_sha256(fh, size)
+            hashed.append(fh.tell() - start)
+            return digest
+
+        monkeypatch.setattr(container, "prefix_sha256", counted)
+        vocab, _ = load_word_vectors(path, vocab_limit=3)
+        assert len(parses) == 1 and len(vocab) == 3
+        assert hashed == [read] and read * 10 < path.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def big_vectors(tmp_path_factory):
+    """A 20,000 x 50 word-vector file: an 8 MB matrix in float64."""
+    path = tmp_path_factory.mktemp("big") / "vectors.txt"
+    rng = np.random.default_rng(0)
+    layout = " ".join(["%.4f"] * 50)
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, 20_000, 1_000):
+            rows = rng.standard_normal((1_000, 50)).tolist()
+            fh.writelines(f"w{lo + i} {layout % tuple(row)}\n" for i, row in enumerate(rows))
+    return path
+
+
+@pytest.fixture(scope="module")
+def big_vocabulary_bytes(big_vectors) -> int:
+    """Traced bytes of a Vocabulary of ``big_vectors``' tokens, built token by
+    token from fresh strings as a parse builds it."""
+    with open(big_vectors, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            vocab = Vocabulary()
+            for line in fh:
+                vocab.add(line.split(None, 1)[0])
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+
+class TestStreamedParse:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("source", ["file", "pipe", "unwritable-cache-path"])
+    def test_cold_load_peaks_far_below_the_matrix(self, big_vectors, big_vocabulary_bytes,
+                                                  tmp_path, monkeypatch, source, dtype):
+        """Beyond the Vocabulary it returns, a cold load holds less than a
+        quarter of the float64 matrix at any moment."""
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        path = tmp_path / "vectors.txt"
+        if source == "pipe":
+            writer = feed_pipe(path, big_vectors)
+        else:
+            path.symlink_to(big_vectors)
+        if source == "unwritable-cache-path":
+            cache_of(path).mkdir()
+        tracemalloc.start()
+        try:
+            vocab, emb = load_word_vectors(path, None, dtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if source == "pipe":
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert emb.vectors.shape == (20_000, 50) and emb.vectors.dtype == dtype
+        assert peak - big_vocabulary_bytes < 20_000 * 50 * 8 / 4
+
+    @pytest.mark.parametrize("change", ["deleted", "rewritten-in-place", "truncated",
+                                        "rebuilt-by-another-load"])
+    def test_cold_matrix_is_a_private_read_only_map(self, tmp_path, change):
+        path = tmp_path / "v.txt"
+        path.write_text("cat 1.5 -2.0 0.25\ndog 3.0 4.0 1e-300\nbird 0 7 -1\n")
+        want = np.array([[float(v) for v in line.split()[1:]]
+                         for line in path.read_text().splitlines()])
+        _, emb = load_word_vectors(path)
+        assert isinstance(emb.vectors.base, np.memmap)
+        with pytest.raises(ValueError):
+            emb.vectors[0, 0] = 5.0
+        cache = cache_of(path)
+        if change == "deleted":
+            cache.unlink()
+        elif change == "rewritten-in-place":
+            with open(cache, "r+b") as fh:
+                fh.write(bytes(cache.stat().st_size))
+        elif change == "truncated":
+            os.truncate(cache, 0)
+        else:
+            load_word_vectors(path, dtype=np.float32)
+        assert emb.vectors.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row", [6, 7])
+    @pytest.mark.parametrize("bad,dtype,message", [
+        ("1.0", np.float64, "expected 2 components, got 1"),
+        ("1.0 oops", np.float64, "could not convert"),
+        ("1.0 nan", np.float64, "not a finite number"),
+        ("1.0 1e39", np.float32, "not a finite number"),
+    ], ids=["ragged", "non-numeric", "nan", "float32-overflow"])
+    def test_bad_row_after_written_blocks_names_its_line(self, tmp_path, monkeypatch,
+                                                        row, bad, dtype, message):
+        monkeypatch.setattr(embeddings, "_CAST_BLOCK", 4)  # a block every other row
+        rows = [f"t{i} {i}.0 1.0" for i in range(9)]
+        rows[row] = f"t{row} {bad}"
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(rows[:3] + [""] + rows[3:]) + "\n")  # row r is line r + 2
+        with pytest.raises(ParseError, match=rf"v\.txt:{row + 2}: .*{message}"):
+            load_word_vectors(path, dtype=dtype)
+
+    @pytest.mark.parametrize("route", ["cold", "warm", "unwritable-cache-path",
+                                       "directory-takes-no-file", "failed-rename",
+                                       "parse-error", "pipe"])
+    def test_no_load_leaves_a_file_behind(self, tmp_path, monkeypatch, route):
+        tmp, home = tmp_path / "tmp", tmp_path / "vectors"
+        tmp.mkdir()
+        home.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        path = make_embedding_file(home, ["a", "b", "c"], dim=2)
+        source = tmp_path / "source.txt"
+        shutil.copy(path, source)
+        expected = ["vectors.txt", "vectors.txt.evicache"]
+        if route == "warm":
+            load_word_vectors(path)
+        elif route == "unwritable-cache-path":
+            cache_of(path).mkdir()
+        elif route == "directory-takes-no-file":
+            temporary_file = tempfile.TemporaryFile
+
+            def refuse(*args, dir=None, **kwargs):
+                if dir is not None:
+                    raise PermissionError(13, "Permission denied", dir)
+                return temporary_file(*args, **kwargs)
+
+            monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        elif route == "failed-rename":
+            def fail(src, dst):
+                raise PermissionError(13, "Permission denied", dst)
+
+            monkeypatch.setattr(os, "replace", fail)
+            expected = ["vectors.txt"]
+        elif route == "parse-error":
+            path.write_text("a 1.0 2.0\nb 1.0\n")
+            expected = ["vectors.txt"]
+        elif route == "pipe":
+            path.unlink()
+            writer = feed_pipe(path, source)
+            expected = ["vectors.txt"]
+        if route == "parse-error":
+            with pytest.raises(ParseError):
+                load_word_vectors(path)
+        else:
+            loaded = load_word_vectors(path)  # its map stays open for the listings
+            assert_same_load(loaded, load_word_vectors(source))
+        if route == "pipe":
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert sorted(p.name for p in home.iterdir()) == expected
+        assert list(tmp.iterdir()) == []
 
 
 class TestWordEmbeddings:
