@@ -23,7 +23,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import training as training_mod
-from .embeddings import build_source_table, load_word_vectors
+from .embeddings import load_word_vectors
 from .errors import (ContractError, EvicredError, ParseError, UsageError,
                      text_lines)
 from .explain import annotate, pca_project, render
@@ -237,7 +237,8 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _prepare_training_world(args, settings: TrainSettings):
+def _cmd_train(args) -> int:
+    settings = resolve_train_settings(args)
     instances = corpus_mod.ingest(resolve_input(args.corpus))
     vocab, emb = load_word_vectors(resolve_input(args.embeddings),
                                    vocab_limit=settings.vocab_limit,
@@ -245,25 +246,6 @@ def _prepare_training_world(args, settings: TrainSettings):
     if emb.dim != settings.hyper.word_dim:
         # The preset names a recommended vector width; the file wins.
         settings.hyper = dataclasses.replace(settings.hyper, word_dim=emb.dim)
-    claim_counts, article_counts = corpus_mod.source_counts(instances)
-    table_rng = np.random.default_rng((settings.config.seed, 101))
-    article_table = build_source_table(
-        article_counts, settings.min_article_support,
-        settings.hyper.article_source_dim, table_rng, "article_source_table",
-        settings.config.dtype)
-    claim_table = None
-    if settings.hyper.claim_source_dim is not None:
-        claim_table = build_source_table(
-            claim_counts, settings.min_claim_support,
-            settings.hyper.claim_source_dim, table_rng, "claim_source_table",
-            settings.config.dtype)
-    return instances, vocab, emb, article_table, claim_table
-
-
-def _cmd_train(args) -> int:
-    settings = resolve_train_settings(args)
-    instances, vocab, emb, article_table, claim_table = \
-        _prepare_training_world(args, settings)
     plan = corpus_mod.make_folds(instances, settings.config.seed,
                                  n_folds=settings.folds)
     out_dir = Path(args.out)
@@ -277,7 +259,8 @@ def _cmd_train(args) -> int:
 
     outcomes = training_mod.train(
         instances, plan, settings.hyper, settings.config, emb,
-        article_table, claim_table, progress=progress)
+        min_article_support=settings.min_article_support,
+        min_claim_support=settings.min_claim_support, progress=progress)
 
     vocab_hash = vocab.content_hash()
     fold_reports = []
@@ -325,7 +308,7 @@ def _cmd_predict(args) -> int:
     model = _load_model(args.checkpoint, args.embeddings, args.vocab_limit)
     instances = corpus_mod.ingest(resolve_input(args.corpus), require_label=False)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for inst, (cred, _) in zip(instances, model.score_claims(instances)):
+        for inst, cred in zip(instances, model.score_claims(instances)):
             if model.hyper.mode == "regress":
                 record = {"id": inst.claim_id, "score": float(cred)}
             elif model.hyper.classes == 2:

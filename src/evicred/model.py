@@ -33,7 +33,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -461,35 +461,42 @@ class CredibilityModel:
             for b, (p, k) in enumerate(zip(pairs, lengths))]
         return out, traces
 
-    def score_claims(self, instances
-                     ) -> list[tuple[float | np.ndarray, list[ForwardTrace]]]:
-        """Credibility of each claim, the plain mean of its per-article
-        scores, with one trace per article in the instance's order.
+    def _scored_pairs(self, instances) -> Iterator[tuple[int, ForwardTrace]]:
+        """(index, trace) of every (claim, article) pair of ``instances``,
+        pairs numbered in claim then article order.
 
-        The (claim, article) pairs of every claim are scored together in a
-        canonical order over whole pairs, in passes within ``SCORE_TOKENS``,
-        so identical keys are identical pairs and every result is the same
-        bits under any claim or article order.  An article over the budget
-        takes a pass alone.
+        The pairs are scored in a canonical order over whole pairs, in
+        passes within ``SCORE_TOKENS``, so identical keys are identical
+        pairs and every trace is the same bits under any claim or article
+        order.  An article over the budget takes a pass alone.  A pass's
+        traces are yielded as soon as it is scored.
         """
         pairs = [pair for inst in instances for pair in Pair.of(inst)]
         order = sorted(range(len(pairs)), key=lambda i: _pair_key(pairs[i]))
         charged = [max(len(pairs[i].article_tokens), _SCORE_FLOOR) for i in order]
-        ranked: list[ForwardTrace] = []
         for lo, hi in _chunk_spans(charged, SCORE_TOKENS) if pairs else []:
-            ranked += self.article_score([pairs[i] for i in order[lo:hi]])[1]
-        traces = [ranked[r] for r in np.argsort(order)]
+            traces = self.article_score([pairs[i] for i in order[lo:hi]])[1]
+            yield from zip(order[lo:hi], traces)
+
+    def score_claims(self, instances) -> list[float | np.ndarray]:
+        """Credibility of each claim, the plain mean of its per-article
+        scores; only the scores outlive each pass."""
+        scores: list = [None] * sum(len(inst.articles) for inst in instances)
+        for i, trace in self._scored_pairs(instances):
+            scores[i] = trace.score
         results, start = [], 0
         for inst in instances:
-            own = traces[start:start + len(inst.articles)]
+            results.append(aggregate(scores[start:start + len(inst.articles)]))
             start += len(inst.articles)
-            results.append((aggregate([t.score for t in own]), own))
         return results
 
     def claim_score(self, instance) -> tuple[float | np.ndarray, list[ForwardTrace]]:
-        """``score_claims`` on one claim: a claim within the budget takes
-        one padded pass."""
-        return self.score_claims([instance])[0]
+        """One claim's credibility, as ``score_claims`` gives it, with one
+        trace per article in the instance's order."""
+        traces: list = [None] * len(instance.articles)
+        for i, trace in self._scored_pairs([instance]):
+            traces[i] = trace
+        return aggregate([t.score for t in traces]), traces
 
 
 def aggregate(scores: Sequence) -> float | np.ndarray:
@@ -581,7 +588,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
 
     Anything but an intact version-3 file raises ParseError: a wrong magic
     or version, a header that is not JSON or lacks a key, a file too short
-    or too long for its arrays, or a digest that does not match its bytes.
+    or too long for its arrays, a digest that does not match its bytes, and
+    even with a valid digest, a header that does not fit the model or
+    arrays of mixed dtypes.
     """
     with open(path, "rb") as fh:
         header, header_len = container.read_header(fh, path, _MAGIC, _VERSION,
@@ -627,15 +636,19 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
             claim_table = SourceEmbeddingTable(
                 header["claim_sources"], array("claim_source_table"),
                 "claim_source_table")
+        dtype = array("article_source_table").dtype
+        params = ModelParams(hyper, np.random.default_rng(0),
+                             article_sources=article_table,
+                             claim_sources=claim_table, dtype=dtype)
     except TypeError as e:
         raise ParseError(f"{path}: checkpoint header does not fit the model: {e}") from None
-    params = ModelParams(hyper, np.random.default_rng(0),
-                         article_sources=article_table, claim_sources=claim_table,
-                         dtype=array("article_source_table").dtype)
     for name, t in params.named().items():
         if array(name).shape != t.shape:
             raise ParseError(
                 f"{path}: array {name!r} has shape {arrays[name].shape}, "
                 f"expected {t.shape}")
+        if arrays[name].dtype != dtype:
+            raise ParseError(f"{path}: array {name!r} is {arrays[name].dtype}, "
+                             f"but article_source_table is {dtype}")
         t.data = arrays[name]
     return params, header["vocab_hash"]

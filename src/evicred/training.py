@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import ClaimInstance, FoldPlan
-from .embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
+from .corpus import ClaimInstance, FoldPlan, source_counts
+from .embeddings import (SourceEmbeddingTable, Vocabulary, WordEmbeddings,
+                         build_source_table)
 from .errors import ContractError, DegenerateInputError
 from .metrics import MetricReport, mode_report
 from .model import CredibilityModel, Hyperparams, ModelParams, Pair, _chunk_spans
@@ -300,8 +301,6 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
             shown = "-" if val_value is None else f"{val_value:.6f}"
             progress(f"epoch {epoch} train_loss {train_loss:.6f} val {shown}")
         if on_epoch is not None and on_epoch(epoch, train_loss, val_value, model):
-            if best_snapshot is None:
-                best_epoch = epoch
             break
         if val_instances and stale >= config.patience:
             break
@@ -322,20 +321,23 @@ def evaluate(model: CredibilityModel,
     for inst in instances:
         if inst.label is None:
             raise ContractError(f"claim {inst.claim_id} has no label")
-    preds = [cred for cred, _ in model.score_claims(instances)]
+    preds = model.score_claims(instances)
     return preds, mode_report(model.hyper.mode, preds,
                               [inst.label for inst in instances])
 
 
 def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams,
-          config: TrainConfig, word_embeddings: WordEmbeddings,
-          article_sources: SourceEmbeddingTable,
-          claim_sources: SourceEmbeddingTable | None = None, *,
+          config: TrainConfig, word_embeddings: WordEmbeddings, *,
+          min_article_support: int, min_claim_support: int,
           progress: Callable[[str], None] | None = None) -> list[FoldOutcome]:
     """Cross-validated training: one model per fold, tested on that fold.
 
     Every fold shares the same validation holdout for early stopping and
-    reinitializes its parameters from a fold-specific seed.
+    reinitializes its parameters from a fold-specific seed.  A fold's
+    source tables keep the sources that its own training claims name at
+    least ``min_article_support`` (article sources) or
+    ``min_claim_support`` (claim sources) times; every other source,
+    test-fold ones included, shares the fallback row.
     """
     by_id = {inst.claim_id: inst for inst in instances}
     missing = [cid for ids in ([plan.validation] + plan.folds) for cid in ids
@@ -350,8 +352,19 @@ def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams
         if progress is not None:
             progress(f"fold {fold}: {len(train_insts)} train claims, "
                      f"{len(test_insts)} test claims")
-        result = fit(train_insts, hyper, config, word_embeddings, article_sources,
-                     claim_sources, val_instances=val_instances,
+        claim_counts, article_counts = source_counts(train_insts)
+        # fit's init stream, so the tables hold the values fit starts from.
+        table_rng = np.random.default_rng((config.seed, fold, 1))
+        article_table = build_source_table(
+            article_counts, min_article_support, hyper.article_source_dim,
+            table_rng, "article_source_table", config.dtype)
+        claim_table = None
+        if hyper.claim_source_dim is not None:
+            claim_table = build_source_table(
+                claim_counts, min_claim_support, hyper.claim_source_dim,
+                table_rng, "claim_source_table", config.dtype)
+        result = fit(train_insts, hyper, config, word_embeddings, article_table,
+                     claim_table, val_instances=val_instances,
                      seed_key=(fold,),
                      progress=(lambda line, f=fold: progress(f"fold {f} {line}"))
                      if progress else None)

@@ -319,6 +319,40 @@ class TestTrainCommand:
         assert params.hyper.word_dim == 16
         assert params.hyper.hidden_size == 4
 
+    def test_fold_keeps_only_sources_its_training_claims_support(self, tmp_path):
+        support, seed = 4, 5
+        instances, emb = planted_corpus(n_claims=24, n_articles=2, seed=7, dim=16)
+        plan = corpus_mod.make_folds(instances, seed, n_folds=3)
+        by_id = {inst.claim_id: inst for inst in instances}
+        # Fold 0's test claims and training claims, one slot per article.
+        test_slots = [(by_id[c], a) for c in plan.test_ids(0) for a in range(2)]
+        train_slots = [(by_id[c], a) for c in plan.train_ids(0) for a in range(2)]
+        placed = {"test-only": (support, 0), "test-lifted": (2, support - 1),
+                  "trained": (0, support)}
+        for source, (in_test, in_train) in placed.items():
+            for _ in range(in_test):
+                inst, a = test_slots.pop()
+                inst.article_sources[a] = source
+            for _ in range(in_train):
+                inst, a = train_slots.pop()
+                inst.article_sources[a] = source
+        write_corpus_file(tmp_path / "corpus.jsonl", instances)
+        write_embedding_file(tmp_path / "vectors.txt", emb)
+        code = main(["train", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--embeddings", str(tmp_path / "vectors.txt"),
+                     "--out", str(tmp_path / "run"), "--folds", "3",
+                     "--max-epochs", "1", "--hidden-size", "2", "--fc-size", "2",
+                     "--article-source-dim", "2",
+                     "--min-article-support", str(support), "--seed", str(seed)])
+        assert code == 0
+        params, _ = load_checkpoint(tmp_path / "run" / "fold_00.ckpt")
+        table = params.article_sources
+        assert "trained" in table.sources
+        assert table.index("trained") != table.fallback_index
+        for source in ("test-only", "test-lifted"):
+            assert source not in table.sources
+            assert table.index(source) == table.fallback_index
+
     def test_unknown_preset_is_a_usage_error(self, cli_world, capsys):
         # argparse rejects a bad --preset flag itself, so the config-file
         # path is the one that must map to the usage exit code.

@@ -559,6 +559,30 @@ class TestCredibilityModel:
         assert widths == [SCORE_TOKENS // 4] * 4
         assert max(peaks) < 9_500_000
 
+    def test_bulk_scoring_keeps_scores_not_traces(self):
+        # 100 claims of 7 x 100 tokens: holding every pass's traces until
+        # the last pass peaked at 1.9 MB; dropping them per pass, 0.5 MB.
+        hyper, vocab, emb, params = tiny_world(seed=3)
+        model = CredibilityModel(hyper, params, emb)
+        rng = np.random.default_rng(4)
+        tokens = list(vocab.tokens)
+        instances = [
+            ClaimInstance(claim_id=f"c{n}", claim_text="", claim_tokens=tokens[:2],
+                          claim_source="speaker",
+                          articles=[[tokens[j] for j in rng.integers(0, 8, 100)]
+                                    for _ in range(7)],
+                          article_texts=[""] * 7, article_sources=["siteA"] * 7,
+                          label=1)
+            for n in range(100)]
+        tracemalloc.start()
+        try:
+            creds = model.score_claims(instances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(creds) == 100 and all(isinstance(c, float) for c in creds)
+        assert peak < 1_000_000
+
     def test_bulk_scoring_matches_claim_by_claim(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
@@ -572,17 +596,8 @@ class TestCredibilityModel:
         claim = st.tuples(st.integers(0, 2), st.sampled_from(["speaker", None]),
                           st.lists(st.integers(0, 7), min_size=1, max_size=6))
 
-        def values(result):
-            cred, traces = result
-            return [cred] + [v for t in traces
-                             for v in (t.score, t.attention_weights, t.article_vec)]
-
-        def same(a, b):
-            return all(map(np.array_equal, values(a), values(b)))
-
         def close(a, b):
-            return all(np.max(np.abs(np.subtract(x, y))) <= 1e-13
-                       for x, y in zip(values(a), values(b)))
+            return np.max(np.abs(np.subtract(a, b))) <= 1e-13
 
         @hypothesis.settings(max_examples=25)
         @hypothesis.given(st.lists(article, min_size=1, max_size=6),
@@ -600,12 +615,14 @@ class TestCredibilityModel:
                 for n, (c, source, picks) in enumerate(claims)]
             bulk = model.score_claims(instances)
             assert len(bulk) == len(instances)
-            for inst, result in zip(instances, bulk):
-                assert [t.tokens for t in result[1]] == inst.articles
-                assert close(result, model.claim_score(inst))
+            for inst, cred in zip(instances, bulk):
+                alone, traces = model.claim_score(inst)
+                assert [t.tokens for t in traces] == inst.articles
+                assert close(cred, alone)
             perm = data.draw(st.permutations(range(len(instances))))
             shuffled = model.score_claims([instances[i] for i in perm])
-            assert all(same(shuffled[k], bulk[i]) for k, i in enumerate(perm))
+            assert all(np.array_equal(shuffled[k], bulk[i])
+                       for k, i in enumerate(perm))
             # A split changes which pairs share a pass, so BLAS may round
             # the encoder differently: equal within 1e-13, not bit for bit.
             cut = data.draw(st.integers(0, len(instances)))
@@ -786,24 +803,32 @@ class TestCheckpoints:
         with pytest.raises(ParseError, match="digest does not match"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("change", ["drop claim table", "unknown hyper field"])
+    @pytest.mark.parametrize("change", ["drop claim table", "unknown hyper field",
+                                        "float hidden size", "float source dim",
+                                        "float32 head"])
     def test_hand_made_header_with_valid_digest_raises(self, tmp_path, change):
         _, _, _, params = tiny_world()
         named = params.named()
         if change == "drop claim table":
             del named["claim_source_table"]
+        arrays = [t.data.astype(np.float32) if n == "head_w" and change == "float32 head"
+                  else t.data for n, t in named.items()]
         header = {
             "version": 3, "hyper": asdict(params.hyper), "vocab_hash": "h",
-            "arrays": [{"name": n, "shape": list(t.shape), "dtype": str(t.data.dtype)}
-                       for n, t in named.items()],
+            "arrays": [{"name": n, "shape": list(a.shape), "dtype": str(a.dtype)}
+                       for n, a in zip(named, arrays)],
             "article_sources": ["siteA"], "claim_sources": ["speaker"]}
         if change == "unknown hyper field":
             header["hyper"]["depth"] = 2
-        arrays = [t.data for t in named.values()]
+        if change == "float hidden size":
+            header["hyper"]["hidden_size"] = 3.0
+        if change == "float source dim":
+            header["hyper"]["article_source_dim"] = 2.0
         header["sha256"] = _digest(header, container.payload_chunks(arrays))
         path = tmp_path / "hand.ckpt"
         container.write(path, b"EVCR", 3, header, arrays)
-        with pytest.raises(ParseError, match="missing array|does not fit"):
+        with pytest.raises(ParseError,
+                           match="missing array|does not fit|'head_w' is float32"):
             load_checkpoint(path)
 
     def test_mutated_bytes_raise_or_load_unchanged(self, tmp_path):

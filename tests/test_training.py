@@ -291,21 +291,23 @@ class TestEvaluate:
 
 class TestCrossValidation:
     def test_one_outcome_per_fold(self):
-        instances, emb, hyper, table = small_world(n_claims=14, seed=23)
+        instances, emb, hyper, _ = small_world(n_claims=14, seed=23)
         plan = make_folds(instances, seed=0, n_folds=2)
         config = TrainConfig(max_epochs=2, batch_size=4, seed=4)
-        outcomes = train(instances, plan, hyper, config, emb, table)
+        outcomes = train(instances, plan, hyper, config, emb,
+                         min_article_support=1, min_claim_support=1)
         assert [o.fold for o in outcomes] == [0, 1]
         for outcome in outcomes:
             assert outcome.report.n == len(plan.test_ids(outcome.fold))
             assert outcome.best_epoch >= 1
 
     def test_unknown_claim_in_plan_raises(self):
-        instances, emb, hyper, table = small_world(n_claims=14)
+        instances, emb, hyper, _ = small_world(n_claims=14)
         plan = make_folds(instances, seed=0, n_folds=2)
         plan.folds[0][0] = "ghost"
         with pytest.raises(ContractError, match="ghost"):
-            train(instances, plan, hyper, TrainConfig(max_epochs=1), emb, table)
+            train(instances, plan, hyper, TrainConfig(max_epochs=1), emb,
+                  min_article_support=1, min_claim_support=1)
 
 
 def chunk_gradients(model, chunk, targets):
