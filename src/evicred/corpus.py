@@ -242,20 +242,60 @@ def _gamma(k: int, unit: float) -> float:
     return k * unit / (1 - k * unit)
 
 
-def _candidate_starts(claim_types: set[str], claim_vec: np.ndarray,
-                      article_tokens: list[str], token_vecs: np.ndarray,
-                      width: int) -> range | list[int]:
+def _window_shares(claim_types: set[str], article_tokens: list[str],
+                   width: int) -> np.ndarray:
+    """Every window's share of distinct claim words, bit for bit as
+    ``_window_score`` computes it, from running integer counts."""
+    n = len(article_tokens)
+    column = {t: k for k, t in enumerate(claim_types)}
+    cols = np.fromiter(map(column.get, article_tokens, repeat(-1)), dtype=np.intp,
+                       count=n)
+    hits = np.flatnonzero(cols >= 0)
+    seen = np.zeros((n + 1, len(column)), dtype=np.int32)
+    seen[hits + 1, cols[hits]] = 1
+    np.cumsum(seen, axis=0, out=seen)
+    return np.count_nonzero(seen[width:] - seen[: n - width + 1], axis=1) / len(column)
+
+
+def _cosine_ceiling(claim_vec: np.ndarray, embeddings: WordEmbeddings,
+                    width: int) -> float | None:
+    """A ceiling on the cosine that ``_window_score`` computes for any window
+    of ``width`` tokens, or None where the guard of ``_candidate_starts``
+    does not hold, so no ceiling is proven."""
+    dtype = embeddings.vectors.dtype
+    if dtype not in (np.float32, np.float64):
+        return None
+    info = np.finfo(dtype)
+    d, x = embeddings.dim, float(info.eps) / 2
+    if 3 * d * x > 2.0**-10:
+        return None
+    root_normal = math.sqrt(float(info.smallest_normal))
+    limit = math.sqrt(float(info.max)) / (2 * (width + d))
+    tiny, huge = embeddings.magnitudes()
+    size = np.abs(claim_vec)
+    if not (tiny >= 2.0 ** (info.nmant + 2) * width * root_normal and huge <= limit
+            and np.min(size, initial=math.inf, where=size > 0) >= root_normal
+            and size.max() <= limit):
+        return None
+    u = float(np.finfo(np.float64).eps) / 2
+    return 1 + 4 * _gamma(3 * d, x) + 8 * u
+
+
+def _candidate_starts(claim_vec: np.ndarray, token_vecs: np.ndarray, bow: np.ndarray,
+                      live: np.ndarray, width: int) -> list[int]:
     """Ascending window starts that may hold the earliest best score.
 
-    Every window gets an estimate ``bow * cos`` and a bound ``bow * margin``
-    on its distance from the sim of ``_window_score``.  The lexical part is
-    exact: distinct claim words per window come from running integer
-    counts.  The cosine comes from float64 prefix sums of the token vectors,
-    restarted every ``_BLOCK`` window widths, so that no sum runs over more
-    than s = (_BLOCK + 1) w rows.  A window is dropped when some window's
-    lower bound beats its upper bound (it cannot be the best), or when an
-    earlier window's lower bound reaches its upper bound (the scan keeps the
-    first of equal scores, so it cannot win).
+    ``bow`` holds every window's exact share of distinct claim words, and
+    ``live`` marks the windows that may still win; the others are never
+    candidates.  Every live window gets an estimate ``bow * cos`` and a bound
+    ``bow * margin`` on its distance from the sim of ``_window_score``.  The
+    cosine comes from float64 prefix sums of the token vectors, restarted
+    every ``_BLOCK`` window widths, so that no sum runs over more than
+    s = (_BLOCK + 1) w rows; a block without a live window is skipped.  A
+    window is dropped when some window's lower bound beats its upper bound
+    (it cannot be the best), or when an earlier window's lower bound reaches
+    its upper bound (the scan keeps the first of equal scores, so it cannot
+    win).
 
     Let v and u be the unit roundoffs of the vectors' dtype and of float64,
     eta the dtype's smallest subnormal and g_k(x) = k x / (1 - k x).  For a
@@ -276,12 +316,45 @@ def _candidate_starts(claim_types: set[str], claim_vec: np.ndarray,
     The margin is twice the sum of these first-order terms, which covers
     the second-order terms and the rounding of the bound itself.  A window
     whose margin exceeds 2^-6, or whose norm cannot be bounded away from
-    zero, is always rescored.  So is every window when squares of the
+    zero, is always rescored.  So is every live window when squares of the
     vectors could overflow, and for dtypes other than float32 and float64.
+
+    ``extract_snippet`` marks windows live with the ceiling of
+    ``_cosine_ceiling``, C = 1 + 4 g_3d(v) + 8u: the cosine that
+    ``_window_score`` computes for any window is at most C, so a window
+    whose fl(bow * C) is below a floor scores below it too, since rounding
+    is monotone and bow >= 0.  C holds under a guard, checked in float32
+    and float64 only, for N the dtype's smallest normal number, p its
+    precision in bits and L = sqrt(max) / (2 (w + d)):
+
+    * every nonzero matrix component is at least T = 2^(p+1) w sqrt(N) in
+      magnitude, and none exceeds L;
+    * every nonzero component of c is at least sqrt(N), and none exceeds L;
+    * 3 d v <= 2^-10.
+
+    Proof.  Every dtype value of magnitude at least T is a multiple of q,
+    the spacing of the floats in T's binade, and q > T 2^-p = 2 w sqrt(N).
+    A rounded sum of multiples of q is one too (below T's binade such sums
+    are exact), so a window sum is 0 or at least q, and each component of
+    the mean m, its rounded quotient by w, is 0 or at least 2 sqrt(N).  So
+    every nonzero product c_i m_i, c_i^2 and m_i^2 is a normal number.  L
+    keeps every sum and product at most a quarter of the dtype's largest
+    value.  A dot product a.b of two such vectors, in any order and with
+    or without fused multiply-adds, is then off by at most g_d(v) sum
+    |a_i b_i| + d eta / 2, where the second term covers fused results that
+    round into the subnormal range.  As |a| |b| >= N when both are
+    nonzero, and eta / N = 2v, it lies within g_3d(v) |a| |b| of a.b.  With
+    g = g_3d(v), the computed cosine is then at most (1 + u)(1 + g) /
+    ((1 - u)^3 (1 - g)), by Cauchy-Schwarz, two square roots, a product and
+    a division in float64; or exactly 0 when a norm is 0.  That is below
+    1 + 2 (2 g + 4 u), since g, u <= 2^-10 keep the second-order terms
+    under the first-order ones, and the same slack covers the rounding of
+    C.  Without the guard a subnormal m_i^2 can round down to zero, and the
+    computed cosine then exceeds 1.
     """
     n, d = token_vecs.shape
     count = n - width + 1
-    every = range(count)
+    every = np.flatnonzero(live).tolist()
     if token_vecs.dtype not in (np.float32, np.float64):
         return every
     if not claim_vec.any():
@@ -292,32 +365,27 @@ def _candidate_starts(claim_types: set[str], claim_vec: np.ndarray,
     u = float(np.finfo(np.float64).eps) / 2
     claim64 = claim_vec.astype(np.float64)
     claim_norm = np.sqrt(claim64 @ claim64)
-    row_norms = np.sqrt(np.einsum("ij,ij->i", token_vecs, token_vecs))
     limit = math.sqrt(float(info.max)) / (2 * n)
-    if not (row_norms.max() <= limit and claim_norm <= limit):
+    if not claim_norm <= limit:
         return every
 
-    column = {t: k for k, t in enumerate(claim_types)}
-    cols = np.fromiter(map(column.get, article_tokens, repeat(-1)), dtype=np.intp,
-                       count=n)
-    hits = np.flatnonzero(cols >= 0)
-    seen = np.zeros((n + 1, len(column)), dtype=np.int32)
-    seen[hits + 1, cols[hits]] = 1
-    np.cumsum(seen, axis=0, out=seen)
-    bow = np.count_nonzero(seen[width:] - seen[:count], axis=1) / len(column)
-
-    dots, lengths, mass, block_mass = (np.empty(count) for _ in range(4))
+    dots, lengths, mass, block_mass = (np.zeros(count) for _ in range(4))
     step = _BLOCK * width
     for first in range(0, count, step):
         stop = min(first + step, count)
-        rows = slice(first, stop + width - 1)
+        if not live[first:stop].any():
+            continue
+        rows = token_vecs[first : stop + width - 1]
+        row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        if not row_norms.max() <= limit:
+            return every
         sums = np.zeros((stop - first + width, d))
-        np.cumsum(token_vecs[rows], axis=0, dtype=np.float64, out=sums[1:])
+        np.cumsum(rows, axis=0, dtype=np.float64, out=sums[1:])
         sums = sums[width:] - sums[: stop - first]
         dots[first:stop] = sums @ claim64
         lengths[first:stop] = np.sqrt(np.einsum("ij,ij->i", sums, sums))
         norm_sums = np.zeros(stop - first + width)
-        np.cumsum(row_norms[rows], dtype=np.float64, out=norm_sums[1:])
+        np.cumsum(row_norms, dtype=np.float64, out=norm_sums[1:])
         mass[first:stop] = norm_sums[width:] - norm_sums[: stop - first]
         block_mass[first:stop] = norm_sums[-1]
 
@@ -326,7 +394,7 @@ def _candidate_starts(claim_types: set[str], claim_vec: np.ndarray,
     mean_err = (_gamma(width, v) * (mass + prefix_err + width * math.sqrt(d * eta))
                 / width + math.sqrt(d) * eta)
     mean_low = sum_low / width - mean_err
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cos = dots / (lengths * claim_norm)
         margin = 2 * (2 * (width * mean_err + prefix_err) / sum_low + 2 * u
                       + 2 * _gamma(d, v) + 2 * _gamma(d, u) + 12 * u
@@ -337,7 +405,8 @@ def _candidate_starts(claim_types: set[str], claim_vec: np.ndarray,
     margin[unbounded] = np.inf
     margin[bow == 0] = 0.0  # 0 * a finite cosine is exactly zero
     estimate, slack = bow * cos, bow * margin
-    low, high = estimate - slack, estimate + slack
+    low = np.where(live, estimate - slack, -np.inf)
+    high = np.where(live, estimate + slack, -np.inf)
     earlier = np.maximum.accumulate(np.concatenate(([-np.inf], low[:-1])))
     return np.flatnonzero((high >= low.max()) & (high > earlier)).tolist()
 
@@ -353,11 +422,15 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     Articles shorter than the window are scored whole.  ``delta`` may be
     infinite (``-inf`` keeps every article, ``inf`` none) but not NaN.
 
-    Cost is linear in the article length: running claim-word counts and
-    prefix sums of the token vectors screen every window at once, with a
-    proven error bound, and only the windows that may be the earliest best
-    are rescored one by one.  The result equals the exhaustive stride-one
-    scan bit for bit.
+    Cost is linear in the article length.  Running claim-word counts give
+    every window's exact share first.  Where the vectors' magnitudes allow
+    it, a proven ceiling on the cosine then bounds every window's score, and
+    only windows whose bound reaches the floor (``delta``, or the score of
+    the first window with the highest share if that is higher) stay live:
+    an article with none gathers no token vector.  Prefix sums of the token
+    vectors screen the live windows, with a proven error bound, and only
+    those that may be the earliest best are rescored one by one.  The
+    result equals the exhaustive stride-one scan bit for bit.
     """
     if window < 1:
         raise ContractError(f"snippet window must be at least 1, got {window}")
@@ -367,20 +440,34 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     if not article_tokens:
         return None
     claim_types = set(claim_tokens)
-    token_vecs = embeddings.matrix_for(article_tokens)
     width = min(window, len(article_tokens))
+    bow = _window_shares(claim_types, article_tokens, width)
+    live = np.ones(len(bow), dtype=bool)
+    ceiling = _cosine_ceiling(claim_vec, embeddings, width)
+    if ceiling is not None:
+        reach = bow * ceiling
+        if not reach.max() >= delta:
+            return None
+        top = int(np.argmax(bow))  # the first window with the highest share
+        top_tokens = article_tokens[top : top + width]
+        floor = _window_score(claim_types, claim_vec, top_tokens,
+                              embeddings.matrix_for(top_tokens), 0, width).sim
+        live = reach >= max(delta, floor)
+    first = int(np.argmax(live))
+    stop = len(live) - int(np.argmax(live[::-1]))
+    tokens = article_tokens[first : stop - 1 + width]
+    token_vecs = embeddings.matrix_for(tokens)
     best: tuple[int, SnippetScore] | None = None
-    for start in _candidate_starts(claim_types, claim_vec, article_tokens,
-                                   token_vecs, width):
-        score = _window_score(claim_types, claim_vec, article_tokens, token_vecs,
-                              start, width)
+    for start in _candidate_starts(claim_vec, token_vecs, bow[first:stop],
+                                   live[first:stop], width):
+        score = _window_score(claim_types, claim_vec, tokens, token_vecs, start, width)
         if best is None or score.sim > best[1].sim:
             best = (start, score)
     assert best is not None
     start, score = best
     if score.sim < delta:
         return None
-    return Snippet(article_tokens[start : start + width], start, score)
+    return Snippet(tokens[start : start + width], first + start, score)
 
 
 @dataclass

@@ -13,6 +13,8 @@ a single fallback row.
 from __future__ import annotations
 
 import array
+import json
+import math
 import os
 import stat
 import string
@@ -40,12 +42,8 @@ __all__ = [
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip surrounding punctuation."""
-    out = []
-    for chunk in text.lower().split():
-        token = chunk.strip(string.punctuation)
-        if token:
-            out.append(token)
-    return out
+    return list(filter(None, map(str.strip, text.lower().split(),
+                                 repeat(string.punctuation))))
 
 
 class Vocabulary:
@@ -78,9 +76,14 @@ class Vocabulary:
 
 
 class WordEmbeddings:
-    """Frozen |V| x d matrix of word vectors."""
+    """Frozen |V| x d matrix of word vectors.
 
-    def __init__(self, vocab: Vocabulary, vectors: np.ndarray):
+    ``magnitudes`` is the matrix's ``magnitudes()`` when the caller already
+    knows it, as a parse does; otherwise it is computed on first use.
+    """
+
+    def __init__(self, vocab: Vocabulary, vectors: np.ndarray,
+                 magnitudes: tuple[float, float] | None = None):
         vectors = np.asarray(vectors)
         if vectors.ndim != 2 or vectors.shape[0] != len(vocab):
             raise DegenerateInputError(
@@ -91,6 +94,20 @@ class WordEmbeddings:
         self.dim = vectors.shape[1]
         self._zero = np.zeros(self.dim, dtype=vectors.dtype)
         self._zero.setflags(write=False)
+        self._magnitudes = magnitudes
+
+    def magnitudes(self) -> tuple[float, float]:
+        """The smallest nonzero and the largest absolute component of the
+        matrix: (inf, 0.0) when no component is nonzero, a NaN largest when
+        one is NaN.  Snippet selection reads them to know that no product of
+        its cosines can underflow or overflow."""
+        if self._magnitudes is None:
+            seen = _NO_MAGNITUDES
+            step = max(1, _CAST_BLOCK // max(1, self.dim))
+            for first in range(0, len(self.vectors), step):
+                seen = _magnitudes(self.vectors[first : first + step], seen)
+            self._magnitudes = seen
+        return self._magnitudes
 
     def vector(self, token: str) -> np.ndarray:
         idx = self.vocab.index(token)
@@ -116,11 +133,12 @@ class WordEmbeddings:
 
 _CACHE_SUFFIX = ".evicache"
 _CACHE_MAGIC = b"EVWV"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _CACHE_KIND = "word-vector cache"
 # Components parsed as float64 before they are cast, checked and written out
 # (512 KB): all that a parse holds of the matrix at once.
 _CAST_BLOCK = 1 << 16
+_NO_MAGNITUDES = (math.inf, 0.0)
 
 
 def load_word_vectors(path: str, vocab_limit: int | None = None,
@@ -160,7 +178,7 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
                 return loaded
             text.seek(0)
         with _private_file((os.path.dirname(cache) or os.curdir) if regular else None) as out:
-            vocab, dim = _parse_word_vectors(text, vocab_limit, dtype, out)
+            vocab, dim, magnitudes = _parse_word_vectors(text, vocab_limit, dtype, out)
             out.flush()
             matrix = np.memmap(out, dtype=dtype, mode="r", shape=(len(vocab), dim))
             if regular:
@@ -170,12 +188,19 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
                 header = {"text_sha256": container.prefix_sha256(text, text_bytes),
                           "text_bytes": text_bytes, "dtype": dtype.name,
                           "vocab_limit": vocab_limit, "rows": len(vocab), "dim": dim,
-                          "token_bytes": len(blob), "vocab_sha256": vocab.content_hash()}
+                          "token_bytes": len(blob), "magnitudes": list(magnitudes),
+                          "sha256": _cache_digest(blob, list(magnitudes))}
                 try:
                     container.write(cache, _CACHE_MAGIC, _CACHE_VERSION, header, [blob, out])
                 except OSError:  # read-only directory, or the cache path is taken
                     pass
-    return vocab, WordEmbeddings(vocab, matrix)
+    return vocab, WordEmbeddings(vocab, matrix, magnitudes)
+
+
+def _cache_digest(blob: bytes, magnitudes: list) -> str:
+    """SHA-256 of the cache's token section, a newline, and its header's
+    magnitudes as JSON: a damaged header cannot change what a load reports."""
+    return container.sha256_hex([blob, b"\n", json.dumps(magnitudes).encode("utf-8")])
 
 
 def _private_file(directory: str | None) -> BinaryIO:
@@ -202,10 +227,10 @@ def _read_cache(cache: str, text: BinaryIO, dtype: np.dtype,
     file must still start with the ``text_bytes`` bytes it was parsed from,
     which hash to its key.  Any bytes after them must be ones the parse
     never read: it stopped at ``vocab_limit`` on a line ended by a newline.
-    The token list is checked against its digest, ``Vocabulary.content_hash()``
-    (the SHA-256 of each token followed by a newline).  The matrix is
-    trusted as written, since it was saved only after a parse passed its
-    checks and re-hashing it would read every page of it.
+    The token list and the recorded magnitudes are checked against their
+    digest.  The matrix is trusted as written, since it was saved only
+    after a parse passed its checks and re-hashing it would read every page
+    of it.
     """
     try:
         with open(cache, "rb") as fh:
@@ -233,7 +258,10 @@ def _read_cache(cache: str, text: BinaryIO, dtype: np.dtype,
                 return None
             fh.seek(tokens_at)
             blob = fh.read(token_bytes)
-            if container.sha256_hex([blob, b"\n"]) != header.get("vocab_sha256"):
+            magnitudes = header.get("magnitudes")
+            if not (isinstance(magnitudes, list) and len(magnitudes) == 2
+                    and all(type(m) is float for m in magnitudes)
+                    and _cache_digest(blob, magnitudes) == header.get("sha256")):
                 return None
             vocab = Vocabulary(blob.decode("utf-8").split("\n"))
             if len(vocab) != rows:
@@ -244,21 +272,22 @@ def _read_cache(cache: str, text: BinaryIO, dtype: np.dtype,
                                shape=(rows, dim))
     except (OSError, ParseError, UnicodeDecodeError):
         return None
-    return vocab, WordEmbeddings(vocab, matrix)
+    return vocab, WordEmbeddings(vocab, matrix, tuple(magnitudes))
 
 
 def _parse_word_vectors(text: BinaryIO, vocab_limit: int | None, dtype: np.dtype,
-                        out: BinaryIO) -> tuple[Vocabulary, int]:
+                        out: BinaryIO) -> tuple[Vocabulary, int, tuple[float, float]]:
     """The text parse behind ``load_word_vectors``, with all of its checks.
 
     Reads ``text`` from its current position and leaves it just after the
     last line used.  Rows go to ``out`` as raw ``dtype`` values: components
     are gathered as float64 until a block holds ``_CAST_BLOCK`` of them,
     which is then cast, checked and written, so the parse holds one block
-    of the matrix, never all of it.  Returns the vocabulary and the number
-    of components per row.
+    of the matrix, never all of it.  Returns the vocabulary, the number of
+    components per row and the matrix's ``WordEmbeddings.magnitudes()``.
     """
     vocab = Vocabulary()
+    seen = _NO_MAGNITUDES
     block = array.array("d")
     linenos: list[int] = []  # of the rows in ``block``
     dim: int | None = None
@@ -283,21 +312,23 @@ def _parse_word_vectors(text: BinaryIO, vocab_limit: int | None, dtype: np.dtype
         vocab.add(token)
         linenos.append(lineno)
         if len(block) >= _CAST_BLOCK:
-            _write_rows(block, linenos, dim, dtype, out, text.name)
+            seen = _write_rows(block, linenos, dim, dtype, out, text.name, seen)
             del block[:]
             linenos.clear()
         if vocab_limit is not None and len(vocab) >= vocab_limit:
             break
     if not vocab:
         raise DegenerateInputError(f"{text.name}: file holds no word vectors")
-    _write_rows(block, linenos, dim, dtype, out, text.name)
-    return vocab, dim
+    seen = _write_rows(block, linenos, dim, dtype, out, text.name, seen)
+    return vocab, dim, seen
 
 
 def _write_rows(block: array.array, linenos: list[int], dim: int, dtype: np.dtype,
-                out: BinaryIO, name: str) -> None:
+                out: BinaryIO, name: str,
+                seen: tuple[float, float]) -> tuple[float, float]:
     """Cast a block of parsed rows to ``dtype``, check that every component
-    is finite, naming the first bad row's line, and write the block to ``out``."""
+    is finite, naming the first bad row's line, and write the block to ``out``.
+    Returns the magnitudes ``seen`` so far widened by the block's."""
     with np.errstate(over="ignore"):  # overflow shows as inf, caught below
         rows = np.frombuffer(block, dtype=np.float64).reshape(-1, dim).astype(dtype, copy=False)
     # A row's max and min carry any nan or inf in it, with no block-size mask.
@@ -306,6 +337,15 @@ def _write_rows(block: array.array, linenos: list[int], dim: int, dtype: np.dtyp
         raise ParseError(f"{name}:{linenos[int(np.argmin(finite))]}: "
                          "vector component is not a finite number")
     out.write(rows)
+    return _magnitudes(rows, seen)
+
+
+def _magnitudes(rows: np.ndarray, seen: tuple[float, float]) -> tuple[float, float]:
+    """``seen`` widened by the smallest nonzero and the largest absolute
+    component of ``rows``, as ``WordEmbeddings.magnitudes()`` reports them."""
+    size = np.abs(rows)
+    return (float(np.min(size, initial=seen[0], where=size > 0)),
+            float(np.max(size, initial=seen[1])))
 
 
 class SourceEmbeddingTable:

@@ -118,6 +118,11 @@ class Hyperparams:
     classes: int = 2
 
     def __post_init__(self):
+        for name in ("word_dim", "hidden_size", "fc_size", "article_source_dim",
+                     "claim_source_dim", "classes"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "claim_source_dim" and value is None):
+                raise ContractError(f"{name} must be an int, got {value!r}")
         for name in ("word_dim", "hidden_size", "fc_size", "article_source_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1")
@@ -589,8 +594,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
     Anything but an intact version-3 file raises ParseError: a wrong magic
     or version, a header that is not JSON or lacks a key, a file too short
     or too long for its arrays, a digest that does not match its bytes, and
-    even with a valid digest, a header that does not fit the model or
-    arrays of mixed dtypes.
+    even with a valid digest, a header that does not fit the model, an
+    array the model does not name, or arrays of mixed dtypes.
     """
     with open(path, "rb") as fh:
         header, header_len = container.read_header(fh, path, _MAGIC, _VERSION,
@@ -640,9 +645,14 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
         params = ModelParams(hyper, np.random.default_rng(0),
                              article_sources=article_table,
                              claim_sources=claim_table, dtype=dtype)
-    except TypeError as e:
+    except (TypeError, ContractError) as e:
         raise ParseError(f"{path}: checkpoint header does not fit the model: {e}") from None
-    for name, t in params.named().items():
+    named = params.named()
+    unknown = sorted(arrays.keys() - named.keys())
+    if unknown:
+        raise ParseError(f"{path}: checkpoint holds array {unknown[0]!r}, which the "
+                         "model does not name")
+    for name, t in named.items():
         if array(name).shape != t.shape:
             raise ParseError(
                 f"{path}: array {name!r} has shape {arrays[name].shape}, "

@@ -8,6 +8,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evicred.cli import (
@@ -25,10 +26,13 @@ from evicred.errors import EvicredError, ParseError
 from evicred.model import (
     SCORE_TOKENS,
     CredibilityModel,
+    ModelParams,
     _chunk_spans,
     _SCORE_FLOOR,
     load_checkpoint,
+    save_checkpoint,
 )
+from evicred.numeric import Tensor
 from tests.conftest import make_embedding_file, planted_corpus, write_corpus_file, \
     write_embedding_file
 
@@ -502,6 +506,24 @@ class TestPredictCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_checkpoint_with_an_unnamed_array_exits_one_with_one_line(
+            self, cli_world, tmp_path, capsys, monkeypatch, command):
+        params, vocab_hash = load_checkpoint(cli_world["run"] / "fold_00.ckpt")
+        named = ModelParams.named
+        monkeypatch.setattr(ModelParams, "named", lambda self: {
+            **named(self), "extra": Tensor(np.zeros((3, 3)))})
+        save_checkpoint(tmp_path / "extra.ckpt", params, vocab_hash)
+        monkeypatch.undo()
+        code = main([command, "--checkpoint", str(tmp_path / "extra.ckpt"),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--corpus", str(cli_world["corpus"]),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "array 'extra', which the model does not name" in err
 
     def test_flipped_payload_byte_exits_one_with_one_line(self, cli_world,
                                                             tmp_path, capsys):

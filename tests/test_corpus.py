@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from evicred import corpus as corpus_mod
 from evicred.corpus import (
     FoldPlan,
     Snippet,
@@ -354,6 +355,70 @@ class TestExtractSnippet:
             assert snippet_bits(got) == snippet_bits(want)
 
         check()
+
+    def test_cosine_above_one_from_underflow_keeps_its_window(self):
+        # The squares of the word's components round into the subnormal
+        # range, so the computed cosine exceeds 1; no ceiling may drop it.
+        word = np.array([2.5, 1.5, 1.5, 1.5, 1.5]) * 1e-162
+        emb = WordEmbeddings(Vocabulary(["a", "b"]), np.array([word, word * 2.0**501]))
+        snip = extract_snippet(["a", "b"], ["x", "a"], emb, delta=0.6, window=1)
+        assert snippet_bits(snip) == snippet_bits(
+            plain_scan(["a", "b"], ["x", "a"], emb, 0.6, 1))
+        assert snip.start == 1 and snip.score.sim_semantic > 1
+        assert snip.score.sim == 0.8784410001440744
+
+    def test_equals_a_plain_scan_when_products_underflow(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(st.data())
+        def check(data):
+            words = [f"w{i}" for i in range(data.draw(st.integers(2, 6)))]
+            dim = data.draw(st.integers(1, 5))
+            dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+            # Squares of components near these scales are subnormal.
+            tiny = 2.0**-530 if dtype is np.float64 else 2.0**-70
+            rows = data.draw(st.lists(st.lists(st.floats(-4.0, 4.0, allow_subnormal=False),
+                                               min_size=dim, max_size=dim),
+                                      min_size=len(words), max_size=len(words)))
+            scales = data.draw(st.lists(st.sampled_from([1.0, tiny, tiny / 64]),
+                                        min_size=len(words), max_size=len(words)))
+            vectors = (np.array(rows) * np.array(scales)[:, None]).astype(dtype)
+            emb = WordEmbeddings(Vocabulary(words), vectors)
+            article = data.draw(st.lists(st.sampled_from(words + ["ghost"]),
+                                         min_size=1, max_size=40))
+            claim = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+            window = data.draw(st.integers(1, len(article) + 2))
+            best = plain_scan(claim, article, emb, -np.inf, window).score.sim
+            delta = data.draw(st.sampled_from([best, np.nextafter(best, -np.inf),
+                                               np.nextafter(best, np.inf)]))
+            got = extract_snippet(claim, article, emb, delta=float(delta), window=window)
+            want = plain_scan(claim, article, emb, float(delta), window)
+            assert snippet_bits(got) == snippet_bits(want)
+
+        check()
+
+    def test_windows_below_the_floor_get_no_vector_work(self, monkeypatch):
+        emb = toy_embeddings(["alpha", "beta", "gamma", "delta", "junk"])
+        gathered, rescored = [], []
+        matrix_for, window_score = WordEmbeddings.matrix_for, corpus_mod._window_score
+        monkeypatch.setattr(WordEmbeddings, "matrix_for",
+                            lambda self, tokens: gathered.append(len(tokens))
+                            or matrix_for(self, tokens))
+        monkeypatch.setattr(corpus_mod, "_window_score",
+                            lambda *args: rescored.append(args[4])
+                            or window_score(*args))
+        claim = ["alpha", "beta", "gamma", "delta"]
+        # At most a quarter of the claim words in any window, under delta 0.5.
+        article = ["junk"] * 50 + ["alpha"] + ["junk"] * 50
+        assert extract_snippet(claim, article, emb, delta=0.5, window=10) is None
+        assert gathered == [] and rescored == []
+        # Only windows near the one holding every claim word can reach the floor.
+        article = ["junk"] * 300 + claim + ["junk"] * 300
+        snip = extract_snippet(claim, article, emb, delta=0.5, window=10)
+        assert snippet_bits(snip) == snippet_bits(plain_scan(claim, article, emb, 0.5, 10))
+        assert sum(gathered) < 40 and len(rescored) < 10
 
 
 class TestFolds:

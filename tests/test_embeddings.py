@@ -2,6 +2,7 @@
 import json
 import os
 import shutil
+import string
 import struct
 import tempfile
 import threading
@@ -14,6 +15,7 @@ from evicred import container, embeddings
 from evicred.embeddings import (
     SourceEmbeddingTable,
     Vocabulary,
+    WordEmbeddings,
     build_source_table,
     claim_mean,
     load_word_vectors,
@@ -40,6 +42,25 @@ class TestTokenize:
     def test_empty_and_whitespace(self):
         assert tokenize("") == []
         assert tokenize("   \t\n ") == []
+
+    def test_equals_a_loop_over_chunks(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def loop(text):
+            out = []
+            for chunk in text.lower().split():
+                token = chunk.strip(string.punctuation)
+                if token:
+                    out.append(token)
+            return out
+
+        @hypothesis.settings(max_examples=300)
+        @hypothesis.given(st.one_of(st.text(), st.text(string.punctuation + " \tAbc")))
+        def check(text):
+            assert tokenize(text) == loop(text)
+
+        check()
 
 
 class TestLoadWordVectors:
@@ -139,6 +160,8 @@ def assert_same_load(got, want):
     assert emb.vectors.dtype == want_emb.vectors.dtype
     assert emb.vectors.shape == want_emb.vectors.shape
     assert emb.vectors.tobytes() == want_emb.vectors.tobytes()
+    assert emb.magnitudes() == want_emb.magnitudes() \
+        == WordEmbeddings(vocab, np.array(emb.vectors)).magnitudes()
 
 
 class TestWordVectorCache:
@@ -196,12 +219,32 @@ class TestWordVectorCache:
         (tokens_at, _), _ = container.section_offsets(header_len, [5, 0])
         garbled = bytearray(whole)
         garbled[tokens_at] ^= 0x01  # "a" becomes "`": a token, not a length, changes
+        header = json.loads(whole[12:12 + header_len])
+        header["magnitudes"][1] *= 2  # valid JSON, but no longer what was digested
+        container.write(tmp_path / "doubled", b"EVWV", 3, header,
+                        [b"a\nb\nc", np.array(want[1].vectors)])
         for bad in (whole[:-1], whole[:20], b"", bytes(garbled),
-                    b"EVCR" + whole[4:], whole + b"\0"):
+                    b"EVCR" + whole[4:], whole + b"\0",
+                    (tmp_path / "doubled").read_bytes()):
             cache.write_bytes(bad)
             assert_same_load(load_word_vectors(path), want)
             assert cache.read_bytes() == whole
-        assert len(parses) == 7
+        assert len(parses) == 8
+
+    def test_version_two_cache_is_rebuilt(self, tmp_path, parses):
+        # Version 2 recorded no magnitudes and digested the tokens alone.
+        path = make_embedding_file(tmp_path, ["a", "b", "c"], dim=4)
+        want = load_word_vectors(path)
+        cache = cache_of(path)
+        whole = cache.read_bytes()
+        (header_len,) = struct.unpack("<I", whole[8:12])
+        header = json.loads(whole[12:12 + header_len])
+        del header["magnitudes"], header["sha256"]
+        header["vocab_sha256"] = want[0].content_hash()
+        container.write(cache, b"EVWV", 2, header,
+                        [b"a\nb\nc", np.array(want[1].vectors)])
+        assert_same_load(load_word_vectors(path), want)
+        assert len(parses) == 2 and cache.read_bytes() == whole
 
     def test_unwritable_cache_path_still_loads(self, tmp_path, parses):
         path = make_embedding_file(tmp_path, ["a", "b"], dim=2)

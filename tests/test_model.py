@@ -67,7 +67,8 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         dict(word_dim=0), dict(hidden_size=-1), dict(dropout=1.0),
         dict(dropout=-0.1), dict(mode="rank"), dict(classes=1),
-        dict(claim_source_dim=0),
+        dict(claim_source_dim=0), dict(hidden_size=3.0), dict(word_dim=True),
+        dict(claim_source_dim=2.0), dict(classes=False),
     ])
     def test_rejects_bad_values(self, bad):
         kwargs = dict(word_dim=4, hidden_size=4, fc_size=4, article_source_dim=2)
@@ -805,12 +806,14 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("change", ["drop claim table", "unknown hyper field",
                                         "float hidden size", "float source dim",
-                                        "float32 head"])
+                                        "float32 head", "extra array"])
     def test_hand_made_header_with_valid_digest_raises(self, tmp_path, change):
         _, _, _, params = tiny_world()
         named = params.named()
         if change == "drop claim table":
             del named["claim_source_table"]
+        if change == "extra array":
+            named["extra"] = Tensor(np.zeros((3, 3)))
         arrays = [t.data.astype(np.float32) if n == "head_w" and change == "float32 head"
                   else t.data for n, t in named.items()]
         header = {
@@ -827,8 +830,8 @@ class TestCheckpoints:
         header["sha256"] = _digest(header, container.payload_chunks(arrays))
         path = tmp_path / "hand.ckpt"
         container.write(path, b"EVCR", 3, header, arrays)
-        with pytest.raises(ParseError,
-                           match="missing array|does not fit|'head_w' is float32"):
+        with pytest.raises(ParseError, match="missing array|does not fit|"
+                           "'head_w' is float32|'extra', which the model does not name"):
             load_checkpoint(path)
 
     def test_mutated_bytes_raise_or_load_unchanged(self, tmp_path):
