@@ -50,8 +50,11 @@ class Vocabulary:
     """Bijection between tokens and dense indices, in insertion order."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self.tokens: list[str] = list(dict.fromkeys(tokens))
+        self.tokens: list[str] = list(tokens)
         self._index: dict[str, int] = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self._index) < len(self.tokens):  # a repeat keeps its first index
+            self.tokens = list(dict.fromkeys(self.tokens))
+            self._index = dict(zip(self.tokens, range(len(self.tokens))))
 
     def add(self, token: str) -> int:
         idx = self._index.get(token)
@@ -71,8 +74,9 @@ class Vocabulary:
         return len(self.tokens)
 
     def content_hash(self) -> str:
-        """Stable digest of the token list, stored in checkpoints."""
-        return container.sha256_hex(t.encode("utf-8") + b"\n" for t in self.tokens)
+        """Stable digest of the token list, stored in checkpoints: the
+        SHA-256 of the tokens in order, each followed by a newline."""
+        return container.sha256_hex(["\n".join([*self.tokens, ""]).encode("utf-8")])
 
 
 class WordEmbeddings:
@@ -148,6 +152,8 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     The dimensionality is taken from the first line; any later line with a
     different number of fields, or a component that is not a finite number
     in ``dtype`` (nan, inf, 1e999), raises ParseError naming the line.
+    Fields are split as ``str.split()`` splits a line, and a component is
+    read as ``float()`` reads it, then cast to ``dtype``.
     Reading stops after ``vocab_limit`` tokens (at least 1) when given.
     Duplicate tokens keep their first vector.
 
@@ -280,63 +286,108 @@ def _parse_word_vectors(text: BinaryIO, vocab_limit: int | None, dtype: np.dtype
     """The text parse behind ``load_word_vectors``, with all of its checks.
 
     Reads ``text`` from its current position and leaves it just after the
-    last line used.  Rows go to ``out`` as raw ``dtype`` values: components
-    are gathered as float64 until a block holds ``_CAST_BLOCK`` of them,
-    which is then cast, checked and written, so the parse holds one block
-    of the matrix, never all of it.  Returns the vocabulary, the number of
-    components per row and the matrix's ``WordEmbeddings.magnitudes()``.
+    last line used.  Rows go to ``out`` as raw ``dtype`` values: the text
+    after each new token is gathered until a block holds ``_CAST_BLOCK``
+    components, which numpy's text reader parses as float64 before they are
+    cast, checked and written, so the parse holds one block of the matrix,
+    never all of it.  Returns the vocabulary, the number of components per
+    row and the matrix's ``WordEmbeddings.magnitudes()``.
+
+    The result and every error are those of splitting each line with
+    ``str.split()`` and converting each component with ``float()``, as
+    ``_convert`` does.  A block that numpy rejects, or splits into another
+    shape, goes through ``_convert`` instead: numpy accepts a subset of
+    what ``float()`` accepts (no ``1_0``, no non-ASCII digits), with the
+    same values.  Errors come in line order, as a line-by-line parse meets
+    them: a line's field count or conversion fails at once, while a
+    component that is not finite in ``dtype`` fails when its block is
+    written.
     """
     vocab = Vocabulary()
     seen = _NO_MAGNITUDES
-    block = array.array("d")
-    linenos: list[int] = []  # of the rows in ``block``
+    rests: list[str] = []  # the components of each row not yet written
+    linenos: list[int] = []  # of the rows in ``rests``
     dim: int | None = None
-    for lineno, line in file_lines(text, text.name):
-        parts = line.split()
-        if not parts:
-            continue
-        token, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-            if dim == 0:
-                raise ParseError(f"{text.name}:{lineno}: no vector components")
-        elif len(values) != dim:
-            raise ParseError(
-                f"{text.name}:{lineno}: expected {dim} components, got {len(values)}")
-        if token in vocab:
-            continue
-        try:
-            block.extend(map(float, values))
-        except ValueError as e:
-            raise ParseError(f"{text.name}:{lineno}: {e}") from None
-        vocab.add(token)
-        linenos.append(lineno)
-        if len(block) >= _CAST_BLOCK:
-            seen = _write_rows(block, linenos, dim, dtype, out, text.name, seen)
-            del block[:]
-            linenos.clear()
-        if vocab_limit is not None and len(vocab) >= vocab_limit:
-            break
+    name = text.name
+    try:
+        for lineno, line in file_lines(text, name):
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            token, rest = parts[0], parts[1] if len(parts) == 2 else ""
+            if dim is None:
+                dim = len(rest.split())
+                if dim == 0:
+                    raise ParseError(f"{name}:{lineno}: no vector components")
+            if token in vocab or not rest:
+                # A repeat is never converted, and numpy's reader skips a
+                # row with no components, so their field counts are checked here.
+                count = len(rest.split())
+                if count != dim:
+                    raise ParseError(f"{name}:{lineno}: expected {dim} components, got {count}")
+                continue
+            vocab.add(token)
+            rests.append(rest)
+            linenos.append(lineno)
+            if len(rests) * dim >= _CAST_BLOCK:
+                seen = _write_rows(rests, linenos, dim, dtype, out, name, seen)
+            if vocab_limit is not None and len(vocab) >= vocab_limit:
+                break
+    except ParseError:
+        if rests:  # an error on an earlier line comes first
+            _convert(rests, linenos, dim, name)
+        raise
     if not vocab:
-        raise DegenerateInputError(f"{text.name}: file holds no word vectors")
-    seen = _write_rows(block, linenos, dim, dtype, out, text.name, seen)
+        raise DegenerateInputError(f"{name}: file holds no word vectors")
+    if rests:
+        seen = _write_rows(rests, linenos, dim, dtype, out, name, seen)
     return vocab, dim, seen
 
 
-def _write_rows(block: array.array, linenos: list[int], dim: int, dtype: np.dtype,
-                out: BinaryIO, name: str,
-                seen: tuple[float, float]) -> tuple[float, float]:
-    """Cast a block of parsed rows to ``dtype``, check that every component
-    is finite, naming the first bad row's line, and write the block to ``out``.
-    Returns the magnitudes ``seen`` so far widened by the block's."""
+def _convert(rests: list[str], linenos: list[int], dim: int, name: str) -> np.ndarray:
+    """A block of rows split with ``str.split()`` and converted with
+    ``float()``, one line at a time: the reference for what a parse accepts.
+    Raises ParseError naming the first line with the wrong number of
+    components or one that is not a number."""
+    rows = array.array("d")
+    for lineno, rest in zip(linenos, rests):
+        values = rest.split()
+        if len(values) != dim:
+            raise ParseError(f"{name}:{lineno}: expected {dim} components, "
+                             f"got {len(values)}") from None
+        try:
+            rows.extend(map(float, values))
+        except ValueError as e:
+            raise ParseError(f"{name}:{lineno}: {e}") from None
+    return np.frombuffer(rows, dtype=np.float64).reshape(len(rests), dim)
+
+
+def _write_rows(rests: list[str], linenos: list[int], dim: int, dtype: np.dtype,
+                out: BinaryIO, name: str, seen: tuple[float, float]) -> tuple[float, float]:
+    """Parse a block of rows as float64, cast it to ``dtype``, check that
+    every component is finite, naming the first bad row's line, and write
+    the block to ``out``, emptying ``rests`` and ``linenos``.  Returns the
+    magnitudes ``seen`` so far widened by the block's.
+
+    numpy's text reader parses the block; ``_convert`` does when that
+    reader rejects it or gives it another shape.
+    """
+    try:
+        rows = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (len(rests), dim):
+        rows = _convert(rests, linenos, dim, name)
+    rests.clear()  # the block's text is freed before it is cast
     with np.errstate(over="ignore"):  # overflow shows as inf, caught below
-        rows = np.frombuffer(block, dtype=np.float64).reshape(-1, dim).astype(dtype, copy=False)
+        rows = rows.astype(dtype, copy=False)
     # A row's max and min carry any nan or inf in it, with no block-size mask.
     finite = np.isfinite(rows.max(axis=1)) & np.isfinite(rows.min(axis=1))
     if not finite.all():
         raise ParseError(f"{name}:{linenos[int(np.argmin(finite))]}: "
                          "vector component is not a finite number")
     out.write(rows)
+    linenos.clear()
     return _magnitudes(rows, seen)
 
 

@@ -367,6 +367,21 @@ class TestExtractSnippet:
         assert snip.start == 1 and snip.score.sim_semantic > 1
         assert snip.score.sim == 0.8784410001440744
 
+    def test_cosine_above_one_from_a_tiny_claim_mean_keeps_its_window(self):
+        # Every vector component passes the ceiling's guard on the matrix,
+        # but the claim's two words cancel and 623 unknown words shrink the
+        # mean until the squares of its float32 components are subnormal and
+        # round down, so the computed cosine exceeds the ceiling C of
+        # ``_cosine_ceiling``; no ceiling may drop the window.
+        unit = np.array([3.0, 2.0, 2.0, 2.0, 2.0]) * 2.0**-61
+        vectors = np.array([(2**22 + 1) * unit, -(2**22) * unit], dtype=np.float32)
+        emb = WordEmbeddings(Vocabulary(["a", "b"]), vectors)
+        claim = ["a", "b"] + ["ghost"] * 623
+        snip = extract_snippet(claim, ["a"], emb, delta=0.0, window=1)
+        assert snippet_bits(snip) == snippet_bits(plain_scan(claim, ["a"], emb, 0.0, 1))
+        ceiling = 1 + 4 * corpus_mod._gamma(3 * 5, 2.0**-24) + 8 * 2.0**-53
+        assert snip.start == 0 and snip.score.sim_semantic > ceiling
+
     def test_equals_a_plain_scan_when_products_underflow(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies

@@ -1,4 +1,6 @@
 """Word vector loading and its cache, vocabulary, and source bucketing."""
+import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -7,6 +9,7 @@ import struct
 import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from evicred.embeddings import (
     load_word_vectors,
     tokenize,
 )
-from evicred.errors import ContractError, DegenerateInputError, ParseError
+from evicred.errors import ContractError, DegenerateInputError, EvicredError, ParseError
 from tests.conftest import make_embedding_file
 
 
@@ -391,24 +394,22 @@ class TestPrefixKey:
         assert hashed == [read] and read * 10 < path.stat().st_size
 
 
-@pytest.fixture(scope="module")
-def big_vectors(tmp_path_factory):
-    """A 20,000 x 50 word-vector file: an 8 MB matrix in float64."""
-    path = tmp_path_factory.mktemp("big") / "vectors.txt"
+def write_random_vectors(path, rows: int, dim: int):
+    """Write ``rows`` random vectors of ``dim`` components, with tokens w0,
+    w1, ..., and return ``path``."""
     rng = np.random.default_rng(0)
-    layout = " ".join(["%.4f"] * 50)
+    layout = " ".join(["%.4f"] * dim)
     with open(path, "w", encoding="utf-8") as fh:
-        for lo in range(0, 20_000, 1_000):
-            rows = rng.standard_normal((1_000, 50)).tolist()
-            fh.writelines(f"w{lo + i} {layout % tuple(row)}\n" for i, row in enumerate(rows))
+        for lo in range(0, rows, 1_000):
+            block = rng.standard_normal((min(1_000, rows - lo), dim)).tolist()
+            fh.writelines(f"w{lo + i} {layout % tuple(row)}\n" for i, row in enumerate(block))
     return path
 
 
-@pytest.fixture(scope="module")
-def big_vocabulary_bytes(big_vectors) -> int:
-    """Traced bytes of a Vocabulary of ``big_vectors``' tokens, built token by
-    token from fresh strings as a parse builds it."""
-    with open(big_vectors, encoding="utf-8") as fh:
+def vocabulary_bytes(path) -> int:
+    """Traced bytes of a Vocabulary of the tokens of the vector file ``path``,
+    built token by token from fresh strings as a parse builds it."""
+    with open(path, encoding="utf-8") as fh:
         tracemalloc.start()
         try:
             vocab = Vocabulary()
@@ -419,11 +420,17 @@ def big_vocabulary_bytes(big_vectors) -> int:
             tracemalloc.stop()
 
 
+@pytest.fixture(scope="module")
+def big_vectors(tmp_path_factory):
+    """A 20,000 x 50 word-vector file: an 8 MB matrix in float64."""
+    return write_random_vectors(tmp_path_factory.mktemp("big") / "vectors.txt", 20_000, 50)
+
+
 class TestStreamedParse:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("source", ["file", "pipe", "unwritable-cache-path"])
-    def test_cold_load_peaks_far_below_the_matrix(self, big_vectors, big_vocabulary_bytes,
-                                                  tmp_path, monkeypatch, source, dtype):
+    def test_cold_load_peaks_far_below_the_matrix(self, big_vectors, tmp_path, monkeypatch,
+                                                  source, dtype):
         """Beyond the Vocabulary it returns, a cold load holds less than a
         quarter of the float64 matrix at any moment."""
         (tmp_path / "tmp").mkdir()
@@ -445,7 +452,7 @@ class TestStreamedParse:
             writer.join(timeout=10)
             assert not writer.is_alive()
         assert emb.vectors.shape == (20_000, 50) and emb.vectors.dtype == dtype
-        assert peak - big_vocabulary_bytes < 20_000 * 50 * 8 / 4
+        assert peak - vocabulary_bytes(big_vectors) < 20_000 * 50 * 8 / 4
 
     @pytest.mark.parametrize("change", ["deleted", "rewritten-in-place", "truncated",
                                         "rebuilt-by-another-load"])
@@ -537,6 +544,196 @@ class TestStreamedParse:
         assert sorted(p.name for p in home.iterdir()) == expected
         assert list(tmp.iterdir()) == []
 
+    def test_load_of_40k_tokens_holds_the_vocabulary_and_little_more(self, tmp_path):
+        """A cold load holds, beyond the Vocabulary it returns, one block's
+        text, its float64 parse and one temporary; a warm load holds the
+        cached token section, its decoded text and one list of its tokens."""
+        path = write_random_vectors(tmp_path / "vectors.txt", 40_000, 25)
+        vocabulary = vocabulary_bytes(path)
+        token_bytes = len(b"\n".join(line.split(None, 1)[0]
+                                      for line in path.read_bytes().splitlines()))
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                loaded = load_word_vectors(path)
+                peaks.append(tracemalloc.get_traced_memory()[1] - vocabulary)
+            finally:
+                tracemalloc.stop()
+            assert len(loaded[0]) == 40_000
+            del loaded
+        cold, warm = peaks
+        assert cold < 3 * embeddings._CAST_BLOCK * 8
+        assert warm < 3 * token_bytes
+
+
+def line_by_line_load(path: str, vocab_limit, dtype):
+    """The reference that block parsing must reproduce: each line split with
+    ``str.split()`` and each new token's components converted with
+    ``float()``, a block cast and checked for finite values each time it
+    holds ``_CAST_BLOCK`` components.  Returns the tokens, the matrix and
+    the number of bytes read, or raises what a load must raise."""
+    tokens, blocks, block, linenos, dim = {}, [], [], [], None
+
+    def write():
+        with np.errstate(over="ignore"):
+            rows = np.array(block, dtype=np.float64).reshape(-1, dim).astype(dtype)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ParseError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                             "vector component is not a finite number")
+        blocks.append(rows)
+        block.clear()
+        linenos.clear()
+
+    with open(path, "rb") as text:
+        for lineno, raw in enumerate(text, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text ({e.reason})") from None
+            parts = line.split()
+            if not parts:
+                continue
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise ParseError(f"{path}:{lineno}: no vector components")
+            elif len(values) != dim:
+                raise ParseError(f"{path}:{lineno}: expected {dim} components, "
+                                 f"got {len(values)}")
+            if token in tokens:
+                continue
+            try:
+                block.extend(map(float, values))
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from None
+            tokens[token] = None
+            linenos.append(lineno)
+            if len(block) >= embeddings._CAST_BLOCK:
+                write()
+            if vocab_limit is not None and len(tokens) >= vocab_limit:
+                break
+        if not tokens:
+            raise DegenerateInputError(f"{path}: file holds no word vectors")
+        write()
+        return list(tokens), np.concatenate(blocks), text.tell()
+
+
+def assert_loads_line_by_line(path: str, vocab_limit, dtype):
+    """A cold and a warm load of ``path`` return what ``line_by_line_load``
+    returns, and the cache keys the same bytes; or the load raises the
+    same error."""
+    try:
+        tokens, matrix, text_bytes = line_by_line_load(path, vocab_limit, dtype)
+    except (ParseError, DegenerateInputError) as e:
+        with pytest.raises(EvicredError) as got:
+            load_word_vectors(path, vocab_limit, dtype)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+        return
+    cold = load_word_vectors(path, vocab_limit, dtype)
+    vocab, emb = cold
+    assert vocab.tokens == tokens
+    assert emb.vectors.dtype == matrix.dtype and emb.vectors.shape == matrix.shape
+    assert emb.vectors.tobytes() == matrix.tobytes()
+    assert emb.magnitudes() == WordEmbeddings(Vocabulary(tokens), matrix).magnitudes()
+    whole = cache_of(Path(path)).read_bytes()
+    (header_len,) = struct.unpack("<I", whole[8:12])
+    assert json.loads(whole[12:12 + header_len])["text_bytes"] == text_bytes
+    assert_same_load(load_word_vectors(path, vocab_limit, dtype), cold)
+
+
+# Just above the float32 tie between 1 and 1 + 2^-23: parsed as float64 it
+# rounds to the tie, and the cast to float32 then rounds to even, to 1.
+ABOVE_A_FLOAT32_TIE = "1.000000059604644775390625000000000001"
+# Components a vector file may hold: numbers numpy's reader and ``float()``
+# both accept, ones only ``float()`` accepts, and ones neither accepts.
+COMPONENTS = ["0", "-0", "7", "-2.5", "+.5", "1.", "1E3", "3.25e-2", "1e-300", "1e-400",
+              "1e39", "-1e39", "1e999", "nan", "-inf", "Infinity", ABOVE_A_FLOAT32_TIE,
+              "1_0", "\u0663", "\u0661\u0662.\u0665", "\uff11",
+              "oops", "0x10", "1e", "--1", "1.0.0", "#", "#1", '"1"']
+# str.split() splits on all of these; numpy's reader ends a line at "\r".
+SEPARATORS = [" ", " ", "  ", "\t", "\xa0", "\u2003", "\u3000", "\x1c", "\x85", "\x0b",
+              "\x0c", "\u2028", "\r"]
+
+
+class TestBlockParse:
+    """Block parsing through numpy's text reader loads exactly what a
+    line-by-line parse with ``str.split()`` and ``float()`` loads, and
+    fails on the same line with the same message."""
+
+    def test_equals_a_line_by_line_parse(self, tmp_path, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        number = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+                           st.sampled_from(COMPONENTS))
+
+        @hypothesis.settings(max_examples=400)
+        @hypothesis.given(st.data())
+        def check(data):
+            dim = data.draw(st.integers(1, 3))
+            lines = []
+            for _ in range(data.draw(st.integers(0, 10))):
+                kind = data.draw(st.sampled_from(["row"] * 6 + ["blank", "undecodable"]))
+                if kind == "blank":
+                    lines.append(data.draw(st.sampled_from(["", " ", "\t", "\xa0 ", "\r"])))
+                    continue
+                count = data.draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1, 0]))
+                fields = [data.draw(st.sampled_from(["a", "b", "c", "d", "é", "日本"]))]
+                fields += [data.draw(number) for _ in range(count)]
+                line = data.draw(st.sampled_from(["", " ", "\t"]))
+                for field in fields:
+                    line += field + data.draw(st.sampled_from(SEPARATORS))
+                line = line[:-1] + data.draw(st.sampled_from(["", " ", "\t", "\r"]))
+                if kind == "undecodable":
+                    at = data.draw(st.integers(0, len(line)))
+                    line = line[:at] + "\udcff" + line[at:]  # encodes as the byte 0xff
+                lines.append(line)
+            raw = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+            path = tmp_path / "v.txt"
+            path.write_bytes(raw.encode("utf-8", "surrogateescape"))
+            cache_of(path).unlink(missing_ok=True)
+            monkeypatch.setattr(embeddings, "_CAST_BLOCK",
+                                data.draw(st.sampled_from([1, 2, 3, 4, 6, 1 << 16])))
+            assert_loads_line_by_line(str(path), data.draw(st.sampled_from([None, 1, 2, 4])),
+                                      data.draw(st.sampled_from([np.float64, np.float32])))
+
+        check()
+
+    # Bad lines for a file of two components per row, by kind.
+    BAD_LINES = {
+        "ragged": "t{i} 1.0",
+        "repeat-ragged": "t0 1.0",
+        "no-components": "t{i}",
+        "non-numeric": "t{i} 1.0 oops",
+        "non-finite": "t{i} 1.0 nan",
+        "float32-overflow": "t{i} 1.0 1e39",
+        "undecodable": "t{i} 1.0 \udcff2.0",
+    }
+
+    @pytest.mark.parametrize("first,second", list(itertools.permutations(BAD_LINES, 2)))
+    def test_two_bad_lines_in_one_block(self, tmp_path, first, second):
+        rows = [f"t{i} {i}.5 1.0" for i in range(7)]
+        rows[2] = self.BAD_LINES[first].format(i=2)
+        rows[5] = self.BAD_LINES[second].format(i=5)
+        path = tmp_path / "v.txt"
+        path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(EvicredError):
+                line_by_line_load(str(path), None, dtype)
+            assert_loads_line_by_line(str(path), None, dtype)
+
+    @pytest.mark.parametrize("text", [
+        "a 1_0 2\nb \u0663 \uff11\n", "a 1\u20032\nb 3\x1c4\n", "a 1 2\r3\nb 1 2\n", "a 1 2\nb\n",
+        "a 1 2\nb 3 4 #5\n", f"a {ABOVE_A_FLOAT32_TIE} 2\n",
+    ], ids=["float-only-syntax", "unicode-whitespace", "mid-line-return", "no-components",
+            "comment-sign", "float32-double-rounding"])
+    def test_text_that_numpy_may_read_otherwise(self, tmp_path, text):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        assert_loads_line_by_line(str(path), None, np.float64)
+
 
 class TestWordEmbeddings:
     def test_oov_is_zero_vector(self, tmp_path):
@@ -606,6 +803,19 @@ class TestVocabulary:
         v = Vocabulary(["cat"])
         assert v.index("cat") == 0
         assert v.index("ghost") is None
+
+    def test_repeats_keep_their_first_index(self):
+        v = Vocabulary(iter(["cat", "dog", "cat", "emu", "dog"]))
+        assert v.tokens == ["cat", "dog", "emu"]
+        assert [v.index(t) for t in ("cat", "dog", "emu")] == [0, 1, 2]
+
+    @pytest.mark.parametrize("tokens", [[], ["cat"], ["été", "日本", "naïve", "a b"]],
+                             ids=["empty", "one", "non-ascii"])
+    def test_content_hash_digests_each_token_and_a_newline(self, tokens):
+        per_token = hashlib.sha256()
+        for token in tokens:
+            per_token.update(token.encode("utf-8") + b"\n")
+        assert Vocabulary(tokens).content_hash() == per_token.hexdigest()
 
 
 class TestSourceTable:

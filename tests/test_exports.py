@@ -1,9 +1,11 @@
 """Module names: every name a package module lists in ``__all__`` must
 resolve, and no module of the package or of the tests imports a name it
-never uses."""
+never uses.  The suite's warning filters fail a deprecated call in the
+package."""
 import ast
 import importlib
 import pkgutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,10 @@ def test_unused_import_finder_has_teeth():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_deprecation_warning_in_the_package_fails_the_suite():
+    # As numpy reports a deprecated call: attributed to the calling module.
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("deprecated", DeprecationWarning, "embeddings.py", 1,
+                               module="evicred.embeddings")
