@@ -365,6 +365,9 @@ def _cmd_eval(args) -> int:
         if not all(map(corpus_mod.finite_number, items)):
             raise ParseError(f"{args.pred}: prediction {r['id']}: "
                              f"field {name!r} holds a number no float can hold")
+        if name == "probabilities" and values and len(value) != len(values[0]):
+            raise ParseError(f"{args.pred}: prediction {r['id']}: field {name!r} is a row "
+                             f"of {len(value)}, the first prediction's of {len(values[0])}")
         values.append(value)
     report = mode_report(args.mode, values, [inst.label for inst in instances])
     print(report.to_text())

@@ -42,12 +42,13 @@ def prefix_sha256(fh: BinaryIO, size: int) -> str:
     """Hex SHA-256 of the next ``size`` bytes of an open binary file, or of
     the bytes up to its end if it ends sooner."""
     h = hashlib.sha256()
+    buf = memoryview(bytearray(_CHUNK))  # one buffer, read into chunk by chunk
     while size > 0:
-        chunk = fh.read(min(size, _CHUNK))
-        if not chunk:
+        got = fh.readinto(buf[:min(size, _CHUNK)])
+        if not got:
             break
-        h.update(chunk)
-        size -= len(chunk)
+        h.update(buf[:got])
+        size -= got
     return h.hexdigest()
 
 

@@ -81,21 +81,21 @@ MODES = ("classify", "regress")
 # Row-block order of each fused LSTM gate matrix and bias.
 GATES = ("input", "forget", "output", "cell")
 # Padded tokens per training chunk of pairs.  Peak memory, not speed, caps
-# it: a taped chunk's forward and backward peak at about 12.5 KB per padded
+# it: a taped chunk's forward and backward peak at about 11.4 KB per padded
 # token at the snopes sizes (d=100, H=64), most of it the encoder's (2, 4H)
 # gates per token, which BPTT reads back.
 CHUNK_TOKENS = 800
 # Padded tokens per scoring pass of ``score_claims``, whose passes hold the
 # articles of many claims.  An untaped pass keeps no gates beyond one
-# projection block, so it peaks at about 4.1 KB per padded token at the
-# snopes sizes (6.6 MB for 1,600 tokens in 1 to 100 articles, tracemalloc),
-# under the 7.6 MB of an 800-token pass that kept every gate.  Fewer passes
-# mean fewer serial LSTM steps.
+# projection block and one step slab, so it peaks at about 3.5 KB per padded
+# token at the snopes sizes (5.6 to 5.8 MB for 1,600 tokens in 1 to 100
+# articles, tracemalloc), under the 7.6 MB of an 800-token pass that kept
+# every gate.  Fewer passes mean fewer serial LSTM steps.
 SCORE_TOKENS = 1600
 # Tokens each article is charged in the scoring budget, at least.  The
 # encoder's step temporaries grow with a pass's width, so 1,600 one-token
-# articles would peak at 21.6 MB; the floor caps a pass at 400 articles
-# (8.3 MB at four tokens each).  Training chunks keep their plain lengths.
+# articles would peak at 24.2 MB; the floor caps a pass at 400 articles
+# (9.0 MB at four tokens each).  Training chunks keep their plain lengths.
 _SCORE_FLOOR = 4
 
 

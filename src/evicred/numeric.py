@@ -50,8 +50,9 @@ __all__ = [
 
 _FLOAT_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # Padded tokens per input-projection product in ``bilstm``: 32 steps of a
-# batch of 8.  An untaped pass keeps only one block of gates, 1 MB at H=64
-# in float64 (more only for batches over 256 items, at one step a block).
+# batch of 8.  An untaped pass keeps only one block of input products, 1 MB
+# at H=64 in float64 (more only for batches over 256 items, at one step a
+# block).
 _BLOCK_TOKENS = 256
 
 
@@ -440,21 +441,24 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     [x_t; h_prev], row blocks input, forget, output, cell, and a (4H, 1)
     bias.  The backward direction reads each item reversed within its own
     length, so both run t = 0..T-1 from zero states.  Items step longest
-    first, so step t runs only the items still live there and padding costs
-    no step-loop work; its states are exactly zero.  The input half of the
-    gates is one product per block of steps (``_BLOCK_TOKENS`` padded
-    tokens, at least one step), made when the step loop reaches the block;
-    the step loop adds only the recurrent product of the live items.  The
-    sigmoid gates are 1 / (1 + exp(-a)): their weight and bias rows are
-    negated, exactly, so the product is -a and three in-place calls finish
-    the gate.  Returns the (2H, T*B) step-major states, forward half over
-    backward half: column t*B + b has read steps 0..t of item b forward and
-    t..k-1 backward.  Under an active tape the blocks fill one (2, T*B, 4H)
-    buffer that keeps every step's gates and cell states for the
-    hand-written backward (BPTT), which overwrites the gates with their
-    gradients, so the tape can be replayed only once.  Without a tape every
-    block reuses one block-sized buffer, so the op holds only its inputs,
-    hidden states and outputs.
+    first, so step t runs only the n items still live there and padding
+    costs no step-loop work; its states are exactly zero.  The input half
+    of the gates is one product per block of steps (``_BLOCK_TOKENS``
+    padded tokens, at least one step); the step loop adds the recurrent
+    product.  Both keep each direction's fused 4H-wide layout, as per-gate
+    products round differently; each step copies its gates, recurrent +
+    (input + bias), into one gate-major (4, n, 2, H) slab and keeps its
+    states slot-major, (B, 2, H), so each elementwise call acts on one
+    contiguous block.  The sigmoid gates are 1 / (1 + exp(-a)): their
+    weight and bias rows are negated, exactly, so the sum is -a; then
+    c = f*c_prev + i*g and h = tanh(c)*o.  Returns the (2H, T*B) step-major
+    states, forward half over backward half: column t*B + b has read steps
+    0..t of item b forward and t..k-1 backward.  Under an active tape the
+    op keeps every step's cell states and, per direction, its gates for the
+    hand-written backward (BPTT), which overwrites them with gradients in
+    the (B, 4H) layout of the recurrent product, so the tape can be
+    replayed only once.  Untaped, one block of input products and one slab
+    are reused, so the op holds only its inputs, states and outputs.
     """
     steps, batch, dim = x.shape
     size = w_fw.rows // 4
@@ -472,7 +476,7 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     # t are slots 0..live[t]-1 and a step's work is a prefix of its slab.
     order = np.argsort(-lengths, kind="stable")
     t_col = np.arange(steps)[:, None]
-    live = (t_col < lengths).sum(axis=1)
+    live = (t_col < lengths).sum(axis=1).tolist()
     # rows[:, t*B + j] is the row of x, and the output column, of slot j at
     # step t in each direction: the backward direction's step t of an item
     # of length k is its step k-1-t.  Dead slots point at their padding.
@@ -495,88 +499,120 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     bias = np.stack([b_fw.data, b_bw.data]).transpose(0, 2, 1)
     bias[:, :, :sig] *= -1
     block = min(steps, max(1, _BLOCK_TOKENS // batch))
-    # z[:, t*B + j] holds the (2, 4H) gates of slot j at step t in both
-    # directions, so each step's gates are one contiguous (2, B, 4H) slab.
-    # Untaped, z holds one block and step t sits at its place in the block.
-    z = np.empty((2, (steps if taped else block) * batch, 4 * size), dtype=dtype)
-    # hs[:, t] is the (2, B, H) hidden state step t reads; hs[:, 0] is zero.
-    # Taped, cells[t + 1] is the cell state of step t; untaped, cells[0] is
+    # hs[t] is the (B, 2, H) hidden state step t reads; hs[0] is zero.
+    # Taped, cells[t + 1] is the cell state of step t and kept[:, t] keeps
+    # step t's gates, (4, n, H) per direction; untaped, cells[0] is
     # overwritten by each step.
-    hs = np.zeros((2, steps + 1, batch, size), dtype=dtype)
-    cells = np.zeros((steps + 1 if taped else 1, 2, batch, size), dtype=dtype)
-    with np.errstate(over="ignore"):  # exp(-a) = inf makes a gate of exactly 0
+    hs = np.zeros((steps + 1, batch, 2, size), dtype=dtype)
+    cells = np.zeros((steps + 1 if taped else 1, batch, 2, size), dtype=dtype)
+    kept = np.zeros((2, steps, 4 * batch * size), dtype=dtype) if taped else None
+
+    def run_steps() -> None:
+        # proj[:, t*B + j] holds the input half of the (2, 4H) gates of slot
+        # j at step t, at its place in the current block; work[:8nH] is the
+        # slab of a step with n live slots.  Both go on return.
+        proj = np.empty((2, block * batch, 4 * size), dtype=dtype)
+        work = np.empty(8 * batch * size, dtype=dtype)
+        n = 0
         for t in range(steps):
             if t % block == 0:
                 span = slice(t * batch, min(t + block, steps) * batch)
-                gates = z[:, span] if taped else z[:, :span.stop - span.start]
+                gates = proj[:, :span.stop - span.start]
                 np.matmul(inputs(span), w_x_t, out=gates)
                 gates += bias
-            n = live[t]
+            if live[t] != n:  # views of the slab, made when n changes
+                n = live[t]
+                # The recurrent product lands in the slab, read as
+                # (2, n, 4H), before the sum overwrites it gate-major.
+                recurrent = work[:8 * n * size].reshape(2, n, 4 * size)
+                slab = work[:8 * n * size].reshape(4, n, 2, size)
+                s = slab[:3]
+                i, f, o, cand = slab
             at = t % block * batch
-            slab = gates[:, at:at + n]
-            slab += hs[:, t, :n] @ w_h_t
-            s = slab[:, :, :sig]
+            fused = gates[:, at:at + n]
+            np.matmul(hs[t, :n].transpose(1, 0, 2), w_h_t, out=recurrent)
+            fused += recurrent
+            slab[...] = fused.reshape(2, n, 4, size).transpose(2, 1, 0, 3)
             np.exp(s, out=s)
             s += 1.0
             np.divide(1.0, s, out=s)
-            np.tanh(slab[:, :, sig:], out=slab[:, :, sig:])
-            i, f = slab[:, :, :size], slab[:, :, size:2 * size]
-            o, cand = slab[:, :, 2 * size:sig], slab[:, :, sig:]
-            c = cells[t + 1 if taped else 0, :, :n]
-            np.multiply(f, cells[t if taped else 0, :, :n], out=c)
+            np.tanh(cand, out=cand)
+            c = cells[t + 1 if taped else 0, :n]
+            np.multiply(f, cells[t if taped else 0, :n], out=c)
             c += i * cand
-            h = hs[:, t + 1, :n]
+            h = hs[t + 1, :n]
             np.tanh(c, out=h)
             h *= o
+            if taped:
+                kept_t = kept[:, t, :4 * n * size].reshape(2, 4, n, size)
+                kept_t[...] = slab.transpose(2, 0, 1, 3)
+
+    with np.errstate(over="ignore"):  # exp(-a) = inf makes a gate of exactly 0
+        run_steps()
     # States go back into step order item by item, so no second copy of a
     # half is made; padding columns stay zero.
     states = np.zeros((2 * size, steps * batch), dtype=dtype)
     halves = states.reshape(2, size, steps, batch)
     for j, (b, n) in enumerate(zip(order, k)):
-        halves[0, :, :n, b] = hs[0, 1:n + 1, j].T
-        halves[1, :, :n, b] = hs[1, n:0:-1, j].T
+        halves[0, :, :n, b] = hs[1:n + 1, j, 0].T
+        halves[1, :, :n, b] = hs[n:0:-1, j, 1].T
     out = Tensor(states, requires_grad=requires_grad)
 
-    def backward(g: np.ndarray) -> None:
-        # ``rows`` also picks each slot's output gradient, in the order its
-        # steps ran.  Slots past live[t] keep zero dh and dc: a slot dead at
-        # step t is dead at every later step, so no gradient reaches it.
-        g_rows = g.reshape(2, size, -1).transpose(0, 2, 1)
-        both = np.arange(2)[:, None]
+    def run_bptt(g: np.ndarray) -> None:
+        # g_steps[t*B + j] is the (2, H) output gradient of slot j at step t:
+        # ``rows`` picks it, in the order the steps ran.  Slots past live[t]
+        # keep zero dh and dc: a slot dead at step t is dead at every later
+        # step, so no gradient reaches it.
+        g_steps = g.reshape(2, size, -1).transpose(0, 2, 1)[np.arange(2), rows.T]
         # The recurrent weights as given, not negated: the forward pass
         # keeps no copy of them.
         w_h = np.stack([w_fw.data[:, dim:], w_bw.data[:, dim:]])
-        dh = np.zeros((2, batch, size), dtype=dtype)
-        dc = np.zeros((2, batch, size), dtype=dtype)
-        d_sig = np.empty((2, batch, sig), dtype=dtype)
+        dh = np.zeros((batch, 2, size), dtype=dtype)
+        dc = np.zeros((batch, 2, size), dtype=dtype)
+        work = np.empty(14 * batch * size, dtype=dtype)
+        n = 0
         for t in range(steps - 1, -1, -1):
-            n = live[t]
-            at = t * batch
-            z[:, at + n:at + batch] = 0.0
-            slab = z[:, at:at + n]
-            s = slab[:, :, :sig]
-            i, f = slab[:, :, :size], slab[:, :, size:2 * size]
-            o, cand = slab[:, :, 2 * size:sig], slab[:, :, sig:]
-            tc = np.tanh(cells[t + 1, :, :n])
-            h_grad, c_grad, d = dh[:, :n], dc[:, :n], d_sig[:, :n]
-            h_grad += g_rows[both, rows[:, at:at + n]]
+            if live[t] != n:
+                n = live[t]
+                slab = work[:8 * n * size].reshape(4, n, 2, size)
+                s = slab[:3]
+                i, f, o, cand = slab
+                d = work[8 * n * size:14 * n * size].reshape(3, n, 2, size)
+                h_grad, c_grad = dh[:n], dc[:n]
+            slab[...] = kept[:, t, :4 * n * size].reshape(2, 4, n, size).transpose(1, 2, 0, 3)
+            # Step t's gate gradients replace its gates in kept, as (B, 4H)
+            # per direction: the layout of the recurrent product.  Rows past
+            # live[t] were never written, so they are zero.
+            dz = kept[:, t].reshape(2, batch, 4 * size)[:, :n]
+            dz_gates = dz.reshape(2, n, 4, size).transpose(2, 1, 0, 3)
+            tc = np.tanh(cells[t + 1, :n])
+            h_grad += g_steps[t * batch:t * batch + n]
             c_grad += h_grad * o * (1.0 - tc * tc)
-            np.multiply(c_grad, cand, out=d[:, :, :size])
-            np.multiply(c_grad, cells[t, :, :n], out=d[:, :, size:2 * size])
-            np.multiply(h_grad, tc, out=d[:, :, 2 * size:])
+            np.multiply(c_grad, cand, out=d[0])
+            np.multiply(c_grad, cells[t, :n], out=d[1])
+            np.multiply(h_grad, tc, out=d[2])
             d *= s
-            cand[:] = c_grad * i * (1.0 - cand * cand)
+            np.multiply(c_grad * i, 1.0 - cand * cand, out=dz_gates[3])
             c_grad *= f
             np.subtract(1.0, s, out=s)
-            np.multiply(d, s, out=s)
-            np.matmul(slab, w_h, out=h_grad)
-        # z now holds every step's gate gradients: one product per weight
-        # block (input, recurrent) and a column sum for the bias.  They are
-        # gradients of a, so the negated sigmoid rows need no correction.
-        z_t = z.transpose(0, 2, 1)
+            np.multiply(d, s, out=dz_gates[:3])
+            np.matmul(dz, w_h, out=h_grad.transpose(1, 0, 2))
+
+    def backward(g: np.ndarray) -> None:
+        run_bptt(g)
+        # kept now holds every step's gate gradients in the row order of
+        # ``inputs()``: one product per weight block (input, recurrent) and
+        # a column sum for the bias.  They are gradients of a, so the
+        # negated sigmoid rows need no correction.
+        dz = kept.reshape(2, steps * batch, 4 * size)
+        dz_t = dz.transpose(0, 2, 1)
+        # The recurrent product reads the hidden states direction-major, as
+        # (2, T+1, B, H): a copy made only once the input product is done.
         gw = np.concatenate(
-            [z_t @ inputs(), z_t @ hs[:, :steps].reshape(2, -1, size)], axis=2)
-        gb = z.sum(axis=1)[:, :, None]
+            [dz_t @ inputs(),
+             dz_t @ np.ascontiguousarray(hs.transpose(2, 0, 1, 3))[:, :steps]
+             .reshape(2, -1, size)], axis=2)
+        gb = dz.sum(axis=1)[:, :, None]
         for p, grad in zip(params, (gw[0], gb[0], gw[1], gb[1])):
             if p.requires_grad:
                 p.grad = grad if p.grad is None else np.add(grad, p.grad, out=grad)

@@ -637,6 +637,19 @@ class TestEvalCommand:
             f"error: {pred}: prediction {ids[3]}: "
             f"field {name!r} holds a number no float can hold\n")
 
+    def test_ragged_probability_rows_exit_one_naming_the_prediction(
+            self, cli_world, tmp_path, capsys):
+        # [0.2, 0.8] then [0.9] would otherwise score as classes 1 and 0.
+        pred = tmp_path / "p.jsonl"
+        ids = [inst.claim_id for inst in cli_world["instances"]]
+        pred.write_text("".join(
+            json.dumps({"id": cid, "probabilities": [0.9] if i == 3 else [0.2, 0.8]}) + "\n"
+            for i, cid in enumerate(ids)))
+        assert main(["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pred}: prediction {ids[3]}: field 'probabilities' is a row "
+            "of 1, the first prediction's of 2\n")
+
     def test_label_that_is_no_class_exits_one(self, cli_world, tmp_path, capsys):
         lines = cli_world["corpus"].read_text().splitlines()
         pred = tmp_path / "p.jsonl"

@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from evicred import container
+from evicred import container, training
 from evicred.corpus import ClaimInstance
 from evicred.embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
 from evicred.errors import (
@@ -27,6 +27,7 @@ from evicred.errors import (
     ShapeError,
 )
 from evicred.model import (
+    CHUNK_TOKENS,
     GATES,
     SCORE_TOKENS,
     CredibilityModel,
@@ -43,7 +44,7 @@ from evicred.model import (
     verdict,
     _digest,
 )
-from evicred.numeric import Tensor, glorot_uniform
+from evicred.numeric import Tensor, glorot_uniform, zero_grads
 from tests.conftest import tiny_world
 
 
@@ -508,6 +509,26 @@ class TestCredibilityModel:
             tracemalloc.stop()
         assert sum(lengths) == SCORE_TOKENS
         assert peak < 7_300_000
+
+    def test_a_taped_training_chunk_peaks_under_9_92_mb(self):
+        # One CHUNK_TOKENS chunk of 100-token pairs at the snopes sizes,
+        # forward and backward.  With every step's gates in one fused
+        # (2, T*B, 4H) buffer it peaked at 9.44 MB; the kept gates, their
+        # gradients and the step slabs may not add more than 5% to that.
+        rng = np.random.default_rng(30)
+        model = snopes_model(rng)
+        pairs = [Pair(["w1", "w2"], [f"w{j}" for j in rng.integers(0, 500, 100)],
+                      "c", "s") for _ in range(CHUNK_TOKENS // 100)]
+        labels = [1, 0] * (len(pairs) // 2)
+        training._chunk_gradients(model, pairs, labels, 0.0, None)
+        zero_grads(model.params.named().values())
+        tracemalloc.start()
+        try:
+            training._chunk_gradients(model, pairs, labels, 0.0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9_916_000
 
     def test_a_wide_pass_of_short_articles_peaks_under_9_5_mb(self):
         # 400 four-token articles at the snopes sizes: the encoder's step

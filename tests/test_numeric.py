@@ -65,6 +65,102 @@ def rel_err(a, b):
     return abs(a - b) / max(abs(a) + abs(b), 1e-6)
 
 
+def fused_slab_bilstm(x, lengths, w_fw, b_fw, w_bw, b_bw, g=None):
+    """The fused-slab LSTM step loop and BPTT, as an oracle for ``bilstm``.
+
+    Each step's gates are a (2, n, 4H) slab of one (2, T*B, 4H) buffer and
+    the hidden states are (2, T+1, B, H), so every gate and state operand is
+    a strided view.  Returns the (2H, T*B) states and, given the output
+    gradient ``g``, the gradients of the four arrays.
+    """
+    steps, batch, dim = x.shape
+    size = w_fw.shape[0] // 4
+    dtype = w_fw.dtype
+    order = np.argsort(-lengths, kind="stable")
+    t_col = np.arange(steps)[:, None]
+    live = (t_col < lengths).sum(axis=1)
+    k = lengths[order]
+    step_read = np.where(t_col < k, k - 1 - t_col, t_col)
+    rows = (np.stack([t_col.repeat(batch, axis=1), step_read]) * batch + order).reshape(2, -1)
+
+    def inputs(span=slice(None)):
+        return x.reshape(-1, dim)[rows[:, span]].astype(dtype, copy=False)
+
+    sig = 3 * size
+    w = np.stack([w_fw, w_bw])
+    w[:, :sig] *= -1
+    w_x_t = w[:, :, :dim].transpose(0, 2, 1)
+    w_h_t = np.ascontiguousarray(w[:, :, dim:].transpose(0, 2, 1))
+    bias = np.stack([b_fw, b_bw]).transpose(0, 2, 1)
+    bias[:, :, :sig] *= -1
+    block = min(steps, max(1, numeric._BLOCK_TOKENS // batch))
+    z = np.empty((2, steps * batch, 4 * size), dtype=dtype)
+    hs = np.zeros((2, steps + 1, batch, size), dtype=dtype)
+    cells = np.zeros((steps + 1, 2, batch, size), dtype=dtype)
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if t % block == 0:
+                span = slice(t * batch, min(t + block, steps) * batch)
+                np.matmul(inputs(span), w_x_t, out=z[:, span])
+                z[:, span] += bias
+            n = live[t]
+            at = t * batch
+            slab = z[:, at:at + n]
+            slab += hs[:, t, :n] @ w_h_t
+            s = slab[:, :, :sig]
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            np.tanh(slab[:, :, sig:], out=slab[:, :, sig:])
+            i, f = slab[:, :, :size], slab[:, :, size:2 * size]
+            o, cand = slab[:, :, 2 * size:sig], slab[:, :, sig:]
+            c = cells[t + 1, :, :n]
+            np.multiply(f, cells[t, :, :n], out=c)
+            c += i * cand
+            h = hs[:, t + 1, :n]
+            np.tanh(c, out=h)
+            h *= o
+    states = np.zeros((2 * size, steps * batch), dtype=dtype)
+    halves = states.reshape(2, size, steps, batch)
+    for j, (b, n) in enumerate(zip(order, k)):
+        halves[0, :, :n, b] = hs[0, 1:n + 1, j].T
+        halves[1, :, :n, b] = hs[1, n:0:-1, j].T
+    if g is None:
+        return states, None
+    g_rows = g.reshape(2, size, -1).transpose(0, 2, 1)
+    both = np.arange(2)[:, None]
+    w_h = np.stack([w_fw[:, dim:], w_bw[:, dim:]])
+    dh = np.zeros((2, batch, size), dtype=dtype)
+    dc = np.zeros((2, batch, size), dtype=dtype)
+    d_sig = np.empty((2, batch, sig), dtype=dtype)
+    for t in range(steps - 1, -1, -1):
+        n = live[t]
+        at = t * batch
+        z[:, at + n:at + batch] = 0.0
+        slab = z[:, at:at + n]
+        s = slab[:, :, :sig]
+        i, f = slab[:, :, :size], slab[:, :, size:2 * size]
+        o, cand = slab[:, :, 2 * size:sig], slab[:, :, sig:]
+        tc = np.tanh(cells[t + 1, :, :n])
+        h_grad, c_grad, d = dh[:, :n], dc[:, :n], d_sig[:, :n]
+        h_grad += g_rows[both, rows[:, at:at + n]]
+        c_grad += h_grad * o * (1.0 - tc * tc)
+        np.multiply(c_grad, cand, out=d[:, :, :size])
+        np.multiply(c_grad, cells[t, :, :n], out=d[:, :, size:2 * size])
+        np.multiply(h_grad, tc, out=d[:, :, 2 * size:])
+        d *= s
+        cand[:] = c_grad * i * (1.0 - cand * cand)
+        c_grad *= f
+        np.subtract(1.0, s, out=s)
+        np.multiply(d, s, out=s)
+        np.matmul(slab, w_h, out=h_grad)
+    z_t = z.transpose(0, 2, 1)
+    gw = np.concatenate(
+        [z_t @ inputs(), z_t @ hs[:, :steps].reshape(2, -1, size)], axis=2)
+    gb = z.sum(axis=1)[:, :, None]
+    return states, [gw[0], gb[0], gw[1], gb[1]]
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -368,6 +464,45 @@ class TestLstm:
                 want = [w + g for w, g in zip(want, g_alone)]
             for got, w in zip(grads, want):
                 assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+
+        check()
+
+    def test_matches_the_fused_slab_step_loop_bit_for_bit(self):
+        # Gate-major slabs and slot-major states change only where values
+        # sit, not one operation or product shape: states and all four
+        # gradients equal the fused-slab loop's exactly, for any mix of
+        # lengths, ties and one-step items, any width from one, both
+        # dtypes, and products over one block or several.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            pool = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+            lengths = np.array(data.draw(
+                st.lists(st.sampled_from([1] + pool), min_size=1, max_size=9)))
+            size = data.draw(st.sampled_from([1, 2, 3, 5, 16, 64]))
+            dim = data.draw(st.sampled_from([1, 3, 7, 100]))
+            dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+            taped = data.draw(st.booleans())
+            block_tokens = data.draw(st.sampled_from([8, 64, numeric._BLOCK_TOKENS]))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            steps, batch = int(lengths.max()), len(lengths)
+            x = rng.standard_normal((steps, batch, dim))
+            limit = np.sqrt(6.0 / (2 * size + dim))
+            arrays = [rng.uniform(-limit, limit, shape)
+                      for shape in [(4 * size, dim + size), (4 * size, 1)] * 2]
+            weights = rng.standard_normal((2 * size, steps * batch))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(numeric, "_BLOCK_TOKENS", block_tokens)
+                got, got_grads = self.run(x, lengths, arrays, weights, dtype, tape=taped)
+                want, want_grads = fused_slab_bilstm(
+                    x, lengths, *[a.astype(dtype) for a in arrays],
+                    g=weights if taped else None)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            for g_got, g_want in zip(got_grads or [], want_grads or []):
+                assert g_got.dtype == g_want.dtype and np.array_equal(g_got, g_want)
 
         check()
 
