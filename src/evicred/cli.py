@@ -329,7 +329,7 @@ def _read_predictions(path: str) -> dict[str, dict]:
     for lineno, record in corpus_mod.json_lines(path):
         if not isinstance(record, dict) or "id" not in record:
             raise ParseError(f"{path}:{lineno}: prediction without an id")
-        key = str(record["id"])
+        key = corpus_mod.record_id(record["id"], f"{path}:{lineno}")
         if key in preds:
             raise ParseError(f"{path}:{lineno}: second prediction for id {key!r}")
         preds[key] = record

@@ -27,6 +27,7 @@ __all__ = [
     "Snippet",
     "ingest",
     "json_lines",
+    "record_id",
     "finite_number",
     "write_corpus",
     "extract_snippet",
@@ -124,9 +125,20 @@ def finite_number(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def _require(record: dict, key: str, rid: str, where: str):
+def record_id(value, where: str) -> str:
+    """A record's id as text: a string as it is, an integer in decimal.  So
+    3 and "3" name one record, and readers refuse the second as a repeat."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ParseError(f"{where}: id must be a string or an integer")
+    return str(value)
+
+
+def _require(record: dict, key: str, rid: str, where: str, kind: type):
     if key not in record:
         raise ParseError(f"{where}: record {rid}: missing field {key!r}")
+    if not isinstance(record[key], kind):
+        name = {str: "string", list: "list"}[kind]
+        raise ParseError(f"{where}: record {rid}: field {key!r} must be a {name}")
     return record[key]
 
 
@@ -137,8 +149,9 @@ def ingest(path: str, *, label_scheme: str | None = None,
 
     Articles whose source is on the blocklist are dropped; a claim left
     with no usable article is skipped (counted in one summary warning).
-    Structural problems, including a line that is not a JSON object and
-    NaN or infinite numbers, raise ParseError naming the line or record.
+    Structural problems, including a line that is not a JSON object, a
+    field of the wrong JSON type and NaN or infinite numbers, raise
+    ParseError naming the line or record.
     """
     instances: list[ClaimInstance] = []
     seen_ids: set[str] = set()
@@ -147,10 +160,14 @@ def ingest(path: str, *, label_scheme: str | None = None,
     for lineno, record in json_lines(path):
         if not isinstance(record, dict):
             raise ParseError(f"{path}:{lineno}: record is not a JSON object")
-        rid = str(record.get("id", f"line {lineno}"))
+        rid = record_id(record.get("id", f"line {lineno}"), f"{path}:{lineno}")
         if rid in seen_ids:
             raise ParseError(f"{path}: record {rid}: duplicate id")
-        claim_text = str(_require(record, "claim", rid, path))
+        claim_text = _require(record, "claim", rid, path, str)
+        claim_source = record.get("claim_source")
+        if not isinstance(claim_source, (str, type(None))):
+            raise ParseError(f"{path}: record {rid}: field 'claim_source' must be "
+                             "a string or null")
         claim_tokens = tokenize(claim_text)
         if not claim_tokens:
             raise ParseError(f"{path}: record {rid}: claim has no tokens")
@@ -166,15 +183,12 @@ def ingest(path: str, *, label_scheme: str | None = None,
                 raise ParseError(f"{path}: record {rid}: label must be numeric")
             elif not finite_number(label):
                 raise ParseError(f"{path}: record {rid}: label must be finite")
-        raw_articles = _require(record, "articles", rid, path)
-        if not isinstance(raw_articles, list):
-            raise ParseError(f"{path}: record {rid}: 'articles' must be a list")
         articles, texts, sources = [], [], []
-        for art in raw_articles:
+        for art in _require(record, "articles", rid, path, list):
             if not isinstance(art, dict):
                 raise ParseError(f"{path}: record {rid}: article entries must be objects")
-            text = str(_require(art, "text", rid, path))
-            source = str(_require(art, "source", rid, path))
+            text = _require(art, "text", rid, path, str)
+            source = _require(art, "source", rid, path, str)
             if source in blocklist:
                 continue
             tokens = tokenize(text)
@@ -187,12 +201,11 @@ def ingest(path: str, *, label_scheme: str | None = None,
             skipped += 1
             continue
         seen_ids.add(rid)
-        claim_source = record.get("claim_source")
         instances.append(ClaimInstance(
             claim_id=rid,
             claim_text=claim_text,
             claim_tokens=claim_tokens,
-            claim_source=None if claim_source is None else str(claim_source),
+            claim_source=claim_source,
             articles=articles,
             article_texts=texts,
             article_sources=sources,
@@ -227,12 +240,11 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
-def _window_score(claim_types: set[str], claim_vec: np.ndarray,
-                  article_tokens: list[str], token_vecs: np.ndarray,
-                  start: int, width: int) -> SnippetScore:
-    """The score of one window, as ``extract_snippet`` reports it."""
-    window_types = set(article_tokens[start : start + width])
-    bow = len(claim_types & window_types) / len(claim_types)
+def _window_score(share: float, claim_vec: np.ndarray, token_vecs: np.ndarray,
+                  width: int, start: int) -> SnippetScore:
+    """The score of one window, as ``extract_snippet`` reports it, from its
+    share of distinct claim words (an entry of ``_window_shares``)."""
+    bow = float(share)
     semantic = _cosine(claim_vec, token_vecs[start : start + width].mean(axis=0))
     return SnippetScore(bow, semantic, bow * semantic)
 
@@ -244,8 +256,8 @@ def _gamma(k: int, unit: float) -> float:
 
 def _window_shares(claim_types: set[str], article_tokens: list[str],
                    width: int) -> np.ndarray:
-    """Every window's share of distinct claim words, bit for bit as
-    ``_window_score`` computes it, from running integer counts."""
+    """Every window's share of distinct claim words, from running integer
+    counts: the count over the number of claim words, as one division."""
     n = len(article_tokens)
     column = {t: k for k, t in enumerate(claim_types)}
     cols = np.fromiter(map(column.get, article_tokens, repeat(-1)), dtype=np.intp,
@@ -439,9 +451,8 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     claim_vec = claim_mean(claim_tokens, embeddings)
     if not article_tokens:
         return None
-    claim_types = set(claim_tokens)
     width = min(window, len(article_tokens))
-    bow = _window_shares(claim_types, article_tokens, width)
+    bow = _window_shares(set(claim_tokens), article_tokens, width)
     live = np.ones(len(bow), dtype=bool)
     ceiling = _cosine_ceiling(claim_vec, embeddings, width)
     if ceiling is not None:
@@ -449,9 +460,8 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
         if not reach.max() >= delta:
             return None
         top = int(np.argmax(bow))  # the first window with the highest share
-        top_tokens = article_tokens[top : top + width]
-        floor = _window_score(claim_types, claim_vec, top_tokens,
-                              embeddings.matrix_for(top_tokens), 0, width).sim
+        top_vecs = embeddings.matrix_for(article_tokens[top : top + width])
+        floor = _window_score(bow[top], claim_vec, top_vecs, width, 0).sim
         live = reach >= max(delta, floor)
     first = int(np.argmax(live))
     stop = len(live) - int(np.argmax(live[::-1]))
@@ -460,7 +470,7 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     best: tuple[int, SnippetScore] | None = None
     for start in _candidate_starts(claim_vec, token_vecs, bow[first:stop],
                                    live[first:stop], width):
-        score = _window_score(claim_types, claim_vec, tokens, token_vecs, start, width)
+        score = _window_score(bow[first + start], claim_vec, token_vecs, width, start)
         if best is None or score.sim > best[1].sim:
             best = (start, score)
     assert best is not None

@@ -76,16 +76,14 @@ class MetricReport:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied scores share the mean of their rank block."""
+    """1-based ranks; tied scores share the mean of their rank block.  Each
+    NaN ties nothing, so NaNs rank last, one by one in input order."""
     order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(starts, append=len(scores))
     ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(np.cumsum(counts) - (counts - 1) / 2, counts)
     return ranks
 
 

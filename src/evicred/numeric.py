@@ -549,13 +549,11 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
 
     with np.errstate(over="ignore"):  # exp(-a) = inf makes a gate of exactly 0
         run_steps()
-    # States go back into step order item by item, so no second copy of a
-    # half is made; padding columns stay zero.
-    states = np.zeros((2 * size, steps * batch), dtype=dtype)
-    halves = states.reshape(2, size, steps, batch)
-    for j, (b, n) in enumerate(zip(order, k)):
-        halves[0, :, :n, b] = hs[1:n + 1, j, 0].T
-        halves[1, :, :n, b] = hs[n:0:-1, j, 1].T
+    # Per direction ``rows`` is a permutation of the output columns, and a
+    # dead slot's state is exactly zero: one scatter each fills every column.
+    states = np.empty((2 * size, steps * batch), dtype=dtype)
+    for d, half in enumerate(states.reshape(2, size, -1)):
+        half[:, rows[d]] = hs[1:, :, d].reshape(-1, size).T
     out = Tensor(states, requires_grad=requires_grad)
 
     def run_bptt(g: np.ndarray) -> None:
@@ -606,16 +604,14 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
         # negated sigmoid rows need no correction.
         dz = kept.reshape(2, steps * batch, 4 * size)
         dz_t = dz.transpose(0, 2, 1)
-        # The recurrent product reads the hidden states direction-major, as
-        # (2, T+1, B, H): a copy made only once the input product is done.
+        # The recurrent product reads the hidden states in place, as
+        # (2, T*B, H) rows 2H apart.
         gw = np.concatenate(
             [dz_t @ inputs(),
-             dz_t @ np.ascontiguousarray(hs.transpose(2, 0, 1, 3))[:, :steps]
-             .reshape(2, -1, size)], axis=2)
+             dz_t @ hs[:steps].reshape(-1, 2, size).transpose(1, 0, 2)], axis=2)
         gb = dz.sum(axis=1)[:, :, None]
         for p, grad in zip(params, (gw[0], gb[0], gw[1], gb[1])):
-            if p.requires_grad:
-                p.grad = grad if p.grad is None else np.add(grad, p.grad, out=grad)
+            _accumulate(p, grad)
 
     _register(out, backward)
     return out

@@ -14,6 +14,7 @@ import pytest
 from evicred.cli import (
     PRESETS,
     _load_model,
+    _read_predictions,
     build_parser,
     load_config,
     main,
@@ -1030,5 +1031,83 @@ class TestFuzzedReaders:
             captured = capsys.readouterr()
             assert code == 0 and captured.err == ""
             assert captured.out.startswith("claims=")
+
+        check()
+
+    @staticmethod
+    def any_json():
+        """Any JSON value, NaN and the infinities included."""
+        st = pytest.importorskip("hypothesis").strategies
+        scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                   | st.text(max_size=6))
+        return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                            max_leaves=6)
+
+    def test_any_json_in_a_corpus_field_loads_uncoerced_or_exits_one(
+            self, cli_world, tmp_path, capsys):
+        # A field swapped for any JSON value loads only as the JSON type it
+        # must have, never coerced to text; otherwise the reader and the
+        # command refuse it with the same one line.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        lines = cli_world["corpus"].read_text().splitlines()[:3]
+        kinds = {"id": (str, int), "claim": str, "claim_source": (str, type(None)),
+                 "text": str, "source": str}
+        corpus = tmp_path / "swapped.jsonl"
+        argv = ["ingest", "--in", str(corpus), "--out", str(tmp_path / "out.jsonl")]
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(st.data(), self.any_json())
+        def check(data, value):
+            records = [json.loads(line) for line in lines]
+            record = records[data.draw(st.integers(0, len(records) - 1))]
+            target = record["articles"][0] if data.draw(st.booleans()) else record
+            key = data.draw(st.sampled_from(sorted(target)))
+            target[key] = value
+            corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+            try:
+                corpus_mod.ingest(str(corpus))
+            except EvicredError as e:
+                assert main(argv) == 1
+                assert capsys.readouterr().err == f"error: {e}\n"
+                return
+            if key in kinds:
+                assert isinstance(value, kinds[key]) and not isinstance(value, bool)
+            assert main(argv) == 0 and capsys.readouterr().err == ""
+
+        check()
+
+    def test_any_json_in_a_prediction_field_evaluates_or_exits_one(
+            self, cli_world, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ids = [inst.claim_id for inst in cli_world["instances"]]
+        pred = tmp_path / "swapped.jsonl"
+        argv = ["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred)]
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(st.data(), self.any_json())
+        def check(data, value):
+            records = [{"id": cid, "credibility": 0.75, "verdict": "credible"}
+                       for cid in ids]
+            record = records[data.draw(st.integers(0, len(records) - 1))]
+            key = data.draw(st.sampled_from(sorted(record)))
+            record[key] = value
+            pred.write_text("".join(json.dumps(r) + "\n" for r in records))
+            try:
+                _read_predictions(str(pred))
+            except EvicredError as e:
+                assert main(argv) == 1
+                assert capsys.readouterr().err == f"error: {e}\n"
+                return
+            if key == "id":
+                assert isinstance(value, (str, int)) and not isinstance(value, bool)
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code == 0:
+                assert err == ""
+            else:
+                assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
         check()

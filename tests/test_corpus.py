@@ -81,6 +81,31 @@ class TestIngest:
         with pytest.raises(ParseError, match="duplicate id"):
             ingest(path)
 
+    def test_integer_id_is_its_decimal_string_and_no_other_type_is_one(self, tmp_path):
+        path = write_lines(tmp_path / "c.jsonl", [corpus_line(3)])
+        assert ingest(path)[0].claim_id == "3"
+        write_lines(path, [corpus_line(3), corpus_line("3")])
+        with pytest.raises(ParseError, match="record 3: duplicate id"):
+            ingest(path)
+        for bad in (True, 3.0, None, [3], {"id": 3}):
+            write_lines(path, [corpus_line(bad)])
+            with pytest.raises(ParseError,
+                               match=r"c\.jsonl:1: id must be a string or an integer"):
+                ingest(path)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("claim", ["rivers", "flow"], "a string"),
+        ("claim_source", {"k": 1}, "a string or null"),
+        ("text", 5, "a string"), ("source", 7, "a string"), ("articles", {}, "a list")])
+    def test_field_of_another_json_type_is_refused_not_coerced(self, tmp_path, field,
+                                                               value, kind):
+        article = {"text": "observed flowing downhill", "source": "rivers.org"}
+        fields = {"articles": [article], "claim_source": "a speaker"}
+        (article if field in article else fields)[field] = value
+        path = write_lines(tmp_path / "c.jsonl", [corpus_line("c1", **fields)])
+        with pytest.raises(ParseError, match=f"record c1: field '{field}' must be {kind}$"):
+            ingest(path)
+
     def test_invalid_json_names_line(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", [corpus_line("c1"), "{nope"])
         with pytest.raises(ParseError, match=r"c\.jsonl:2"):

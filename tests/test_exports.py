@@ -1,7 +1,7 @@
 """Module names: every name a package module lists in ``__all__`` must
-resolve, and no module of the package or of the tests imports a name it
-never uses.  The suite's warning filters fail a deprecated call in the
-package."""
+resolve, no module of the package or of the tests imports a name it never
+uses, and no private module-level name of the package goes unread.  The
+suite's warning filters fail a deprecated call in the package."""
 import ast
 import importlib
 import pkgutil
@@ -58,6 +58,48 @@ def test_unused_import_finder_has_teeth():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each module-level private function, class or
+    assignment (``_x``, not ``__x__``) that no module of ``sources`` reads,
+    as a name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_dead_name_finder_has_teeth():
+    assert dead_private_names({
+        "a": "_LIMIT = 3\n_seen: set = set()\n_used, _spare = 1, 2\n__all__ = []\n"
+             "def _helper():\n    return _LIMIT + _used\n"
+             "class _Dead:\n    pass\n"
+             "def public():\n    return b._shared()\n",
+        "b": "def _shared():\n    _helper()\n",
+    }) == ["a:_Dead", "a:_seen", "a:_spare"]
+
+
+def test_no_dead_private_names():
+    package = ROOT / "src" / "evicred"
+    assert dead_private_names({p.name: p.read_text(encoding="utf-8")
+                               for p in sorted(package.glob("*.py"))}) == []
 
 
 def test_deprecation_warning_in_the_package_fails_the_suite():

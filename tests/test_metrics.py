@@ -14,6 +14,7 @@ import pytest
 from evicred.errors import ContractError, DegenerateInputError
 from evicred.metrics import (
     MetricReport,
+    _average_ranks,
     classification_report,
     macro_f1,
     mode_report,
@@ -37,6 +38,21 @@ def pairwise_auc_oracle(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def scanned_average_ranks(scores):
+    """Average ranks by a scan over the tie blocks of a stable sort, one
+    block at a time; NaN equals nothing, so each NaN is a block alone."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def f1_oracle(pred, true, classes):
@@ -86,6 +102,22 @@ class TestRankingAuc:
                 assert got is None
             else:
                 assert got == pytest.approx(expected, abs=1e-9), trial
+
+    def test_average_ranks_equal_the_block_scan_bit_for_bit(self):
+        # Heavy ties, -0.0 beside 0.0, NaNs (each its own block, ranked in
+        # input order) and single scores.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tied = st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0, math.nan, math.inf])
+
+        @hypothesis.settings(max_examples=300)
+        @hypothesis.given(st.lists(tied | st.floats(), min_size=1, max_size=60))
+        def check(scores):
+            scores = np.array(scores)
+            got, want = _average_ranks(scores), scanned_average_ranks(scores)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        check()
 
     def test_perfect_and_inverted_rankings(self):
         assert ranking_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0

@@ -506,6 +506,30 @@ class TestLstm:
 
         check()
 
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [200, 400])
+    def test_wide_passes_of_short_items_match_the_fused_slab_loop(self, batch, dtype,
+                                                                  taped):
+        # A scoring pass of up to 400 articles of 1-4 tokens: at these widths
+        # every block holds one step, and most slots die within a few steps.
+        rng = np.random.default_rng(batch)
+        dim, size = 100, 16
+        lengths = rng.integers(1, 5, batch)
+        steps = int(lengths.max())
+        assert min(steps, max(1, numeric._BLOCK_TOKENS // batch)) == 1
+        x = rng.standard_normal((steps, batch, dim))
+        limit = np.sqrt(6.0 / (2 * size + dim))
+        arrays = [rng.uniform(-limit, limit, shape)
+                  for shape in [(4 * size, dim + size), (4 * size, 1)] * 2]
+        weights = rng.standard_normal((2 * size, steps * batch))
+        got, got_grads = self.run(x, lengths, arrays, weights, dtype, tape=taped)
+        want, want_grads = fused_slab_bilstm(x, lengths, *[a.astype(dtype) for a in arrays],
+                                             g=weights if taped else None)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for g_got, g_want in zip(got_grads or [], want_grads or []):
+            assert g_got.dtype == g_want.dtype and g_got.tobytes() == g_want.tobytes()
+
     @pytest.mark.parametrize("dtype, big", [(np.float32, 100.0), (np.float64, 1000.0)])
     def test_gates_past_exp_overflow_are_exactly_zero_or_one(self, dtype, big):
         # Gate preactivations of +-big overflow exp in this dtype.  With the
