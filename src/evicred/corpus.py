@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -40,8 +41,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SNIPPET_WINDOW = 100
-# Windows per block of the snippet screen's prefix sums, in window widths:
-# short sums keep both the rounding bound and the scratch arrays small.
+# Most windows per chunk of the snippet screen's prefix sums, in window
+# widths: short sums keep both the rounding bound and the scratch arrays small.
 _BLOCK = 8
 # Share of claims ``make_folds`` holds out for early stopping.
 _VALIDATION_FRACTION = 0.1
@@ -176,7 +177,10 @@ def ingest(path: str, *, label_scheme: str | None = None,
             raise ParseError(f"{path}: record {rid}: missing field 'label'")
         if label is not None:
             if label_scheme == "politifact":
-                label = map_politifact_label(str(label))
+                try:
+                    label = map_politifact_label(str(label))
+                except ParseError as e:
+                    raise ParseError(f"{path}: record {rid}: {e}") from None
             elif isinstance(label, bool):
                 label = int(label)
             elif not isinstance(label, (int, float)):
@@ -256,17 +260,29 @@ def _gamma(k: int, unit: float) -> float:
 
 def _window_shares(claim_types: set[str], article_tokens: list[str],
                    width: int) -> np.ndarray:
-    """Every window's share of distinct claim words, from running integer
-    counts: the count over the number of claim words, as one division."""
+    """Every window's share of distinct claim words: its exact count of them
+    over the number of claim words, as one division.
+
+    A claim word at position j whose previous copy is at p (or that has no
+    earlier copy, p = -1) is the first copy in every window that starts in
+    max(p + 1, j - width + 1)..j, so one difference array over window
+    starts and one running sum count each window's distinct claim words."""
     n = len(article_tokens)
+    count = n - width + 1
     column = {t: k for k, t in enumerate(claim_types)}
     cols = np.fromiter(map(column.get, article_tokens, repeat(-1)), dtype=np.intp,
                        count=n)
     hits = np.flatnonzero(cols >= 0)
-    seen = np.zeros((n + 1, len(column)), dtype=np.int32)
-    seen[hits + 1, cols[hits]] = 1
-    np.cumsum(seen, axis=0, out=seen)
-    return np.count_nonzero(seen[width:] - seen[: n - width + 1], axis=1) / len(column)
+    at = hits[np.argsort(cols[hits], kind="stable")]  # each word's copies in order
+    prev = np.full(len(at), -1)
+    again = cols[at[1:]] == cols[at[:-1]]
+    prev[1:][again] = at[:-1][again]
+    low = np.maximum(prev + 1, at - width + 1)
+    high = np.minimum(at, count - 1)
+    some = low <= high
+    events = (np.bincount(low[some], minlength=count + 1)
+              - np.bincount(high[some] + 1, minlength=count + 1))
+    return np.cumsum(events[:count]) / len(column)
 
 
 def _cosine_ceiling(claim_vec: np.ndarray, embeddings: WordEmbeddings,
@@ -293,26 +309,39 @@ def _cosine_ceiling(claim_vec: np.ndarray, embeddings: WordEmbeddings,
     return 1 + 4 * _gamma(3 * d, x) + 8 * u
 
 
-def _candidate_starts(claim_vec: np.ndarray, token_vecs: np.ndarray, bow: np.ndarray,
-                      live: np.ndarray, width: int) -> list[int]:
+def _live_runs(live: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """(first, stop) ranges of window starts that cover every live window:
+    the runs of live windows, two of them joined where at most width - 1
+    dead windows part them, since gathering them apart saves no rows."""
+    padded = np.concatenate(([False], live, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    firsts, stops = edges[0::2], edges[1::2]
+    cut = np.flatnonzero(firsts[1:] - stops[:-1] >= width)
+    return list(zip(firsts[np.append(0, cut + 1)].tolist(),
+                    stops[np.append(cut, -1)].tolist()))
+
+
+def _candidate_starts(claim_vec: np.ndarray, chunks: list[tuple[int, np.ndarray]],
+                      bow: np.ndarray, live: np.ndarray, width: int) -> list[int]:
     """Ascending window starts that may hold the earliest best score.
 
     ``bow`` holds every window's exact share of distinct claim words, and
     ``live`` marks the windows that may still win; the others are never
-    candidates.  Every live window gets an estimate ``bow * cos`` and a bound
-    ``bow * margin`` on its distance from the sim of ``_window_score``.  The
-    cosine comes from float64 prefix sums of the token vectors, restarted
-    every ``_BLOCK`` window widths, so that no sum runs over more than
-    s = (_BLOCK + 1) w rows; a block without a live window is skipped.  A
-    window is dropped when some window's lower bound beats its upper bound
-    (it cannot be the best), or when an earlier window's lower bound reaches
-    its upper bound (the scan keeps the first of equal scores, so it cannot
-    win).
+    candidates.  ``chunks`` holds (first window, rows) pairs that cover
+    every live window: the token vectors of at most ``_BLOCK`` w
+    consecutive windows starting at the first.  Every live window gets an
+    estimate ``bow * cos`` and a bound ``bow * margin`` on its distance
+    from the sim of ``_window_score``.  The cosine comes from float64
+    prefix sums of the token vectors, restarted at every chunk, so that no
+    sum runs over more than s = (_BLOCK + 1) w rows.  A window is dropped
+    when some window's lower bound beats its upper bound (it cannot be the
+    best), or when an earlier window's lower bound reaches its upper bound
+    (the scan keeps the first of equal scores, so it cannot win).
 
     Let v and u be the unit roundoffs of the vectors' dtype and of float64,
     eta the dtype's smallest subnormal and g_k(x) = k x / (1 - k x).  For a
     window of width w in dimension d with exact sum S, sum of row norms Q,
-    claim vector c, and M the sum of row norms of its block:
+    claim vector c, and M the sum of row norms of its chunk:
 
     * the reference mean (``mean(axis=0)`` in the dtype) is off by at most
       e = g_w(v) (Q + w sqrt(d eta)) / w + sqrt(d) eta, which moves its
@@ -364,44 +393,48 @@ def _candidate_starts(claim_vec: np.ndarray, token_vecs: np.ndarray, bow: np.nda
     C.  Without the guard a subnormal m_i^2 can round down to zero, and the
     computed cosine then exceeds 1.
     """
-    n, d = token_vecs.shape
-    count = n - width + 1
-    every = np.flatnonzero(live).tolist()
-    if token_vecs.dtype not in (np.float32, np.float64):
-        return every
+    starts = np.flatnonzero(live)
+    dtype = chunks[0][1].dtype
+    if dtype not in (np.float32, np.float64):
+        return starts.tolist()
     if not claim_vec.any():
-        return every[:1]  # every cosine is exactly 0.0, so the first window wins
+        return starts[:1].tolist()  # every cosine is exactly 0.0: the first wins
 
-    info = np.finfo(token_vecs.dtype)
+    d = claim_vec.shape[0]
+    info = np.finfo(dtype)
     v, eta = float(info.eps) / 2, float(info.smallest_subnormal)
     u = float(np.finfo(np.float64).eps) / 2
     claim64 = claim_vec.astype(np.float64)
     claim_norm = np.sqrt(claim64 @ claim64)
-    limit = math.sqrt(float(info.max)) / (2 * n)
+    limit = math.sqrt(float(info.max)) / (2 * max(len(rows) for _, rows in chunks))
     if not claim_norm <= limit:
-        return every
+        return starts.tolist()
 
-    dots, lengths, mass, block_mass = (np.zeros(count) for _ in range(4))
-    step = _BLOCK * width
-    for first in range(0, count, step):
-        stop = min(first + step, count)
-        if not live[first:stop].any():
-            continue
-        rows = token_vecs[first : stop + width - 1]
+    dots, lengths, mass, chunk_mass = (np.zeros(len(bow)) for _ in range(4))
+    for first, rows in chunks:
+        count = len(rows) - width + 1
+        stop = first + count
         row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         if not row_norms.max() <= limit:
-            return every
-        sums = np.zeros((stop - first + width, d))
-        np.cumsum(rows, axis=0, dtype=np.float64, out=sums[1:])
-        sums = sums[width:] - sums[: stop - first]
+            return starts.tolist()
+        # The sums run on complex lanes, two columns to an add: a complex
+        # add is exactly two float64 adds, so the sums keep their bits.
+        lanes = np.zeros((len(rows) + 1, d + d % 2))
+        lanes[1:, :d] = rows
+        pairs = lanes.view(np.complex128)
+        np.cumsum(pairs[1:], axis=0, out=pairs[1:])
+        sums = (pairs[width:] - pairs[:count]).view(np.float64)[:, :d]
         dots[first:stop] = sums @ claim64
         lengths[first:stop] = np.sqrt(np.einsum("ij,ij->i", sums, sums))
-        norm_sums = np.zeros(stop - first + width)
+        norm_sums = np.zeros(len(rows) + 1)
         np.cumsum(row_norms, dtype=np.float64, out=norm_sums[1:])
-        mass[first:stop] = norm_sums[width:] - norm_sums[: stop - first]
-        block_mass[first:stop] = norm_sums[-1]
+        mass[first:stop] = norm_sums[width:] - norm_sums[:count]
+        chunk_mass[first:stop] = norm_sums[-1]
 
-    prefix_err = 2 * _gamma(step + width, u) * block_mass
+    dots, lengths, mass, chunk_mass, bow = (
+        a[starts] for a in (dots, lengths, mass, chunk_mass, bow))
+    step = _BLOCK * width
+    prefix_err = 2 * _gamma(step + width, u) * chunk_mass
     sum_low = lengths * (1 - _gamma(d + 2, u)) - prefix_err
     mean_err = (_gamma(width, v) * (mass + prefix_err + width * math.sqrt(d * eta))
                 / width + math.sqrt(d) * eta)
@@ -417,10 +450,9 @@ def _candidate_starts(claim_vec: np.ndarray, token_vecs: np.ndarray, bow: np.nda
     margin[unbounded] = np.inf
     margin[bow == 0] = 0.0  # 0 * a finite cosine is exactly zero
     estimate, slack = bow * cos, bow * margin
-    low = np.where(live, estimate - slack, -np.inf)
-    high = np.where(live, estimate + slack, -np.inf)
+    low, high = estimate - slack, estimate + slack
     earlier = np.maximum.accumulate(np.concatenate(([-np.inf], low[:-1])))
-    return np.flatnonzero((high >= low.max()) & (high > earlier)).tolist()
+    return starts[(high >= low.max()) & (high > earlier)].tolist()
 
 
 def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
@@ -434,14 +466,15 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
     Articles shorter than the window are scored whole.  ``delta`` may be
     infinite (``-inf`` keeps every article, ``inf`` none) but not NaN.
 
-    Cost is linear in the article length.  Running claim-word counts give
-    every window's exact share first.  Where the vectors' magnitudes allow
-    it, a proven ceiling on the cosine then bounds every window's score, and
-    only windows whose bound reaches the floor (``delta``, or the score of
-    the first window with the highest share if that is higher) stay live:
-    an article with none gathers no token vector.  Prefix sums of the token
-    vectors screen the live windows, with a proven error bound, and only
-    those that may be the earliest best are rescored one by one.  The
+    Cost is linear in the article length.  One pass over the claim words'
+    positions gives every window's exact share first.  Where the vectors'
+    magnitudes allow it, a proven ceiling on the cosine then bounds every
+    window's score, and only windows whose bound reaches the floor
+    (``delta``, or the score of the first window with the highest share if
+    that is higher) stay live: an article with none gathers no token
+    vector.  Only the runs of live windows are gathered, and prefix sums of
+    their token vectors screen the live windows with a proven error bound;
+    only those that may be the earliest best are rescored one by one.  The
     result equals the exhaustive stride-one scan bit for bit.
     """
     if window < 1:
@@ -463,21 +496,24 @@ def extract_snippet(claim_tokens: list[str], article_tokens: list[str],
         top_vecs = embeddings.matrix_for(article_tokens[top : top + width])
         floor = _window_score(bow[top], claim_vec, top_vecs, width, 0).sim
         live = reach >= max(delta, floor)
-    first = int(np.argmax(live))
-    stop = len(live) - int(np.argmax(live[::-1]))
-    tokens = article_tokens[first : stop - 1 + width]
-    token_vecs = embeddings.matrix_for(tokens)
+    step = _BLOCK * width
+    chunks = []
+    for first, stop in _live_runs(live, width):
+        rows = embeddings.matrix_for(article_tokens[first : stop - 1 + width])
+        chunks += [(at, rows[at - first : min(at + step, stop) - 1 + width - first])
+                   for at in range(first, stop, step)]
+    firsts = [at for at, _ in chunks]
     best: tuple[int, SnippetScore] | None = None
-    for start in _candidate_starts(claim_vec, token_vecs, bow[first:stop],
-                                   live[first:stop], width):
-        score = _window_score(bow[first + start], claim_vec, token_vecs, width, start)
+    for start in _candidate_starts(claim_vec, chunks, bow, live, width):
+        at, rows = chunks[bisect_right(firsts, start) - 1]
+        score = _window_score(bow[start], claim_vec, rows, width, start - at)
         if best is None or score.sim > best[1].sim:
             best = (start, score)
     assert best is not None
     start, score = best
     if score.sim < delta:
         return None
-    return Snippet(tokens[start : start + width], first + start, score)
+    return Snippet(article_tokens[start : start + width], start, score)
 
 
 @dataclass

@@ -125,7 +125,11 @@ def macro_f1(pred, true, classes: int) -> float:
     A class nobody predicted and nobody holds scores zero, pulling the
     macro average down instead of being skipped.
     """
-    tp, predicted, held = _class_counts(np.asarray(pred), np.asarray(true), classes)
+    return _macro_f1(*_class_counts(np.asarray(pred), np.asarray(true), classes))
+
+
+def _macro_f1(tp: np.ndarray, predicted: np.ndarray, held: np.ndarray) -> float:
+    """``macro_f1`` from the counts of ``_class_counts``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = tp / predicted
         recall = tp / held
@@ -161,7 +165,7 @@ def multiclass_report(pred, labels, classes: int) -> MetricReport:
         raise ContractError("predictions and labels must be equal-length vectors")
     if len(pred) == 0:
         raise DegenerateInputError("empty evaluation")
-    correct, _, held = _class_counts(pred, labels, classes)
+    correct, predicted, held = _class_counts(pred, labels, classes)
     support = held.tolist()
     per_class = [(float(tp / n) if n else 0.0) for tp, n in zip(correct, support)]
     return MetricReport(
@@ -170,7 +174,7 @@ def multiclass_report(pred, labels, classes: int) -> MetricReport:
         support=support,
         accuracy=float((pred == labels).mean()),
         per_class_accuracy=per_class,
-        macro_f1=macro_f1(pred, labels, classes),
+        macro_f1=_macro_f1(correct, predicted, held),
         macro_accuracy=float(np.mean(per_class)),
     )
 

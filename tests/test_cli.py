@@ -300,6 +300,18 @@ class TestIngestCommand:
                      "--label-scheme", "politifact"]) == 0
         assert json.loads(out.read_text())["label"] == 1
 
+    def test_unknown_politifact_rating_exits_one_naming_the_record(self, tmp_path,
+                                                                   capsys):
+        src = tmp_path / "pf.jsonl"
+        src.write_text(json.dumps({
+            "id": "p1", "claim": "taxes went down", "label": "sorta",
+            "articles": [{"text": "rates fell a bit", "source": "s"}],
+        }) + "\n")
+        assert main(["ingest", "--in", str(src), "--out", str(tmp_path / "out.jsonl"),
+                     "--label-scheme", "politifact"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: record p1: unknown rating 'sorta'\n")
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["ingest", "--in", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "o.jsonl")])

@@ -156,6 +156,13 @@ class TestIngest:
                            [corpus_line("c1", label="Mostly True")])
         assert ingest(path, label_scheme="politifact")[0].label == 1
 
+    def test_unknown_politifact_rating_names_the_file_and_record(self, tmp_path):
+        path = write_lines(tmp_path / "c.jsonl", [
+            corpus_line("c1", label="Mostly True"), corpus_line("c2", label="sorta")])
+        with pytest.raises(ParseError) as err:
+            ingest(path, label_scheme="politifact")
+        assert str(err.value) == f"{path}: record c2: unknown rating 'sorta'"
+
     def test_missing_label_raises_unless_optional(self, tmp_path):
         line = corpus_line("c1")
         record = json.loads(line)
@@ -459,6 +466,37 @@ class TestExtractSnippet:
         snip = extract_snippet(claim, article, emb, delta=0.5, window=10)
         assert snippet_bits(snip) == snippet_bits(plain_scan(claim, article, emb, 0.5, 10))
         assert sum(gathered) < 40 and len(rescored) < 10
+        # Two such blocks 600 tokens apart: only the windows near each block
+        # are gathered, one run at a time, and none from the gap between them.
+        gathered.clear()
+        rescored.clear()
+        article = ["junk"] * 300 + claim + ["junk"] * 600 + claim + ["junk"] * 300
+        snip = extract_snippet(claim, article, emb, delta=0.5, window=10)
+        assert snippet_bits(snip) == snippet_bits(plain_scan(claim, article, emb, 0.5, 10))
+        assert len(gathered) == 3 and max(gathered) < 20 and len(rescored) < 20
+
+    def test_window_shares_equal_a_count_over_sets(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(st.data())
+        def check(data):
+            # "ghost" is in no article and has no vector; claims repeat words.
+            words = [f"w{i}" for i in range(data.draw(st.integers(1, 6)))]
+            article = data.draw(st.lists(st.sampled_from(words), min_size=1,
+                                         max_size=40))
+            claim = data.draw(st.lists(st.sampled_from(words + ["ghost"]),
+                                       min_size=1, max_size=6))
+            types = set(claim)
+            for width in range(1, len(article) + 1):
+                want = [len(types & set(article[start : start + width])) / len(types)
+                        for start in range(len(article) - width + 1)]
+                got = corpus_mod._window_shares(types, article, width)
+                assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+
+        check()
+        assert corpus_mod._window_shares({"a", "b"}, ["a"], 1).tolist() == [0.5]
 
 
 class TestFolds:

@@ -206,6 +206,23 @@ class TestMulticlassReport:
         with pytest.raises(ContractError):
             multiclass_report([0, 1], [0], 2)
 
+    def test_macro_f1_equals_the_public_function_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(st.data())
+        def check(data):
+            classes = data.draw(st.integers(1, 6))
+            n = data.draw(st.integers(1, 40))
+            label = st.integers(0, classes - 1)
+            pred = data.draw(st.lists(label, min_size=n, max_size=n))
+            true = data.draw(st.lists(label, min_size=n, max_size=n))
+            got = multiclass_report(pred, true, classes).macro_f1
+            assert float.hex(got) == float.hex(macro_f1(pred, true, classes))
+
+        check()
+
     @pytest.mark.parametrize("pred, true", [([0, 3], [0, 1]), ([0, 1], [-1, 1])])
     def test_value_that_is_no_class_raises(self, pred, true):
         with pytest.raises(ContractError, match="class from 0 to 2"):
