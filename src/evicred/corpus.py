@@ -290,10 +290,7 @@ def _cosine_ceiling(claim_vec: np.ndarray, embeddings: WordEmbeddings,
     """A ceiling on the cosine that ``_window_score`` computes for any window
     of ``width`` tokens, or None where the guard of ``_candidate_starts``
     does not hold, so no ceiling is proven."""
-    dtype = embeddings.vectors.dtype
-    if dtype not in (np.float32, np.float64):
-        return None
-    info = np.finfo(dtype)
+    info = np.finfo(embeddings.vectors.dtype)
     d, x = embeddings.dim, float(info.eps) / 2
     if 3 * d * x > 2.0**-10:
         return None
@@ -358,15 +355,15 @@ def _candidate_starts(claim_vec: np.ndarray, chunks: list[tuple[int, np.ndarray]
     the second-order terms and the rounding of the bound itself.  A window
     whose margin exceeds 2^-6, or whose norm cannot be bounded away from
     zero, is always rescored.  So is every live window when squares of the
-    vectors could overflow, and for dtypes other than float32 and float64.
+    vectors could overflow.
 
     ``extract_snippet`` marks windows live with the ceiling of
     ``_cosine_ceiling``, C = 1 + 4 g_3d(v) + 8u: the cosine that
     ``_window_score`` computes for any window is at most C, so a window
     whose fl(bow * C) is below a floor scores below it too, since rounding
-    is monotone and bow >= 0.  C holds under a guard, checked in float32
-    and float64 only, for N the dtype's smallest normal number, p its
-    precision in bits and L = sqrt(max) / (2 (w + d)):
+    is monotone and bow >= 0.  C holds under a guard, for N the dtype's
+    smallest normal number, p its precision in bits and L = sqrt(max) /
+    (2 (w + d)):
 
     * every nonzero matrix component is at least T = 2^(p+1) w sqrt(N) in
       magnitude, and none exceeds L;
@@ -394,14 +391,11 @@ def _candidate_starts(claim_vec: np.ndarray, chunks: list[tuple[int, np.ndarray]
     computed cosine then exceeds 1.
     """
     starts = np.flatnonzero(live)
-    dtype = chunks[0][1].dtype
-    if dtype not in (np.float32, np.float64):
-        return starts.tolist()
     if not claim_vec.any():
         return starts[:1].tolist()  # every cosine is exactly 0.0: the first wins
 
     d = claim_vec.shape[0]
-    info = np.finfo(dtype)
+    info = np.finfo(chunks[0][1].dtype)
     v, eta = float(info.eps) / 2, float(info.smallest_subnormal)
     u = float(np.finfo(np.float64).eps) / 2
     claim64 = claim_vec.astype(np.float64)

@@ -79,8 +79,17 @@ class Vocabulary:
         return container.sha256_hex(["\n".join([*self.tokens, ""]).encode("utf-8")])
 
 
+def _vector_dtype(dtype) -> np.dtype:
+    """``dtype`` if it is float32 or float64, the two whose rounding snippet
+    selection bounds; anything else raises ContractError."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ContractError(f"word vectors must be float32 or float64, not {dtype}")
+    return dtype
+
+
 class WordEmbeddings:
-    """Frozen |V| x d matrix of word vectors.
+    """Frozen |V| x d matrix of word vectors, float32 or float64.
 
     ``magnitudes`` is the matrix's ``magnitudes()`` when the caller already
     knows it, as a parse does; otherwise it is computed on first use.
@@ -89,6 +98,7 @@ class WordEmbeddings:
     def __init__(self, vocab: Vocabulary, vectors: np.ndarray,
                  magnitudes: tuple[float, float] | None = None):
         vectors = np.asarray(vectors)
+        _vector_dtype(vectors.dtype)
         if vectors.ndim != 2 or vectors.shape[0] != len(vocab):
             raise DegenerateInputError(
                 f"vector matrix {vectors.shape} does not cover {len(vocab)} tokens")
@@ -155,6 +165,7 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     Fields are split as ``str.split()`` splits a line, and a component is
     read as ``float()`` reads it, then cast to ``dtype``.
     Reading stops after ``vocab_limit`` tokens (at least 1) when given.
+    ``dtype`` must be float32 or float64.
     Duplicate tokens keep their first vector.
 
     The matrix is a read-only memory map on every path.  A parse writes it a
@@ -173,7 +184,7 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     """
     if vocab_limit is not None and vocab_limit < 1:
         raise ContractError(f"vocab_limit must be at least 1, got {vocab_limit}")
-    dtype = np.dtype(dtype)
+    dtype = _vector_dtype(dtype)
     cache = os.fspath(path) + _CACHE_SUFFIX
     with open(path, "rb") as text:
         # A pipe cannot be read twice, so it is neither keyed nor cached.

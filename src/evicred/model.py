@@ -526,11 +526,9 @@ def verdict(credibility: float) -> int:
 # --- checkpoints ------------------------------------------------------------
 
 _MAGIC = b"EVCR"
-_VERSION = 3
-_HEADER_KEYS = ("hyper", "vocab_hash", "arrays", "article_sources", "claim_sources",
+_VERSION = 4
+_HEADER_KEYS = ("hyper", "vocab_hash", "dtype", "article_sources", "claim_sources",
                 "sha256")
-_ARRAY_KEYS = ("name", "shape", "dtype")
-_DTYPE_CODES = {"float32": np.float32, "float64": np.float64}
 
 
 def _digest(header: dict, payload) -> str:
@@ -542,123 +540,84 @@ def _digest(header: dict, payload) -> str:
 
 
 def save_checkpoint(path: str, params: ModelParams, vocab_hash: str) -> None:
-    """Write a self-describing binary checkpoint.
+    """Write a checkpoint: the ``container`` format with a JSON header and one
+    section per array of ``params.named()``, in that order, raw and row-major.
 
-    Layout: the ``container`` format with a JSON header and one section per
-    array, raw in row-major order, each LSTM direction as its fused gate
-    matrix and bias.  The header's ``sha256`` covers its other fields and
-    every byte after the header's padding.  Equal models produce
-    byte-identical files.
+    The header lists no arrays: its ``hyper`` and source lists rebuild the
+    model, which names and shapes every array, and its one ``dtype`` is
+    theirs.  Its ``sha256`` covers its other fields and every byte after the
+    header's padding.  Equal models produce byte-identical files.
     """
-    named = params.named()
+    arrays = [np.ascontiguousarray(t.data) for t in params.named().values()]
+    if len({a.dtype for a in arrays}) > 1:
+        raise ContractError("checkpoint arrays must share one dtype")
     header = {
         "version": _VERSION,
         "hyper": asdict(params.hyper),
         "vocab_hash": vocab_hash,
-        "arrays": [
-            {"name": name, "shape": list(t.shape), "dtype": str(t.data.dtype)}
-            for name, t in named.items()
-        ],
+        "dtype": str(arrays[0].dtype),
         "article_sources": params.article_sources.sources,
         "claim_sources": (None if params.claim_sources is None
                           else params.claim_sources.sources),
     }
-    arrays = [np.ascontiguousarray(t.data) for t in named.values()]
     header["sha256"] = _digest(header, container.payload_chunks(arrays))
     container.write(path, _MAGIC, _VERSION, header, arrays)
-
-
-def _require_keys(entry, keys: tuple[str, ...], path: str) -> None:
-    if not isinstance(entry, dict):
-        raise ParseError(f"{path}: checkpoint header entry is not a JSON object")
-    for key in keys:
-        if key not in entry:
-            raise ParseError(f"{path}: checkpoint header lacks {key!r}")
-
-
-def _array_layout(spec: dict, path: str) -> tuple[str, type, tuple[int, ...]]:
-    name, dtype, shape = spec["name"], spec["dtype"], spec["shape"]
-    if not isinstance(name, str):
-        raise ParseError(f"{path}: array name {name!r} is not a string")
-    if not isinstance(dtype, str) or dtype not in _DTYPE_CODES:
-        raise ParseError(f"{path}: unknown dtype {dtype!r}")
-    if not (isinstance(shape, list)
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise ParseError(f"{path}: array {name!r} has a malformed shape {shape!r}")
-    return name, _DTYPE_CODES[dtype], tuple(shape)
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, str]:
     """Rebuild model parameters from a checkpoint; bit-exact round trip.
 
-    Anything but an intact version-3 file raises ParseError: a wrong magic
-    or version, a header that is not JSON or lacks a key, a file too short
-    or too long for its arrays, a digest that does not match its bytes, and
-    even with a valid digest, a header that does not fit the model, an
-    array the model does not name, or arrays of mixed dtypes.
+    Anything but an intact version-4 file raises ParseError: a wrong magic
+    or version, a header that is not JSON or lacks a key, an unknown dtype,
+    a source list that is not a list of strings, a header that does not fit
+    the model, a file too short or too long for the model's arrays, and a
+    digest that does not match its bytes.
     """
     with open(path, "rb") as fh:
         header, header_len = container.read_header(fh, path, _MAGIC, _VERSION,
                                                    "checkpoint")
-        _require_keys(header, _HEADER_KEYS, path)
-        if not isinstance(header["arrays"], list):
-            raise ParseError(f"{path}: checkpoint header 'arrays' is not a list")
-        layouts = []
-        for spec in header["arrays"]:
-            _require_keys(spec, _ARRAY_KEYS, path)
-            layouts.append(_array_layout(spec, path))
-        sizes = [math.prod(shape) * np.dtype(dtype).itemsize
-                 for _, dtype, shape in layouts]
-        offsets, end = container.section_offsets(header_len, sizes)
+        for key in _HEADER_KEYS:
+            if key not in header:
+                raise ParseError(f"{path}: checkpoint header lacks {key!r}")
+        if header["dtype"] not in ("float32", "float64"):
+            raise ParseError(f"{path}: unknown dtype {header['dtype']!r}")
+        for key in ("article_sources", "claim_sources"):
+            names = header[key]
+            if not ((isinstance(names, list) and all(isinstance(s, str) for s in names))
+                    or (key == "claim_sources" and names is None)):
+                raise ParseError(
+                    f"{path}: checkpoint header {key!r} is not a list of strings")
+        dtype = np.dtype(header["dtype"])
+
+        def zero_table(names, dim, name):  # no dim: ModelParams names the mismatch
+            return None if names is None else SourceEmbeddingTable(
+                names, np.zeros((len(names) + 1, dim or 0), dtype), name)
+
+        # A header with a valid digest can still be hand-made, and the sizes
+        # are the file's: ones too large to allocate are a bad header too.
+        try:
+            hyper = Hyperparams(**header["hyper"])
+            params = ModelParams(
+                hyper, np.random.default_rng(0), dtype=dtype,
+                article_sources=zero_table(header["article_sources"],
+                                           hyper.article_source_dim,
+                                           "article_source_table"),
+                claim_sources=zero_table(header["claim_sources"],
+                                         hyper.claim_source_dim, "claim_source_table"))
+        except (TypeError, ValueError, MemoryError, ContractError) as e:
+            raise ParseError(f"{path}: checkpoint header does not fit the model: {e}") from None
+        named = params.named().values()
+        offsets, end = container.section_offsets(header_len, [t.data.nbytes for t in named])
         file_size = os.fstat(fh.fileno()).st_size
-        for (name, _, _), start, size in zip(layouts, offsets, sizes):
-            if start + size > file_size:
-                raise ParseError(f"{path}: truncated array {name!r}")
+        if file_size < end:
+            raise ParseError(f"{path}: truncated checkpoint: {file_size} of {end} bytes")
         if file_size > end:
             raise ParseError(f"{path}: unexpected bytes after the last array")
-        payload_at = offsets[0] if offsets else end
-        fh.seek(payload_at)
-        payload = fh.read(end - payload_at)
+        fh.seek(offsets[0])
+        payload = fh.read(end - offsets[0])
     if _digest(header, [payload]) != header["sha256"]:
         raise ParseError(f"{path}: checkpoint digest does not match its contents")
-    arrays = {
-        name: np.frombuffer(payload, dtype, math.prod(shape), start - payload_at)
-        .reshape(shape).copy()
-        for (name, dtype, shape), start in zip(layouts, offsets)}
-
-    def array(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise ParseError(f"{path}: checkpoint is missing array {name!r}")
-        return arrays[name]
-
-    try:  # a header with a valid digest can still be hand-made
-        hyper = Hyperparams(**header["hyper"])
-        article_table = SourceEmbeddingTable(
-            header["article_sources"], array("article_source_table"),
-            "article_source_table")
-        claim_table = None
-        if header["claim_sources"] is not None:
-            claim_table = SourceEmbeddingTable(
-                header["claim_sources"], array("claim_source_table"),
-                "claim_source_table")
-        dtype = array("article_source_table").dtype
-        params = ModelParams(hyper, np.random.default_rng(0),
-                             article_sources=article_table,
-                             claim_sources=claim_table, dtype=dtype)
-    except (TypeError, ContractError) as e:
-        raise ParseError(f"{path}: checkpoint header does not fit the model: {e}") from None
-    named = params.named()
-    unknown = sorted(arrays.keys() - named.keys())
-    if unknown:
-        raise ParseError(f"{path}: checkpoint holds array {unknown[0]!r}, which the "
-                         "model does not name")
-    for name, t in named.items():
-        if array(name).shape != t.shape:
-            raise ParseError(
-                f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                f"expected {t.shape}")
-        if arrays[name].dtype != dtype:
-            raise ParseError(f"{path}: array {name!r} is {arrays[name].dtype}, "
-                             f"but article_source_table is {dtype}")
-        t.data = arrays[name]
+    for t, start in zip(named, offsets):
+        t.data = (np.frombuffer(payload, dtype, t.data.size, start - offsets[0])
+                  .reshape(t.shape).copy())
     return params, header["vocab_hash"]

@@ -536,7 +536,7 @@ class TestPredictCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "array 'extra', which the model does not name" in err
+        assert "unexpected bytes after the last array" in err
 
     def test_flipped_payload_byte_exits_one_with_one_line(self, cli_world,
                                                             tmp_path, capsys):

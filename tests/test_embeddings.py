@@ -130,6 +130,13 @@ class TestLoadWordVectors:
         with pytest.raises(ContractError, match="vocab_limit"):
             load_word_vectors(tmp_path / "absent.txt", vocab_limit=limit)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.complex128, np.float16])
+    def test_dtype_other_than_float32_or_float64_raises(self, tmp_path, dtype):
+        path = make_embedding_file(tmp_path, ["cat"], dim=2)
+        with pytest.raises(ContractError, match="float32 or float64"):
+            load_word_vectors(path, dtype=dtype)
+        assert not cache_of(path).exists()
+
     def test_values_round_trip(self, tmp_path):
         path = tmp_path / "exact.txt"
         path.write_text("pi 3.14159 -2.5\n")
@@ -762,6 +769,11 @@ class TestWordEmbeddings:
         assert emb.matrix_for(["zzz"]).tolist() == [[0.0, 0.0]]
         _, emb32 = load_word_vectors(path, dtype=np.float32)
         assert emb32.matrix_for(["a", "zzz"]).dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.complex128, np.float16])
+    def test_dtype_other_than_float32_or_float64_raises(self, dtype):
+        with pytest.raises(ContractError, match="float32 or float64"):
+            WordEmbeddings(Vocabulary(["cat"]), np.ones((1, 2), dtype=dtype))
 
     def test_matrix_for_empty_raises(self, tmp_path):
         _, emb = load_word_vectors(make_embedding_file(tmp_path, ["cat"], dim=3))

@@ -737,6 +737,16 @@ class TestCheckpoints:
         save_checkpoint(p2, params, vocab_hash="h")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_mixed_dtypes_are_not_saved(self, tmp_path):
+        # The header's one dtype must be every array's: a float32 bias among
+        # float64 arrays fits its float64 section's alignment gap, so the
+        # file would have the right size and load wrong values.
+        _, _, _, params = tiny_world()
+        params.head_b.data = params.head_b.data.astype(np.float32)
+        with pytest.raises(ContractError, match="share one dtype"):
+            save_checkpoint(tmp_path / "mixed.ckpt", params, vocab_hash="h")
+        assert not (tmp_path / "mixed.ckpt").exists()
+
     def test_wrong_magic_raises(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -757,11 +767,12 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_future_version_raises(self, tmp_path):
-        # Versions 1 (four matrices per LSTM direction) and 2 (no digest)
-        # have no reader either.
+        # Versions 1 (four matrices per LSTM direction), 2 (no digest) and 3
+        # (a header list of every array's name, shape and dtype) have no
+        # reader either.
         path = self.saved(tmp_path)
         whole = path.read_bytes()
-        for version in (250, 1, 2):
+        for version in (250, 1, 2, 3):
             # little-endian version field right after the magic
             path.write_bytes(whole[:4] + bytes([version]) + whole[5:])
             with pytest.raises(ParseError,
@@ -792,10 +803,9 @@ class TestCheckpoints:
         path = self.saved(tmp_path)
         whole = path.read_bytes()
         (length,) = struct.unpack("<I", whole[8:12])
-        for key, owner in (("vocab_hash", lambda h: h),
-                           ("dtype", lambda h: h["arrays"][0])):
+        for key in ("vocab_hash", "dtype"):
             header = json.loads(whole[12:12 + length])
-            del owner(header)[key]
+            del header[key]
             blob = json.dumps(header).encode("utf-8")
             path.write_bytes(whole[:8] + struct.pack("<I", len(blob)) + blob
                              + whole[12 + length:])
@@ -825,34 +835,50 @@ class TestCheckpoints:
         with pytest.raises(ParseError, match="digest does not match"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("change", ["drop claim table", "unknown hyper field",
-                                        "float hidden size", "float source dim",
-                                        "float32 head", "extra array"])
+    # Each hand-made change, and the error it must raise.
+    HAND_MADE = {
+        "drop claim table": "does not fit",
+        "unknown hyper field": "does not fit",
+        "float hidden size": "does not fit",
+        "float source dim": "does not fit",
+        "huge hidden size": "does not fit",
+        "float16 dtype": "unknown dtype 'float16'",
+        "claim sources not a list": "'claim_sources' is not a list of strings",
+        "extra array": "after the last array",
+    }
+
+    @pytest.mark.parametrize("change", HAND_MADE)
     def test_hand_made_header_with_valid_digest_raises(self, tmp_path, change):
         _, _, _, params = tiny_world()
         named = params.named()
+        header = {
+            "version": 4, "hyper": asdict(params.hyper), "vocab_hash": "h",
+            "dtype": "float64", "article_sources": ["siteA"],
+            "claim_sources": ["speaker"]}
         if change == "drop claim table":
             del named["claim_source_table"]
+            header["claim_sources"] = None
         if change == "extra array":
             named["extra"] = Tensor(np.zeros((3, 3)))
-        arrays = [t.data.astype(np.float32) if n == "head_w" and change == "float32 head"
-                  else t.data for n, t in named.items()]
-        header = {
-            "version": 3, "hyper": asdict(params.hyper), "vocab_hash": "h",
-            "arrays": [{"name": n, "shape": list(a.shape), "dtype": str(a.dtype)}
-                       for n, a in zip(named, arrays)],
-            "article_sources": ["siteA"], "claim_sources": ["speaker"]}
         if change == "unknown hyper field":
             header["hyper"]["depth"] = 2
         if change == "float hidden size":
             header["hyper"]["hidden_size"] = 3.0
         if change == "float source dim":
             header["hyper"]["article_source_dim"] = 2.0
+        if change == "huge hidden size":  # too big for numpy to allocate at all
+            header["hyper"]["hidden_size"] = 10**10
+        if change == "float16 dtype":
+            header["dtype"] = "float16"
+        if change == "claim sources not a list":
+            # One character per name makes the table's two rows: version 3
+            # loaded this header.
+            header["claim_sources"] = "s"
+        arrays = [t.data.astype(header["dtype"]) for t in named.values()]
         header["sha256"] = _digest(header, container.payload_chunks(arrays))
         path = tmp_path / "hand.ckpt"
-        container.write(path, b"EVCR", 3, header, arrays)
-        with pytest.raises(ParseError, match="missing array|does not fit|"
-                           "'head_w' is float32|'extra', which the model does not name"):
+        container.write(path, b"EVCR", 4, header, arrays)
+        with pytest.raises(ParseError, match=self.HAND_MADE[change]):
             load_checkpoint(path)
 
     def test_mutated_bytes_raise_or_load_unchanged(self, tmp_path):
@@ -890,6 +916,17 @@ class TestCheckpoints:
                 assert t.data.tobytes() == expected[name].data.tobytes(), name
 
         check()
+
+    @pytest.mark.parametrize("claim_source_dim", [2, None])
+    def test_sections_follow_the_readme_order(self, claim_source_dim):
+        """README lists this order; changing it needs a new checkpoint version."""
+        _, _, _, params = tiny_world(claim_source_dim=claim_source_dim)
+        order = ["lstm_fw_w", "lstm_fw_b", "lstm_bw_w", "lstm_bw_b", "attention_w",
+                 "attention_b", "fuse1_w", "fuse1_b", "fuse2_w", "fuse2_b", "head_w",
+                 "head_b", "claim_source_table", "article_source_table"]
+        if claim_source_dim is None:
+            order.remove("claim_source_table")
+        assert list(params.named()) == order
 
     def test_no_claim_table_roundtrip(self, tmp_path):
         hyper, _, _, params = tiny_world(claim_source_dim=None)
