@@ -445,11 +445,13 @@ class SourceEmbeddingTable:
 
 
 def build_source_table(counts: Mapping[str, int] | Counter, min_support: int,
-                       dim: int, rng: np.random.Generator, name: str,
+                       dim: int, rng: np.random.Generator | None, name: str,
                        dtype=np.float64) -> SourceEmbeddingTable:
-    """Keep sources with at least ``min_support`` occurrences, sorted by name."""
+    """Keep sources with at least ``min_support`` occurrences, sorted by name;
+    their rows are Glorot draws, or zeros when ``rng`` is None."""
     kept = sorted(s for s, c in counts.items() if c >= min_support)
-    matrix = glorot_uniform(len(kept) + 1, dim, rng, dtype)
+    matrix = (np.zeros((len(kept) + 1, dim), dtype) if rng is None
+              else glorot_uniform(len(kept) + 1, dim, rng, dtype))
     return SourceEmbeddingTable(kept, matrix, name)
 
 

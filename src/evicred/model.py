@@ -147,72 +147,70 @@ class Hyperparams:
         return 1
 
 
-def _lstm_direction(hyper: Hyperparams, rng: np.random.Generator, prefix: str,
-                    dtype) -> tuple[Tensor, Tensor]:
-    """Fused gate weights (4H, d+H) and bias (4H, 1) of one LSTM direction.
+# Section name of each source table -> the ``ModelParams`` attribute holding it.
+_TABLES = {"claim_source_table": "claim_sources", "article_source_table": "article_sources"}
 
-    Each gate block is its own Glorot draw of an H x (d+H) matrix, so the
-    fan, and the draws themselves, match four separate gate matrices.
-    """
-    h, cols = hyper.hidden_size, hyper.word_dim + hyper.hidden_size
-    w = np.vstack([glorot_uniform(h, cols, rng, dtype) for _ in GATES])
-    b = np.zeros((len(GATES) * h, 1), dtype=dtype)
-    # Forget bias starts at one so early training keeps cell state.
-    b[h:2 * h] = 1.0
-    return (Tensor(w, requires_grad=True, name=f"{prefix}_w"),
-            Tensor(b, requires_grad=True, name=f"{prefix}_b"))
+
+def _shapes(hyper: Hyperparams, article_rows: int,
+            claim_rows: int | None) -> dict[str, tuple[int, int]]:
+    """Name -> shape of every array of the model, in checkpoint section order,
+    a source table with ``*_rows`` rows; the one list of the model's arrays."""
+    if (hyper.claim_source_dim is None) != (claim_rows is None):
+        raise ContractError(
+            "claim_sources must be given exactly when claim_source_dim is set")
+    h, d, fc = hyper.hidden_size, hyper.word_dim, hyper.fc_size
+    shapes: dict[str, tuple[int, int]] = {}
+    for layer, rows, cols in (("lstm_fw", len(GATES) * h, d + h),
+                              ("lstm_bw", len(GATES) * h, d + h),
+                              ("attention", 1, 2 * d),
+                              ("fuse1", fc, hyper.fusion_input_dim),
+                              ("fuse2", fc, fc),
+                              ("head", hyper.head_rows, fc)):
+        shapes[f"{layer}_w"], shapes[f"{layer}_b"] = (rows, cols), (rows, 1)
+    if claim_rows is not None:
+        shapes["claim_source_table"] = (claim_rows, hyper.claim_source_dim)
+    shapes["article_source_table"] = (article_rows, hyper.article_source_dim)
+    return shapes
 
 
 class ModelParams:
-    """Every trainable tensor of one model, including the source tables."""
+    """Every trainable tensor of one model, including the source tables.
 
-    def __init__(self, hyper: Hyperparams, rng: np.random.Generator, *,
+    Matrices are Glorot draws in ``_shapes`` order, or zeros when ``rng`` is
+    None.  Each fused LSTM gate matrix is four H x (d+H) draws, one per gate,
+    so the fan, and the draws themselves, match four separate gate matrices.
+    Biases start at zero except the LSTM forget gate's, which starts at one so
+    early training keeps cell state.
+    """
+
+    def __init__(self, hyper: Hyperparams, rng: np.random.Generator | None, *,
                  article_sources: SourceEmbeddingTable,
                  claim_sources: SourceEmbeddingTable | None = None,
                  dtype=np.float64):
-        if (hyper.claim_source_dim is None) != (claim_sources is None):
-            raise ContractError(
-                "claim_sources must be given exactly when claim_source_dim is set")
-        if claim_sources is not None and claim_sources.dim != hyper.claim_source_dim:
-            raise ShapeError(
-                f"claim source table dim {claim_sources.dim} != {hyper.claim_source_dim}")
-        if article_sources.dim != hyper.article_source_dim:
-            raise ShapeError(
-                f"article source table dim {article_sources.dim} != "
-                f"{hyper.article_source_dim}")
         self.hyper = hyper
-        self.lstm_fw_w, self.lstm_fw_b = _lstm_direction(hyper, rng, "lstm_fw", dtype)
-        self.lstm_bw_w, self.lstm_bw_b = _lstm_direction(hyper, rng, "lstm_bw", dtype)
-        self.attention_w = Tensor(glorot_uniform(1, 2 * hyper.word_dim, rng, dtype),
-                                  requires_grad=True, name="attention_w")
-        self.attention_b = Tensor(np.zeros((1, 1), dtype=dtype),
-                                  requires_grad=True, name="attention_b")
-        self.fuse1_w = Tensor(glorot_uniform(hyper.fc_size, hyper.fusion_input_dim,
-                                             rng, dtype),
-                              requires_grad=True, name="fuse1_w")
-        self.fuse1_b = Tensor(np.zeros((hyper.fc_size, 1), dtype=dtype),
-                              requires_grad=True, name="fuse1_b")
-        self.fuse2_w = Tensor(glorot_uniform(hyper.fc_size, hyper.fc_size, rng, dtype),
-                              requires_grad=True, name="fuse2_w")
-        self.fuse2_b = Tensor(np.zeros((hyper.fc_size, 1), dtype=dtype),
-                              requires_grad=True, name="fuse2_b")
-        self.head_w = Tensor(glorot_uniform(hyper.head_rows, hyper.fc_size, rng, dtype),
-                             requires_grad=True, name="head_w")
-        self.head_b = Tensor(np.zeros((hyper.head_rows, 1), dtype=dtype),
-                             requires_grad=True, name="head_b")
         self.claim_sources = claim_sources
         self.article_sources = article_sources
+        self._layout = _shapes(hyper, article_sources.tensor.rows,
+                               None if claim_sources is None else claim_sources.tensor.rows)
+        for name, shape in self._layout.items():
+            if name in _TABLES:
+                found = getattr(self, _TABLES[name]).tensor.shape
+                if found != shape:
+                    raise ShapeError(f"{name} is {found}, the model needs {shape}")
+                continue
+            gates = len(GATES) if name.startswith("lstm") else 1
+            if name.endswith("_b") or rng is None:
+                data = np.zeros(shape, dtype=dtype)
+            else:
+                data = np.vstack([glorot_uniform(shape[0] // gates, shape[1], rng, dtype)
+                                  for _ in range(gates)])
+            if name.endswith("_b") and gates > 1:
+                data[hyper.hidden_size:2 * hyper.hidden_size] = 1.0  # the forget block
+            setattr(self, name, Tensor(data, requires_grad=True, name=name))
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for t in (self.lstm_fw_w, self.lstm_fw_b, self.lstm_bw_w, self.lstm_bw_b,
-                  self.attention_w, self.attention_b, self.fuse1_w, self.fuse1_b,
-                  self.fuse2_w, self.fuse2_b, self.head_w, self.head_b):
-            out[t.name] = t
-        if self.claim_sources is not None:
-            out["claim_source_table"] = self.claim_sources.tensor
-        out["article_source_table"] = self.article_sources.tensor
-        return out
+        return {name: getattr(self, _TABLES[name]).tensor if name in _TABLES
+                else getattr(self, name) for name in self._layout}
 
     def regularized(self) -> list[Tensor]:
         """The matrices under L2: both fusion layers and the head."""
@@ -543,8 +541,8 @@ def save_checkpoint(path: str, params: ModelParams, vocab_hash: str) -> None:
     """Write a checkpoint: the ``container`` format with a JSON header and one
     section per array of ``params.named()``, in that order, raw and row-major.
 
-    The header lists no arrays: its ``hyper`` and source lists rebuild the
-    model, which names and shapes every array, and its one ``dtype`` is
+    The header lists no arrays: its ``hyper`` and source lists give every
+    array's name and shape through ``_shapes``, and its one ``dtype`` is
     theirs.  Its ``sha256`` covers its other fields and every byte after the
     header's padding.  Equal models produce byte-identical files.
     """
@@ -570,8 +568,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
     Anything but an intact version-4 file raises ParseError: a wrong magic
     or version, a header that is not JSON or lacks a key, an unknown dtype,
     a source list that is not a list of strings, a header that does not fit
-    the model, a file too short or too long for the model's arrays, and a
-    digest that does not match its bytes.
+    the model, a file too short or too long for the header's arrays (found
+    before any array is allocated), and a digest that does not match its
+    bytes.
     """
     with open(path, "rb") as fh:
         header, header_len = container.read_header(fh, path, _MAGIC, _VERSION,
@@ -588,26 +587,17 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
                 raise ParseError(
                     f"{path}: checkpoint header {key!r} is not a list of strings")
         dtype = np.dtype(header["dtype"])
-
-        def zero_table(names, dim, name):  # no dim: ModelParams names the mismatch
-            return None if names is None else SourceEmbeddingTable(
-                names, np.zeros((len(names) + 1, dim or 0), dtype), name)
-
-        # A header with a valid digest can still be hand-made, and the sizes
-        # are the file's: ones too large to allocate are a bad header too.
+        # A header with a valid digest can still be hand-made: its shapes must
+        # fit the file's size before anything is allocated.
         try:
             hyper = Hyperparams(**header["hyper"])
-            params = ModelParams(
-                hyper, np.random.default_rng(0), dtype=dtype,
-                article_sources=zero_table(header["article_sources"],
-                                           hyper.article_source_dim,
-                                           "article_source_table"),
-                claim_sources=zero_table(header["claim_sources"],
-                                         hyper.claim_source_dim, "claim_source_table"))
-        except (TypeError, ValueError, MemoryError, ContractError) as e:
+            shapes = _shapes(hyper, len(header["article_sources"]) + 1,
+                             None if header["claim_sources"] is None
+                             else len(header["claim_sources"]) + 1)
+        except (TypeError, ContractError) as e:
             raise ParseError(f"{path}: checkpoint header does not fit the model: {e}") from None
-        named = params.named().values()
-        offsets, end = container.section_offsets(header_len, [t.data.nbytes for t in named])
+        offsets, end = container.section_offsets(
+            header_len, [rows * cols * dtype.itemsize for rows, cols in shapes.values()])
         file_size = os.fstat(fh.fileno()).st_size
         if file_size < end:
             raise ParseError(f"{path}: truncated checkpoint: {file_size} of {end} bytes")
@@ -617,7 +607,13 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
         payload = fh.read(end - offsets[0])
     if _digest(header, [payload]) != header["sha256"]:
         raise ParseError(f"{path}: checkpoint digest does not match its contents")
-    for t, start in zip(named, offsets):
-        t.data = (np.frombuffer(payload, dtype, t.data.size, start - offsets[0])
-                  .reshape(t.shape).copy())
+    arrays = {name: np.frombuffer(payload, dtype, rows * cols, start - offsets[0])
+              .reshape(rows, cols).copy()
+              for (name, (rows, cols)), start in zip(shapes.items(), offsets)}
+    tables = {key: None if header[key] is None
+              else SourceEmbeddingTable(header[key], arrays[name], name)
+              for name, key in _TABLES.items()}
+    params = ModelParams(hyper, None, dtype=dtype, **tables)
+    for name, t in params.named().items():
+        t.data = arrays[name]
     return params, header["vocab_hash"]

@@ -353,16 +353,14 @@ def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams
             progress(f"fold {fold}: {len(train_insts)} train claims, "
                      f"{len(test_insts)} test claims")
         claim_counts, article_counts = source_counts(train_insts)
-        # fit's init stream, so the tables hold the values fit starts from.
-        table_rng = np.random.default_rng((config.seed, fold, 1))
         article_table = build_source_table(
             article_counts, min_article_support, hyper.article_source_dim,
-            table_rng, "article_source_table", config.dtype)
+            None, "article_source_table", config.dtype)
         claim_table = None
         if hyper.claim_source_dim is not None:
             claim_table = build_source_table(
                 claim_counts, min_claim_support, hyper.claim_source_dim,
-                table_rng, "claim_source_table", config.dtype)
+                None, "claim_source_table", config.dtype)
         result = fit(train_insts, hyper, config, word_embeddings, article_table,
                      claim_table, val_instances=val_instances,
                      seed_key=(fold,),
@@ -375,8 +373,7 @@ def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams
     return outcomes
 
 
-def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
-                   corrupt: str | None = None) -> float:
+def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0) -> float:
     """Compare tape gradients with central finite differences.
 
     Builds a self-contained miniature model (one claim, both source
@@ -384,8 +381,7 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
     tokens, so the padding mask and the masked softmax are differentiated
     too, and probes every entry of every parameter.  The analytic
     gradients come from ``_chunk_gradients``, the step ``fit`` runs on
-    each chunk.  Returns the worst relative error; ``corrupt`` doubles one
-    group's analytic gradient first so tests can prove the check has teeth.
+    each chunk.  Returns the worst relative error.
     """
     if hyper is None:
         hyper = Hyperparams(word_dim=4, hidden_size=3, fc_size=3,
@@ -429,10 +425,6 @@ def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0,
     analytic = {name: (p.grad.copy() if p.grad is not None
                        else np.zeros_like(p.data))
                 for name, p in named.items()}
-    if corrupt is not None:
-        if corrupt not in analytic:
-            raise ContractError(f"no parameter named {corrupt!r}")
-        analytic[corrupt] = analytic[corrupt] * 2.0
 
     worst = 0.0
     for name, p in named.items():

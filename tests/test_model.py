@@ -841,7 +841,8 @@ class TestCheckpoints:
         "unknown hyper field": "does not fit",
         "float hidden size": "does not fit",
         "float source dim": "does not fit",
-        "huge hidden size": "does not fit",
+        "huge hidden size": "truncated checkpoint",
+        "hidden size 2000": "truncated checkpoint",
         "float16 dtype": "unknown dtype 'float16'",
         "claim sources not a list": "'claim_sources' is not a list of strings",
         "extra array": "after the last array",
@@ -868,6 +869,8 @@ class TestCheckpoints:
             header["hyper"]["article_source_dim"] = 2.0
         if change == "huge hidden size":  # too big for numpy to allocate at all
             header["hyper"]["hidden_size"] = 10**10
+        if change == "hidden size 2000":  # 385 MB of arrays, if they were allocated
+            header["hyper"]["hidden_size"] = 2000
         if change == "float16 dtype":
             header["dtype"] = "float16"
         if change == "claim sources not a list":
@@ -878,8 +881,15 @@ class TestCheckpoints:
         header["sha256"] = _digest(header, container.payload_chunks(arrays))
         path = tmp_path / "hand.ckpt"
         container.write(path, b"EVCR", 4, header, arrays)
-        with pytest.raises(ParseError, match=self.HAND_MADE[change]):
-            load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=self.HAND_MADE[change]):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every header is refused before the arrays it describes are allocated.
+        assert peak < 1_000_000
 
     def test_mutated_bytes_raise_or_load_unchanged(self, tmp_path):
         """Truncate a checkpoint anywhere, or flip or overwrite any byte: the
