@@ -40,41 +40,40 @@ from .model import (
 DATA_DIR_ENV = "EVICRED_DATA_DIR"
 
 # Settings a run starts from, before any preset, config file or flag.
+# ``word_dim`` is only a stand-in: ``train`` sets the vector file's width.
 _DEFAULTS: dict = dict(word_dim=100, hidden_size=64, fc_size=32,
                        article_source_dim=8, min_claim_support=5,
                        min_article_support=10, folds=10, vocab_limit=None)
 
-# Per-dataset settings: embedding width, source-embedding widths, layer
-# sizes, dropout, output head, and the support thresholds below which a
-# source collapses into the shared fallback row.
+# Per-dataset settings: source-embedding widths, layer sizes, dropout,
+# output head, and the support thresholds below which a source collapses
+# into the shared fallback row.
 PRESETS: dict[str, dict] = {
-    "snopes": dict(word_dim=100, hidden_size=64, fc_size=32,
-                   article_source_dim=8, claim_source_dim=None, dropout=0.5,
-                   mode="classify", classes=2,
+    "snopes": dict(hidden_size=64, fc_size=32, article_source_dim=8,
+                   claim_source_dim=None, dropout=0.5, mode="classify", classes=2,
                    min_claim_support=5, min_article_support=10),
-    "politifact": dict(word_dim=100, hidden_size=64, fc_size=32,
-                       article_source_dim=4, claim_source_dim=4, dropout=0.5,
-                       mode="classify", classes=2,
+    "politifact": dict(hidden_size=64, fc_size=32, article_source_dim=4,
+                       claim_source_dim=4, dropout=0.5, mode="classify", classes=2,
                        min_claim_support=5, min_article_support=10),
-    "newstrust": dict(word_dim=300, hidden_size=64, fc_size=64,
-                      article_source_dim=8, claim_source_dim=8, dropout=0.3,
-                      mode="regress", classes=2,
+    "newstrust": dict(hidden_size=64, fc_size=64, article_source_dim=8,
+                      claim_source_dim=8, dropout=0.3, mode="regress", classes=2,
                       min_claim_support=5, min_article_support=10),
-    "semeval": dict(word_dim=100, hidden_size=16, fc_size=8,
-                    article_source_dim=4, claim_source_dim=4, dropout=0.3,
-                    mode="classify", classes=3,
+    "semeval": dict(hidden_size=16, fc_size=8, article_source_dim=4,
+                    claim_source_dim=4, dropout=0.3, mode="classify", classes=3,
                     min_claim_support=5, min_article_support=5),
 }
 
 _HYPER_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(training_mod.TrainConfig))
 # The type a setting must have, per key, in a config file or as a flag.
+# ``word_dim`` is no setting: the vector file sets it.
 _KEY_TYPES = {
     **typing.get_type_hints(Hyperparams),
     **typing.get_type_hints(training_mod.TrainConfig),
     "preset": str, "min_claim_support": int, "min_article_support": int,
     "folds": int, "vocab_limit": int | None,
 }
+del _KEY_TYPES["word_dim"]
 # Adam's constants are config-file only; every other key is also a flag.
 _FILE_ONLY_KEYS = ("beta1", "beta2", "epsilon")
 _FLAG_CHOICES = {"preset": sorted(PRESETS), "mode": list(MODES), "precision": [32, 64]}
@@ -243,9 +242,7 @@ def _cmd_train(args) -> int:
     vocab, emb = load_word_vectors(resolve_input(args.embeddings),
                                    vocab_limit=settings.vocab_limit,
                                    dtype=settings.config.dtype)
-    if emb.dim != settings.hyper.word_dim:
-        # The preset names a recommended vector width; the file wins.
-        settings.hyper = dataclasses.replace(settings.hyper, word_dim=emb.dim)
+    settings.hyper = dataclasses.replace(settings.hyper, word_dim=emb.dim)
     plan = corpus_mod.make_folds(instances, settings.config.seed,
                                  n_folds=settings.folds)
     out_dir = Path(args.out)
@@ -343,12 +340,10 @@ def _cmd_eval(args) -> int:
     if missing:
         raise EvicredError(f"{args.pred}: no prediction for claims {missing[:3]}")
     records = [preds[inst.claim_id] for inst in instances]
-    if args.mode == "regress":
-        name = "score"
-    elif records and "probabilities" in records[0]:
-        name = "probabilities"
-    else:
-        name = "credibility"
+    # The first record's field names the kind: a regression score, a row of
+    # class probabilities, or else a binary credibility.
+    name = next((key for key in ("score", "probabilities")
+                 if records and key in records[0]), "credibility")
     values = []
     for r in records:
         # A number, or for ``probabilities`` a non-empty list of numbers.
@@ -369,7 +364,8 @@ def _cmd_eval(args) -> int:
             raise ParseError(f"{args.pred}: prediction {r['id']}: field {name!r} is a row "
                              f"of {len(value)}, the first prediction's of {len(values[0])}")
         values.append(value)
-    report = mode_report(args.mode, values, [inst.label for inst in instances])
+    report = mode_report("regress" if name == "score" else "classify", values,
+                         [inst.label for inst in instances])
     print(report.to_text())
     if args.out:
         Path(args.out).write_text(
@@ -506,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     evalp = sub.add_parser("eval", help="metrics for stored predictions")
     evalp.add_argument("--corpus", required=True, help="corpus with labels")
     evalp.add_argument("--pred", required=True)
-    evalp.add_argument("--mode", choices=["classify", "regress"],
-                       default="classify")
     evalp.add_argument("--out", help="also write the report as JSON")
     evalp.set_defaults(func=_cmd_eval)
 

@@ -7,7 +7,7 @@ is reported as None rather than an arbitrary number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,17 +43,8 @@ class MetricReport:
 
     def to_kv(self) -> dict:
         """Flat dict of the populated fields, for JSON output."""
-        out: dict = {"mode": self.mode, "n": self.n}
-        if self.support:
-            out["support"] = list(self.support)
-        for name in ("accuracy", "macro_f1", "macro_accuracy", "auc", "mse", "rmse",
-                     "true_claims_accuracy", "false_claims_accuracy"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.per_class_accuracy is not None:
-            out["per_class_accuracy"] = list(self.per_class_accuracy)
-        return out
+        return {key: value for key, value in asdict(self).items()
+                if value is not None and value != []}
 
     def to_text(self) -> str:
         lines = [f"mode: {self.mode}", f"claims: {self.n}"]

@@ -112,17 +112,8 @@ class Tensor:
 _STATE = threading.local()
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
-
-
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_STATE, "tape", None)
 
 
 class Tape:
@@ -130,7 +121,8 @@ class Tape:
 
     Use as a context manager; operations executed inside the block are
     recorded whenever their output depends on a gradient-tracked tensor.
-    A tape belongs to the thread that opened it.
+    A tape belongs to the thread that opened it, and a thread holds one
+    open tape at a time.
     """
 
     def __init__(self):
@@ -139,14 +131,13 @@ class Tape:
         self._replayed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise ContractError("another tape is already open in this thread")
+        _STATE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        if popped is not self:
-            raise ContractError("tapes must be closed in the order they were opened")
-        return False
+        _STATE.tape = None
 
     def __len__(self) -> int:
         return len(self._ops)

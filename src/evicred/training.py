@@ -70,8 +70,8 @@ class TrainConfig:
                 raise ContractError(f"{name} must lie in [0, 1)")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ContractError("epsilon must be finite and positive")
-        if not math.isfinite(self.l2_lambda):
-            raise ContractError("l2_lambda must be finite")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ContractError("l2_lambda must be finite and non-negative")
         if self.batch_size < 1:
             raise ContractError("batch_size must be at least 1")
         if self.max_epochs < 1:
@@ -224,8 +224,7 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
         val_instances: Sequence[ClaimInstance] | None = None,
         seed_key: tuple[int, ...] = (0,),
         on_epoch: Callable[[int, float, float | None, CredibilityModel],
-                           bool | None] | None = None,
-        progress: Callable[[str], None] | None = None) -> FitResult:
+                           bool | None] | None = None) -> FitResult:
     """Train one model.
 
     Word vectors stay frozen; the source tables are reinitialized here so
@@ -297,9 +296,6 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
             else:
                 stale += 1
         history.append((epoch, train_loss, val_value))
-        if progress is not None:
-            shown = "-" if val_value is None else f"{val_value:.6f}"
-            progress(f"epoch {epoch} train_loss {train_loss:.6f} val {shown}")
         if on_epoch is not None and on_epoch(epoch, train_loss, val_value, model):
             break
         if val_instances and stale >= config.patience:
@@ -361,11 +357,14 @@ def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams
             claim_table = build_source_table(
                 claim_counts, min_claim_support, hyper.claim_source_dim,
                 None, "claim_source_table", config.dtype)
+
+        def log_epoch(epoch, train_loss, val_value, _model):
+            shown = "-" if val_value is None else f"{val_value:.6f}"
+            progress(f"fold {fold} epoch {epoch} train_loss {train_loss:.6f} val {shown}")
+
         result = fit(train_insts, hyper, config, word_embeddings, article_table,
-                     claim_table, val_instances=val_instances,
-                     seed_key=(fold,),
-                     progress=(lambda line, f=fold: progress(f"fold {f} {line}"))
-                     if progress else None)
+                     claim_table, val_instances=val_instances, seed_key=(fold,),
+                     on_epoch=log_epoch if progress else None)
         model = CredibilityModel(hyper, result.params, word_embeddings)
         _, report = evaluate(model, test_insts)
         outcomes.append(FoldOutcome(fold=fold, params=result.params,

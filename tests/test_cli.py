@@ -24,6 +24,7 @@ from evicred.cli import (
 from evicred import corpus as corpus_mod
 from evicred.embeddings import load_word_vectors
 from evicred.errors import EvicredError, ParseError
+from evicred.metrics import mode_report
 from evicred.model import (
     SCORE_TOKENS,
     CredibilityModel,
@@ -48,7 +49,6 @@ class TestSettingsLayering:
     def test_snopes_preset_has_no_claim_sources(self):
         s = settings_for(["--preset", "snopes"])
         assert s.hyper.claim_source_dim is None
-        assert s.hyper.word_dim == 100
         assert s.hyper.hidden_size == 64
         assert s.hyper.fc_size == 32
         assert s.hyper.article_source_dim == 8
@@ -63,7 +63,6 @@ class TestSettingsLayering:
     def test_newstrust_preset_regresses(self):
         s = settings_for(["--preset", "newstrust"])
         assert s.hyper.mode == "regress"
-        assert s.hyper.word_dim == 300
         assert s.hyper.fc_size == 64
         assert s.hyper.dropout == 0.3
 
@@ -75,7 +74,6 @@ class TestSettingsLayering:
 
     def test_defaults_without_preset(self):
         s = settings_for([])
-        assert s.hyper.word_dim == 100
         assert s.hyper.claim_source_dim is None
         assert s.folds == 10
         assert s.config.learning_rate == 0.002
@@ -109,6 +107,14 @@ class TestSettingsLayering:
             settings_for(["--preset", "politifact", "--no-claim-sources"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --no-claim-sources" in capsys.readouterr().err
+
+    def test_word_dim_is_no_flag(self, capsys):
+        # The vector file sets the word width; no flag restates it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--corpus", "c", "--embeddings", "e", "--out", "o",
+                  "--word-dim", "16"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --word-dim 16" in capsys.readouterr().err
 
     def test_int_literal_for_a_float_key_is_a_float(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -336,6 +342,36 @@ class TestTrainCommand:
         assert params.hyper.word_dim == 16
         assert params.hyper.hidden_size == 4
 
+    def test_word_dim_config_line_is_an_unknown_setting(self, cli_world, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("folds = 2\nword_dim = 16\n")
+        out = tmp_path / "run"
+        code = main(["train", "--corpus", str(cli_world["corpus"]),
+                     "--embeddings", str(cli_world["vectors"]),
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown setting 'word_dim'\n"
+        assert not out.exists()
+
+    def test_verbose_prints_the_log_lines(self, cli_world, tmp_path, capsys):
+        # The settings of ``cli_world``'s run, so the log is the same too.
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main([
+            "train", "--corpus", str(cli_world["corpus"]),
+            "--embeddings", str(cli_world["vectors"]), "--out", str(run),
+            "--folds", "2", "--max-epochs", "2", "--batch-size", "8",
+            "--hidden-size", "4", "--fc-size", "3", "--article-source-dim", "2",
+            "--min-article-support", "1", "--seed", "3", "--verbose"]) == 0
+        log = (run / "train_log.txt").read_text()
+        assert log == (cli_world["run"] / "train_log.txt").read_text()
+        printed = capsys.readouterr().out.splitlines()
+        lines = log.splitlines()
+        assert printed[:len(lines)] == lines
+        assert [line.split(":")[0] for line in printed[len(lines):]] == [
+            "mean macro_f1", "mean auc", "checkpoints and reports written to " + str(run)]
+
     def test_fold_keeps_only_sources_its_training_claims_support(self, tmp_path):
         support, seed = 4, 5
         instances, emb = planted_corpus(n_claims=24, n_articles=2, seed=7, dim=16)
@@ -399,7 +435,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("argv", [
         ["--folds", "0"], ["--folds", "-2"], ["--vocab-limit", "0"],
         ["--vocab-limit", "-5"], ["--learning-rate", "0"], ["--learning-rate", "-1"],
-        ["--seed", "-1"], ["--patience", "0"], ["--patience", "-3"]])
+        ["--seed", "-1"], ["--patience", "0"], ["--patience", "-3"],
+        ["--l2-lambda", "-0.5"]])
     def test_setting_that_means_nothing_exits_one(self, cli_world, tmp_path, capsys,
                                                   argv):
         out = tmp_path / "run"
@@ -414,7 +451,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("line", [
         "seed = -1", "patience = 0", "patience = -3", "beta1 = 1.5", "beta1 = 1",
-        "beta2 = 1", "epsilon = 0", "epsilon = -1", "dropout = 1"])
+        "beta2 = 1", "epsilon = 0", "epsilon = -1", "dropout = 1", "l2_lambda = -0.5"])
     def test_config_setting_that_means_nothing_exits_one(self, cli_world, tmp_path,
                                                          capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -577,6 +614,34 @@ class TestEvalCommand:
         assert report["n"] == 12
         assert 0.0 <= report["accuracy"] <= 1.0
 
+    # Each kind of prediction file evaluates, with no flag, to the report of
+    # its own kind.
+    @pytest.mark.parametrize("name, mode, keys", [
+        ("score", "regress", ["mode", "mse", "n", "rmse"]),
+        ("credibility", "classify",
+         ["accuracy", "auc", "false_claims_accuracy", "macro_accuracy", "macro_f1",
+          "mode", "n", "per_class_accuracy", "support", "true_claims_accuracy"]),
+        ("probabilities", "classify",
+         ["accuracy", "macro_accuracy", "macro_f1", "mode", "n",
+          "per_class_accuracy", "support"])])
+    def test_record_field_sets_the_report(self, cli_world, tmp_path, capsys,
+                                          name, mode, keys):
+        instances = cli_world["instances"]
+        values = [(i % 5) / 4 for i in range(len(instances))]
+        if name == "probabilities":
+            values = [[0.25, 0.25, 0.5] if v == 0.5 else [0.5, 0.25, 0.25]
+                      for v in values]
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("".join(json.dumps({"id": inst.claim_id, name: value}) + "\n"
+                                for inst, value in zip(instances, values)))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred),
+                     "--out", str(out)]) == 0
+        expected = mode_report(mode, values, [inst.label for inst in instances])
+        assert capsys.readouterr().out == expected.to_text() + "\n"
+        report = json.loads(out.read_text())
+        assert report == expected.to_kv() and sorted(report) == keys
+
     def test_missing_prediction_exits_one(self, cli_world, predictions,
                                           tmp_path, capsys):
         trimmed = tmp_path / "short.jsonl"
@@ -615,10 +680,8 @@ class TestEvalCommand:
             self, cli_world, tmp_path, capsys, name, bad, literal):
         good = {"credibility": "0.5", "score": "0.5",
                 "probabilities": "[0.2, 0.3, 0.5]"}[name]
-        mode = "regress" if name == "score" else "classify"
         pred = tmp_path / "p.jsonl"
-        argv = ["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred),
-                "--mode", mode]
+        argv = ["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred)]
         ids = [inst.claim_id for inst in cli_world["instances"]]
         for fourth in (good, bad):
             pred.write_text("".join(
@@ -637,14 +700,12 @@ class TestEvalCommand:
              "1e999-probability"])
     def test_number_no_float_holds_exits_one_naming_the_field(
             self, cli_world, tmp_path, capsys, name, bad):
-        mode = "regress" if name == "score" else "classify"
         good = "[0.2, 0.3, 0.5]" if name == "probabilities" else "0.5"
         pred = tmp_path / "p.jsonl"
         ids = [inst.claim_id for inst in cli_world["instances"]]
         pred.write_text("".join(f'{{"id": "{cid}", "{name}": {bad if i == 3 else good}}}\n'
                                 for i, cid in enumerate(ids)))
-        code = main(["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred),
-                     "--mode", mode])
+        code = main(["eval", "--corpus", str(cli_world["corpus"]), "--pred", str(pred)])
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {pred}: prediction {ids[3]}: "
@@ -936,7 +997,7 @@ class TestFuzzedReaders:
                     for cid in ids]
             pred.write_bytes(self.mutate(data, base, replace))
             code = main(["eval", "--corpus", str(cli_world["corpus"]),
-                         "--pred", str(pred), "--mode", mode])
+                         "--pred", str(pred)])
             captured = capsys.readouterr()
             if code == 0:
                 assert captured.err == "" and "claims: 12" in captured.out

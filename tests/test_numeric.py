@@ -645,6 +645,29 @@ class TestBackward:
             tape.backward(out)
         assert a.grad[0, 0] == 4.0
 
+    def test_a_second_open_tape_is_refused(self):
+        a = Tensor([[2.0]], requires_grad=True)
+        with Tape() as outer:
+            with pytest.raises(ContractError, match="already open"):
+                with Tape():
+                    pass
+            out = mul(a, a)
+        outer.backward(out)
+        assert a.grad[0, 0] == 4.0
+        assert numeric.active_tape() is None
+
+    def test_a_tape_opens_after_an_exception_inside_one(self):
+        a = Tensor([[2.0]], requires_grad=True)
+        with pytest.raises(ValueError):
+            with Tape():
+                mul(a, a)
+                raise ValueError("inside the block")
+        assert numeric.active_tape() is None
+        with Tape() as tape:
+            out = mul(a, a)
+        tape.backward(out)
+        assert len(tape) == 1 and a.grad[0, 0] == 4.0
+
     def test_no_recording_outside_tape(self):
         a = Tensor([[1.0]], requires_grad=True)
         out = affine(a, 2.0)

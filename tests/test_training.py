@@ -137,7 +137,7 @@ class TestAdam:
 @pytest.mark.parametrize("bad", [
     dict(learning_rate=0.0), dict(learning_rate=math.nan),
     dict(learning_rate=math.inf), dict(l2_lambda=math.nan),
-    dict(l2_lambda=-math.inf), dict(batch_size=0), dict(max_epochs=0),
+    dict(l2_lambda=-math.inf), dict(l2_lambda=-0.5), dict(batch_size=0), dict(max_epochs=0),
     dict(precision=16), dict(seed=-1), dict(patience=0), dict(patience=-3),
     dict(beta1=1.5), dict(beta1=1.0), dict(beta1=-0.1), dict(beta1=math.nan),
     dict(beta2=1.0), dict(beta2=-0.5), dict(beta2=math.inf),
@@ -222,12 +222,19 @@ class TestFit:
         assert watched == pytest.approx(best, abs=1e-12)
 
     def test_progress_lines_mention_epochs(self):
-        instances, emb, hyper, table = small_world()
+        # ``train`` writes each line from what ``fit``'s ``on_epoch`` passes.
+        instances, emb, hyper, _ = small_world(n_claims=14, seed=23)
+        plan = make_folds(instances, seed=0, n_folds=2)
         lines = []
-        fit(instances, hyper, TrainConfig(max_epochs=2, batch_size=4), emb,
-            table, progress=lines.append)
-        assert len(lines) == 2
-        assert lines[0].startswith("epoch 1 ")
+        train(instances, plan, hyper, TrainConfig(max_epochs=2, batch_size=4), emb,
+              min_article_support=1, min_claim_support=1, progress=lines.append)
+        expected = []
+        for f in (0, 1):
+            expected += [f"fold {f}: {len(plan.train_ids(f))} train claims, "
+                         f"{len(plan.test_ids(f))} test claims",
+                         f"fold {f} epoch 1", f"fold {f} epoch 2"]
+        assert [line.split(" train_loss ")[0] for line in lines] == expected
+        assert all(" val " in line for line in lines if " epoch " in line)
 
     def test_empty_corpus_raises(self):
         _, emb, hyper, table = small_world()
