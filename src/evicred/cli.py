@@ -43,7 +43,7 @@ DATA_DIR_ENV = "EVICRED_DATA_DIR"
 # ``word_dim`` is only a stand-in: ``train`` sets the vector file's width.
 _DEFAULTS: dict = dict(word_dim=100, hidden_size=64, fc_size=32,
                        article_source_dim=8, min_claim_support=5,
-                       min_article_support=10, folds=10, vocab_limit=None)
+                       min_article_support=10, folds=10)
 
 # Per-dataset settings: source-embedding widths, layer sizes, dropout,
 # output head, and the support thresholds below which a source collapses
@@ -71,7 +71,7 @@ _KEY_TYPES = {
     **typing.get_type_hints(Hyperparams),
     **typing.get_type_hints(training_mod.TrainConfig),
     "preset": str, "min_claim_support": int, "min_article_support": int,
-    "folds": int, "vocab_limit": int | None,
+    "folds": int,
 }
 del _KEY_TYPES["word_dim"]
 # Adam's constants are config-file only; every other key is also a flag.
@@ -160,7 +160,6 @@ class TrainSettings:
     min_claim_support: int
     min_article_support: int
     folds: int
-    vocab_limit: int | None
 
 
 def resolve_train_settings(args) -> TrainSettings:
@@ -197,6 +196,9 @@ def _load_blocklist(path: str | None) -> set[str]:
 # --- commands ----------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
+    for flag, value in (("--delta", args.delta), ("--vocab-limit", args.vocab_limit)):
+        if value is not None and not args.embeddings:
+            raise UsageError(f"{flag} needs --embeddings")
     blocklist = _load_blocklist(args.blocklist)
     instances = corpus_mod.ingest(
         resolve_input(args.input),
@@ -205,29 +207,23 @@ def _cmd_ingest(args) -> int:
         require_label=not args.allow_unlabeled,
     )
     dropped = 0
-    if args.snippets:
-        if not args.embeddings:
-            raise UsageError("--snippets needs --embeddings for semantic scoring")
+    if args.embeddings:
+        # Each article becomes its best claim-matching window; an article
+        # without one, and a claim left without articles, is dropped.
         _, emb = load_word_vectors(resolve_input(args.embeddings),
                                    vocab_limit=args.vocab_limit)
-        kept_instances = []
+        delta = 0.5 if args.delta is None else args.delta
+        kept = []
         for inst in instances:
-            articles, texts, sources = [], [], []
-            for tokens, source in zip(inst.articles, inst.article_sources):
-                snip = corpus_mod.extract_snippet(inst.claim_tokens, tokens, emb,
-                                                  delta=args.delta)
-                if snip is None:
-                    continue
-                articles.append(snip.tokens)
-                texts.append(" ".join(snip.tokens))
-                sources.append(source)
-            if not articles:
-                dropped += 1
-                continue
-            inst.articles, inst.article_texts, inst.article_sources = \
-                articles, texts, sources
-            kept_instances.append(inst)
-        instances = kept_instances
+            snips = [corpus_mod.extract_snippet(inst.claim_tokens, tokens, emb, delta=delta)
+                     for tokens in inst.articles]
+            found = [i for i, snip in enumerate(snips) if snip is not None]
+            if found:
+                inst.articles = [snips[i].tokens for i in found]
+                inst.article_texts = [" ".join(snips[i].tokens) for i in found]
+                inst.article_sources = [inst.article_sources[i] for i in found]
+                kept.append(inst)
+        dropped, instances = len(instances) - len(kept), kept
     corpus_mod.write_corpus(instances, args.out)
     n_articles = sum(len(i.articles) for i in instances)
     sources = {s for i in instances for s in i.article_sources}
@@ -240,7 +236,7 @@ def _cmd_train(args) -> int:
     settings = resolve_train_settings(args)
     instances = corpus_mod.ingest(resolve_input(args.corpus))
     vocab, emb = load_word_vectors(resolve_input(args.embeddings),
-                                   vocab_limit=settings.vocab_limit,
+                                   vocab_limit=settings.hyper.vocab_limit,
                                    dtype=settings.config.dtype)
     settings.hyper = dataclasses.replace(settings.hyper, word_dim=emb.dim)
     plan = corpus_mod.make_folds(instances, settings.config.seed,
@@ -288,11 +284,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model(checkpoint_path: str, embeddings_path: str,
-                vocab_limit: int | None):
+def _load_model(checkpoint_path: str, embeddings_path: str):
     params, vocab_hash = load_checkpoint(resolve_input(checkpoint_path))
     vocab, emb = load_word_vectors(resolve_input(embeddings_path),
-                                   vocab_limit=vocab_limit,
+                                   vocab_limit=params.hyper.vocab_limit,
                                    dtype=params.head_w.data.dtype)
     if vocab.content_hash() != vocab_hash:
         raise EvicredError(
@@ -302,7 +297,7 @@ def _load_model(checkpoint_path: str, embeddings_path: str,
 
 
 def _cmd_predict(args) -> int:
-    model = _load_model(args.checkpoint, args.embeddings, args.vocab_limit)
+    model = _load_model(args.checkpoint, args.embeddings)
     instances = corpus_mod.ingest(resolve_input(args.corpus), require_label=False)
     with open(args.out, "w", encoding="utf-8") as fh:
         for inst, cred in zip(instances, model.score_claims(instances)):
@@ -383,7 +378,7 @@ def _verdict_text(model: CredibilityModel, cred) -> str:
 
 
 def _cmd_explain(args) -> int:
-    model = _load_model(args.checkpoint, args.embeddings, args.vocab_limit)
+    model = _load_model(args.checkpoint, args.embeddings)
     instances = corpus_mod.ingest(resolve_input(args.corpus), require_label=False)
     out_dir = Path(args.out) if args.out else None
     if args.format != "ansi" and out_dir is None:
@@ -466,10 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser("ingest", help="validate and prepare a corpus")
     ingest.add_argument("--in", dest="input", required=True)
     ingest.add_argument("--out", required=True)
-    ingest.add_argument("--snippets", action="store_true",
+    ingest.add_argument("--embeddings",
                         help="replace articles by their best claim-matching window")
-    ingest.add_argument("--embeddings")
-    ingest.add_argument("--delta", type=float, default=0.5,
+    ingest.add_argument("--delta", type=float,
                         help="minimum window relevance (default 0.5)")
     ingest.add_argument("--blocklist", help="file of source names to drop")
     ingest.add_argument("--label-scheme", choices=["politifact"], default=None)
@@ -496,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--embeddings", required=True)
     predict.add_argument("--corpus", required=True)
     predict.add_argument("--out", required=True)
-    predict.add_argument("--vocab-limit", dest="vocab_limit", type=int)
     predict.set_defaults(func=_cmd_predict)
 
     evalp = sub.add_parser("eval", help="metrics for stored predictions")
@@ -513,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--format", choices=["ansi", "html", "structured"],
                          default="ansi")
     explain.add_argument("--projection", help="write (name,label,x,y) rows here")
-    explain.add_argument("--vocab-limit", dest="vocab_limit", type=int)
     explain.set_defaults(func=_cmd_explain)
 
     gradcheck = sub.add_parser("gradcheck", help="finite-difference gradient audit")

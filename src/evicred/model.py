@@ -105,7 +105,9 @@ class Hyperparams:
 
     ``claim_source_dim`` of None means the corpus carries no claim
     source and the fusion layer sees only the article vector and the
-    article-source embedding.
+    article-source embedding.  ``word_dim`` and ``vocab_limit`` describe
+    the frozen input layer: the vector file's width, and how many of its
+    rows the model reads (None for all).
     """
 
     word_dim: int
@@ -116,18 +118,21 @@ class Hyperparams:
     dropout: float = 0.0
     mode: str = "classify"
     classes: int = 2
+    vocab_limit: int | None = None
 
     def __post_init__(self):
+        optional = ("claim_source_dim", "vocab_limit")
         for name in ("word_dim", "hidden_size", "fc_size", "article_source_dim",
-                     "claim_source_dim", "classes"):
+                     "claim_source_dim", "classes", "vocab_limit"):
             value = getattr(self, name)
-            if type(value) is not int and not (name == "claim_source_dim" and value is None):
+            if type(value) is not int and not (name in optional and value is None):
                 raise ContractError(f"{name} must be an int, got {value!r}")
         for name in ("word_dim", "hidden_size", "fc_size", "article_source_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1")
-        if self.claim_source_dim is not None and self.claim_source_dim < 1:
-            raise ContractError("claim_source_dim must be at least 1 or None")
+        for name in optional:
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1 or None")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError("dropout must lie in [0, 1)")
         if self.mode not in MODES:
@@ -524,7 +529,7 @@ def verdict(credibility: float) -> int:
 # --- checkpoints ------------------------------------------------------------
 
 _MAGIC = b"EVCR"
-_VERSION = 4
+_VERSION = 5
 _HEADER_KEYS = ("hyper", "vocab_hash", "dtype", "article_sources", "claim_sources",
                 "sha256")
 
@@ -565,7 +570,7 @@ def save_checkpoint(path: str, params: ModelParams, vocab_hash: str) -> None:
 def load_checkpoint(path: str) -> tuple[ModelParams, str]:
     """Rebuild model parameters from a checkpoint; bit-exact round trip.
 
-    Anything but an intact version-4 file raises ParseError: a wrong magic
+    Anything but an intact version-5 file raises ParseError: a wrong magic
     or version, a header that is not JSON or lacks a key, an unknown dtype,
     a source list that is not a list of strings, a header that does not fit
     the model, a file too short or too long for the header's arrays (found

@@ -4,6 +4,7 @@ One small training run is shared by the predict/eval/explain tests; it
 uses 2 folds and 2 epochs so the whole module stays fast.
 """
 import argparse
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -248,13 +249,18 @@ class TestIngestCommand:
         assert err == f"error: {src}:1: record is not a JSON object\n"
 
     def test_snippets_need_embeddings(self, tmp_path, capsys):
+        # Without a vector file no snippet is extracted, so the snippet
+        # settings would mean nothing; even the default delta is refused.
         instances, _ = planted_corpus(n_claims=3, n_articles=1)
         src = tmp_path / "in.jsonl"
+        out = tmp_path / "o.jsonl"
         write_corpus_file(src, instances)
-        code = main(["ingest", "--in", str(src), "--out",
-                     str(tmp_path / "o.jsonl"), "--snippets"])
-        assert code == 2
-        assert "usage error" in capsys.readouterr().err
+        for argv in (["--delta", "0.5"], ["--delta=-1"], ["--vocab-limit", "3"]):
+            code = main(["ingest", "--in", str(src), "--out", str(out), *argv])
+            assert code == 2
+            flag = argv[0].split("=")[0]
+            assert capsys.readouterr().err == f"usage error: {flag} needs --embeddings\n"
+            assert not out.exists()
 
     def test_snippet_extraction_runs_end_to_end(self, tmp_path, capsys):
         instances, emb = planted_corpus(n_claims=4, n_articles=2)
@@ -264,8 +270,7 @@ class TestIngestCommand:
         write_corpus_file(src, instances)
         write_embedding_file(vectors, emb)
         code = main(["ingest", "--in", str(src), "--out", str(out),
-                     "--snippets", "--embeddings", str(vectors),
-                     "--delta=-1.0"])
+                     "--embeddings", str(vectors), "--delta=-1.0"])
         assert code == 0
         assert "claims=4" in capsys.readouterr().out
 
@@ -277,7 +282,7 @@ class TestIngestCommand:
         write_corpus_file(src, instances)
         write_embedding_file(vectors, emb)
         code = main(["ingest", "--in", str(src), "--out", str(out),
-                     "--snippets", "--embeddings", str(vectors), "--delta", "nan"])
+                     "--embeddings", str(vectors), "--delta", "nan"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -451,7 +456,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("line", [
         "seed = -1", "patience = 0", "patience = -3", "beta1 = 1.5", "beta1 = 1",
-        "beta2 = 1", "epsilon = 0", "epsilon = -1", "dropout = 1", "l2_lambda = -0.5"])
+        "beta2 = 1", "epsilon = 0", "epsilon = -1", "dropout = 1", "l2_lambda = -0.5",
+        "vocab_limit = 0"])
     def test_config_setting_that_means_nothing_exits_one(self, cli_world, tmp_path,
                                                          capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -528,7 +534,7 @@ class TestPredictCommand:
         assert len(widths) == len(_chunk_spans(charged, SCORE_TOKENS)) < len(scored)
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["id"] for r in records] == [inst.claim_id for inst in scored]
-        model = _load_model(checkpoint, str(cli_world["vectors"]), None)
+        model = _load_model(checkpoint, str(cli_world["vectors"]))
         for record, inst in zip(records, scored):
             assert abs(record["credibility"] - model.claim_score(inst)[0]) <= 1e-13
 
@@ -833,6 +839,102 @@ class TestExplainCommand:
         assert "of the variance" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def preset_world(tmp_path_factory):
+    """A corpus with claim sources, an unlabeled copy of it, and its vectors."""
+    root = tmp_path_factory.mktemp("presets")
+    instances, emb = planted_corpus(n_claims=24, n_articles=2, with_claim_sources=True)
+    world = {"corpus": root / "corpus.jsonl", "unlabeled": root / "unlabeled.jsonl",
+             "vectors": root / "vectors.txt", "rows": len(emb.vocab.tokens)}
+    write_corpus_file(world["corpus"], instances)
+    write_corpus_file(world["unlabeled"],
+                      [dataclasses.replace(inst, label=None) for inst in instances])
+    write_embedding_file(world["vectors"], emb)
+    return world
+
+
+# Per preset: the fields of a prediction record besides its id, the eval
+# report's mode and the number of classes it counts (None for regression),
+# and the pattern of an explanation's verdict.
+PRESET_OUTPUTS = {
+    "snopes": ({"credibility", "verdict"}, "classify", 2, r"(not )?credible"),
+    "politifact": ({"credibility", "verdict"}, "classify", 2, r"(not )?credible"),
+    "newstrust": ({"score"}, "regress", None, r"score -?\d+\.\d{3}"),
+    "semeval": ({"probabilities", "verdict", "confidence"}, "classify", 3, r"class [012]"),
+}
+
+
+class TestEveryPreset:
+    """Every preset trains, predicts, evaluates and explains end to end."""
+
+    @staticmethod
+    def train(world, out, *argv):
+        return main(["train", "--corpus", str(world["corpus"]),
+                     "--embeddings", str(world["vectors"]), "--out", str(out),
+                     "--folds", "2", "--max-epochs", "2", "--hidden-size", "4",
+                     "--fc-size", "3", "--min-article-support", "1",
+                     "--min-claim-support", "1", *argv])
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_OUTPUTS))
+    def test_life_cycle(self, preset_world, tmp_path, capsys, preset):
+        fields, mode, classes, verdict_pattern = PRESET_OUTPUTS[preset]
+        run, preds, report = tmp_path / "run", tmp_path / "p.jsonl", tmp_path / "r.json"
+        assert self.train(preset_world, run, "--preset", preset) == 0
+        model_files = ["--checkpoint", str(run / "fold_00.ckpt"),
+                       "--embeddings", str(preset_world["vectors"]),
+                       "--corpus", str(preset_world["corpus"])]
+        assert main(["predict", *model_files, "--out", str(preds)]) == 0
+        records = [json.loads(line) for line in preds.read_text().splitlines()]
+        assert len(records) == 24
+        for record in records:
+            assert set(record) == {"id"} | fields
+            if "probabilities" in record:
+                probs = record["probabilities"]
+                assert len(probs) == 3 and abs(sum(probs) - 1.0) < 1e-9
+                assert record["verdict"] == int(np.argmax(probs))
+                assert record["confidence"] == max(probs)
+        assert main(["eval", "--corpus", str(preset_world["corpus"]),
+                     "--pred", str(preds), "--out", str(report)]) == 0
+        kv = json.loads(report.read_text())
+        assert kv["mode"] == mode and kv["n"] == 24
+        assert ("mse" in kv) == (classes is None)
+        assert ("auc" in kv) == (classes == 2)
+        if classes is not None:
+            assert len(kv["support"]) == classes
+        assert main(["explain", *model_files, "--format", "structured",
+                     "--out", str(tmp_path / "explained")]) == 0
+        lines = (tmp_path / "explained" / "explanations.jsonl").read_text().splitlines()
+        assert len(lines) == 24
+        for line in lines:
+            assert re.fullmatch(verdict_pattern, json.loads(line)["verdict"])
+
+    def test_predict_and_explain_read_the_vocabulary_limit_from_the_checkpoint(
+            self, preset_world, tmp_path, capsys):
+        limit = preset_world["rows"] - 5
+        run = tmp_path / "run"
+        assert self.train(preset_world, run, "--vocab-limit", str(limit)) == 0
+        checkpoint = str(run / "fold_00.ckpt")
+        assert load_checkpoint(checkpoint)[0].hyper.vocab_limit == limit
+        model_files = ["--checkpoint", checkpoint,
+                       "--embeddings", str(preset_world["vectors"]),
+                       "--corpus", str(preset_world["unlabeled"])]
+        preds, csv_path = tmp_path / "p.jsonl", tmp_path / "map.csv"
+        assert main(["predict", *model_files, "--out", str(preds)]) == 0
+        assert main(["explain", *model_files, "--format", "structured",
+                     "--out", str(tmp_path / "explained"),
+                     "--projection", str(csv_path)]) == 0
+        model = _load_model(checkpoint, str(preset_world["vectors"]))
+        assert len(model.word_embeddings.vocab.tokens) == limit
+        unlabeled = corpus_mod.ingest(str(preset_world["unlabeled"]), require_label=False)
+        records = [json.loads(line) for line in preds.read_text().splitlines()]
+        assert [r["credibility"] for r in records] == model.score_claims(unlabeled)
+        # Unlabeled claims are labeled by their verdicts in the projection.
+        verdicts = {r["id"]: r["verdict"] for r in records}
+        rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 48
+        assert all(label == verdicts[name.split("/")[0]] for name, label, _, _ in rows)
+
+
 # Flags README.md may name that no subcommand has: pip's, and the
 # ``--key-name`` pattern that stands for every train setting.
 NOT_EVICRED_FLAGS = {"--no-build-isolation", "--key-name"}
@@ -843,9 +945,13 @@ def test_readme_names_only_flags_the_cli_accepts():
     named = set(re.findall(r"--[a-z][a-z0-9-]*", readme.read_text(encoding="utf-8")))
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    accepted = {flag for command in commands.values()
-                for action in command._actions for flag in action.option_strings}
-    assert named - accepted - NOT_EVICRED_FLAGS == set()
+    flags = {name: {flag for action in command._actions for flag in action.option_strings}
+             for name, command in commands.items()}
+    assert named - set().union(*flags.values()) - NOT_EVICRED_FLAGS == set()
+    # And README names every flag but help; train's are its config keys,
+    # named through the ``--key-name`` rule.
+    for name in ("ingest", "predict", "eval", "explain", "gradcheck"):
+        assert flags[name] - named - {"-h", "--help"} == set(), name
 
 
 def test_gradcheck_command(capsys):
@@ -884,7 +990,7 @@ def test_non_utf8_input_exits_one_naming_the_file(tmp_path, capsys, reader):
     out = str(tmp_path / "out")
     argv = {
         "corpus": ["ingest", "--in", str(bad), "--out", out],
-        "vectors": ["ingest", "--in", str(corpus), "--out", out, "--snippets",
+        "vectors": ["ingest", "--in", str(corpus), "--out", out,
                     "--embeddings", str(bad)],
         "config": ["train", "--corpus", str(corpus), "--embeddings", str(vectors),
                    "--out", out, "--config", str(bad)],
@@ -1079,7 +1185,7 @@ class TestFuzzedReaders:
                   b"1e-400", b"0.5 0.5"]
         vectors = tmp_path / "fuzz.txt"
         argv = ["ingest", "--in", str(cli_world["corpus"]),
-                "--out", str(tmp_path / "out.jsonl"), "--snippets",
+                "--out", str(tmp_path / "out.jsonl"),
                 "--embeddings", str(vectors)]
 
         def replace(data, line):

@@ -446,6 +446,46 @@ class TestExtractSnippet:
 
         check()
 
+    @pytest.mark.parametrize("case", ["5,462 float32 columns", "huge claim words",
+                                      "huge article words"])
+    def test_equals_a_plain_scan_when_a_guard_fails(self, monkeypatch, case):
+        # Each case fails one guard of the screen's proofs: 3 d v <= 2^-10 in
+        # ``_cosine_ceiling``, then in ``_candidate_starts`` the bound on the
+        # claim vector's norm and the one on the row norms of its chunk.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(30)]
+        claim = words[:4]
+        if case == "5,462 float32 columns":
+            vectors = rng.standard_normal((30, 5462)).astype(np.float32)
+        else:
+            vectors = rng.standard_normal((30, 8))
+            if case == "huge claim words":
+                vectors[:4] *= 3e152
+            else:
+                vectors[4:] *= 1e152
+        emb = WordEmbeddings(Vocabulary(words), vectors)
+        article = [words[i] for i in rng.integers(0, 30, size=120)]
+        screened, candidate_starts = [], corpus_mod._candidate_starts
+
+        def spy(claim_vec, chunks, bow, live, width):
+            starts = candidate_starts(claim_vec, chunks, bow, live, width)
+            screened.append((starts, np.flatnonzero(live).tolist()))
+            return starts
+
+        monkeypatch.setattr(corpus_mod, "_candidate_starts", spy)
+        snip = extract_snippet(claim, article, emb, delta=0.0, window=20)
+        assert snip is not None
+        assert snippet_bits(snip) == snippet_bits(plain_scan(claim, article, emb, 0.0, 20))
+        [(starts, live)] = screened
+        if case == "5,462 float32 columns":
+            # No ceiling: every window is live, and the screen still prunes.
+            assert corpus_mod._cosine_ceiling(claim_mean(claim, emb), emb, 20) is None
+            narrow = WordEmbeddings(Vocabulary(words), vectors[:, :5461])
+            assert corpus_mod._cosine_ceiling(claim_mean(claim, narrow), narrow, 20) is not None
+            assert len(live) == 101 and len(starts) < 10
+        else:
+            assert starts == live == list(range(101))  # every window rescored
+
     def test_windows_below_the_floor_get_no_vector_work(self, monkeypatch):
         emb = toy_embeddings(["alpha", "beta", "gamma", "delta", "junk"])
         gathered, rescored = [], []

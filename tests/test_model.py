@@ -42,6 +42,7 @@ from evicred.model import (
     save_checkpoint,
     score_article,
     verdict,
+    _VERSION,
     _digest,
 )
 from evicred.numeric import Tensor, glorot_uniform, zero_grads
@@ -767,12 +768,12 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_future_version_raises(self, tmp_path):
-        # Versions 1 (four matrices per LSTM direction), 2 (no digest) and 3
-        # (a header list of every array's name, shape and dtype) have no
-        # reader either.
+        # Versions 1 (four matrices per LSTM direction), 2 (no digest), 3
+        # (a header list of every array's name, shape and dtype) and 4 (no
+        # vocabulary limit in ``hyper``) have no reader either.
         path = self.saved(tmp_path)
         whole = path.read_bytes()
-        for version in (250, 1, 2, 3):
+        for version in (250, 1, 2, 3, 4):
             # little-endian version field right after the magic
             path.write_bytes(whole[:4] + bytes([version]) + whole[5:])
             with pytest.raises(ParseError,
@@ -853,7 +854,7 @@ class TestCheckpoints:
         _, _, _, params = tiny_world()
         named = params.named()
         header = {
-            "version": 4, "hyper": asdict(params.hyper), "vocab_hash": "h",
+            "version": _VERSION, "hyper": asdict(params.hyper), "vocab_hash": "h",
             "dtype": "float64", "article_sources": ["siteA"],
             "claim_sources": ["speaker"]}
         if change == "drop claim table":
@@ -880,7 +881,7 @@ class TestCheckpoints:
         arrays = [t.data.astype(header["dtype"]) for t in named.values()]
         header["sha256"] = _digest(header, container.payload_chunks(arrays))
         path = tmp_path / "hand.ckpt"
-        container.write(path, b"EVCR", 4, header, arrays)
+        container.write(path, b"EVCR", _VERSION, header, arrays)
         tracemalloc.start()
         try:
             with pytest.raises(ParseError, match=self.HAND_MADE[change]):
