@@ -105,13 +105,9 @@ def _parse_value(raw: str):
         return raw.strip()
 
 
-def load_config(path: str) -> dict:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
-    return {key: value for key, (value, _) in _config_lines(path).items()}
-
-
 def _config_lines(path: str) -> dict[str, tuple[object, str]]:
-    """Each setting of a config file with the ``path:line`` that set it."""
+    """Each setting of a ``key = value`` config file with the ``path:line``
+    that set it; '#' starts a comment."""
     settings: dict = {}
     for lineno, line in text_lines(path):
         stripped = line.split("#", 1)[0].strip()

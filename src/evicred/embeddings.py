@@ -89,20 +89,24 @@ def _vector_dtype(dtype) -> np.dtype:
 
 
 class WordEmbeddings:
-    """Frozen |V| x d matrix of word vectors, float32 or float64.
+    """Frozen |V| x d matrix of word vectors, float32 or float64, |V| >= 1.
 
     ``magnitudes`` is the matrix's ``magnitudes()`` when the caller already
     knows it, as a parse does; otherwise it is computed on first use.
+    ``vocab_limit`` is the one ``load_word_vectors`` read with, else None.
     """
 
     def __init__(self, vocab: Vocabulary, vectors: np.ndarray,
                  magnitudes: tuple[float, float] | None = None):
         vectors = np.asarray(vectors)
         _vector_dtype(vectors.dtype)
+        if not len(vocab):
+            raise DegenerateInputError("word vectors need at least one token")
         if vectors.ndim != 2 or vectors.shape[0] != len(vocab):
             raise DegenerateInputError(
                 f"vector matrix {vectors.shape} does not cover {len(vocab)} tokens")
         self.vocab = vocab
+        self.vocab_limit: int | None = None
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.dim = vectors.shape[1]
@@ -136,8 +140,6 @@ class WordEmbeddings:
         """
         if not tokens:
             raise DegenerateInputError("cannot embed an empty token sequence")
-        if not len(self.vocab):
-            return np.zeros((len(tokens), self.dim), dtype=self.vectors.dtype)
         rows = np.fromiter(map(self.vocab._index.get, tokens, repeat(-1)),
                            dtype=np.intp, count=len(tokens))
         out = self.vectors[rows]
@@ -192,6 +194,7 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
         if regular:
             loaded = _read_cache(cache, text, dtype, vocab_limit)
             if loaded is not None:
+                loaded[1].vocab_limit = vocab_limit
                 return loaded
             text.seek(0)
         with _private_file((os.path.dirname(cache) or os.curdir) if regular else None) as out:
@@ -211,7 +214,9 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
                     container.write(cache, _CACHE_MAGIC, _CACHE_VERSION, header, [blob, out])
                 except OSError:  # read-only directory, or the cache path is taken
                     pass
-    return vocab, WordEmbeddings(vocab, matrix, magnitudes)
+    emb = WordEmbeddings(vocab, matrix, magnitudes)
+    emb.vocab_limit = vocab_limit
+    return vocab, emb
 
 
 def _cache_digest(blob: bytes, magnitudes: list) -> str:
@@ -437,9 +442,8 @@ class SourceEmbeddingTable:
             return self.fallback_index
         return self._index.get(source, self.fallback_index)
 
-    def reinitialized(self, rng: np.random.Generator, dtype=None) -> "SourceEmbeddingTable":
+    def reinitialized(self, rng: np.random.Generator, dtype) -> "SourceEmbeddingTable":
         """Same name mapping, fresh values; used to start each fold cleanly."""
-        dtype = dtype or self.tensor.data.dtype
         fresh = glorot_uniform(len(self.sources) + 1, self.dim, rng, dtype)
         return SourceEmbeddingTable(self.sources, fresh, self.name)
 

@@ -339,18 +339,14 @@ def attend(embeds: np.ndarray, claim_vecs: np.ndarray, params: ModelParams,
     return softmax(scores, mask), scores
 
 
-def article_vector(hidden: Tensor, weights: Tensor,
-                   lengths: np.ndarray | None = None) -> Tensor:
+def article_vector(hidden: Tensor, weights: Tensor, lengths: np.ndarray) -> Tensor:
     """Average of attention-weighted hidden states per item: (2H, B).
 
-    Item b's vector is sum_t weights[t, b] * h[:, t*B + b] / lengths[b];
-    ``lengths`` defaults to all T rows of ``weights``.
+    Item b's vector is sum_t weights[t, b] * h[:, t*B + b] / lengths[b].
     """
     steps, batch = weights.shape
     if hidden.cols != steps * batch:
         raise ShapeError(f"{hidden.cols} hidden states but {steps} x {batch} weights")
-    if lengths is None:
-        lengths = np.full(batch, steps)
     inv = (1.0 / np.asarray(lengths, dtype=np.float64)).astype(hidden.data.dtype)
     return affine(step_weighted_sum(hidden, weights), inv.reshape(1, batch))
 
@@ -420,6 +416,10 @@ class CredibilityModel:
             raise ShapeError(
                 f"word vectors are {word_embeddings.dim}-dimensional, model "
                 f"expects {hyper.word_dim}")
+        if word_embeddings.vocab_limit != hyper.vocab_limit:
+            raise ContractError(
+                f"word vectors were read with vocab_limit {word_embeddings.vocab_limit}, "
+                f"model expects {hyper.vocab_limit}")
         self.hyper = hyper
         self.params = params
         self.word_embeddings = word_embeddings
@@ -572,10 +572,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
 
     Anything but an intact version-5 file raises ParseError: a wrong magic
     or version, a header that is not JSON or lacks a key, an unknown dtype,
-    a source list that is not a list of strings, a header that does not fit
-    the model, a file too short or too long for the header's arrays (found
-    before any array is allocated), and a digest that does not match its
-    bytes.
+    a source list that is not a list of strings or that repeats a name, a
+    header that does not fit the model, a file too short or too long for
+    the header's arrays (found before any array is allocated), and a digest
+    that does not match its bytes.
     """
     with open(path, "rb") as fh:
         header, header_len = container.read_header(fh, path, _MAGIC, _VERSION,
@@ -591,6 +591,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, str]:
                     or (key == "claim_sources" and names is None)):
                 raise ParseError(
                     f"{path}: checkpoint header {key!r} is not a list of strings")
+            if names is not None and len(set(names)) < len(names):
+                raise ParseError(f"{path}: checkpoint header {key!r} repeats a name")
         dtype = np.dtype(header["dtype"])
         # A header with a valid digest can still be hand-made: its shapes must
         # fit the file's size before anything is allocated.

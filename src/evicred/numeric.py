@@ -102,10 +102,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data[0, 0])
 
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
 
 # --- tape ------------------------------------------------------------------
 

@@ -267,17 +267,14 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
             zero_grads(named.values())
             for lo, hi in _chunk_spans([len(pair.article_tokens) for pair, _ in batch]):
                 chunk, labels = zip(*batch[lo:hi])
-                values = _chunk_gradients(
-                    model, chunk, labels, config.l2_lambda,
-                    dropout_rng if hyper.dropout > 0 else None)
+                values = _chunk_gradients(model, chunk, labels, config.l2_lambda, dropout_rng)
                 if not np.isfinite(values).all():
                     raise ContractError(f"loss became non-finite at epoch {epoch}")
                 epoch_losses.extend(values)
-            if len(batch) > 1:
-                inv = 1.0 / len(batch)
-                for p in named.values():
-                    if p.grad is not None:
-                        p.grad = p.grad * inv
+            inv = 1.0 / len(batch)
+            for p in named.values():
+                if p.grad is not None:
+                    p.grad = p.grad * inv
             adam_step(named, state, config)
         train_loss = float(np.mean(epoch_losses))
 
@@ -372,23 +369,25 @@ def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams
     return outcomes
 
 
-def gradient_check(hyper: Hyperparams | None = None, *, seed: int = 0) -> float:
+def gradient_check(*, seed: int = 0) -> float:
     """Compare tape gradients with central finite differences.
 
-    Builds a self-contained miniature model (one claim, both source
-    tables) that scores one padded chunk of two articles of 2 and 3
+    Builds a self-contained miniature model (one claim) per output head:
+    binary with both source tables, three-class and regression with article
+    sources only.  Each scores one padded chunk of two articles of 2 and 3
     tokens, so the padding mask and the masked softmax are differentiated
-    too, and probes every entry of every parameter.  The analytic
-    gradients come from ``_chunk_gradients``, the step ``fit`` runs on
-    each chunk.  Returns the worst relative error.
+    too, and every entry of every parameter is probed.  The analytic
+    gradients come from ``_chunk_gradients``, the step ``fit`` runs on each
+    chunk.  Returns the worst relative error over the three models.
     """
-    if hyper is None:
-        hyper = Hyperparams(word_dim=4, hidden_size=3, fc_size=3,
-                            article_source_dim=2, claim_source_dim=2,
-                            dropout=0.0, mode="classify", classes=2)
-    if hyper.dropout != 0.0:
-        raise ContractError("gradient check needs dropout disabled")
     _check_seed(seed)
+    sizes = dict(word_dim=4, hidden_size=3, fc_size=3, article_source_dim=2)
+    return max(_gradient_error(Hyperparams(**sizes, **head), seed) for head in (
+        dict(claim_source_dim=2), dict(classes=3), dict(mode="regress")))
+
+
+def _gradient_error(hyper: Hyperparams, seed: int) -> float:
+    """Worst relative gradient error of the miniature model of ``hyper``."""
     rng = np.random.default_rng(seed)
     claim_tokens = ["rivers", "flow", "uphill"]
     articles = [["observed", "downhill"], ["rivers", "observed", "downhill"]]

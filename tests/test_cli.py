@@ -14,10 +14,10 @@ import pytest
 
 from evicred.cli import (
     PRESETS,
+    _config_lines,
     _load_model,
     _read_predictions,
     build_parser,
-    load_config,
     main,
     resolve_input,
     resolve_train_settings,
@@ -147,13 +147,16 @@ class TestSettingsLayering:
 
 
 class TestLoadConfig:
+    """Reading a config file, as ``_config_lines`` does for ``train --config``."""
+
     def test_parses_types(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("max_epochs = 7\ndropout = 0.25\n"
                        "claim_source_dim = none\nmode = regress\n")
-        got = load_config(cfg)
-        assert got == {"max_epochs": 7, "dropout": 0.25,
-                       "claim_source_dim": None, "mode": "regress"}
+        got = _config_lines(cfg)
+        assert got == {"max_epochs": (7, f"{cfg}:1"), "dropout": (0.25, f"{cfg}:2"),
+                       "claim_source_dim": (None, f"{cfg}:3"),
+                       "mode": ("regress", f"{cfg}:4")}
 
     def test_unknown_key_raises(self, tmp_path):
         # ``delta`` belongs to ``ingest --delta``; training never reads it.
@@ -161,7 +164,7 @@ class TestLoadConfig:
         for key, value in (("momentum", "0.9"), ("delta", "0.3")):
             cfg.write_text(f"{key} = {value}\n")
             with pytest.raises(ParseError, match=key):
-                load_config(cfg)
+                _config_lines(cfg)
 
     @pytest.mark.parametrize("key", ["learning_rate", "beta1", "beta2", "epsilon",
                                      "l2_lambda"])
@@ -171,13 +174,13 @@ class TestLoadConfig:
             cfg.write_text(f"mode = regress\n{key} = {value}\n")
             with pytest.raises(ParseError,
                                match=rf"a\.cfg:2: {key} must be a finite number"):
-                load_config(cfg)
+                _config_lines(cfg)
 
     def test_line_without_equals_raises(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("just words\n")
         with pytest.raises(ParseError, match=r"a\.cfg:1"):
-            load_config(cfg)
+            _config_lines(cfg)
 
 
 class TestResolveInput:
@@ -1059,7 +1062,7 @@ class TestFuzzedReaders:
         def check(data):
             cfg.write_bytes(self.mutate(data, base, replace))
             try:
-                load_config(str(cfg))
+                _config_lines(str(cfg))
             except EvicredError as e:
                 assert main(argv) == 1
                 assert capsys.readouterr().err == f"error: {e}\n"

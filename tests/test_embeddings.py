@@ -170,6 +170,7 @@ def assert_same_load(got, want):
     assert emb.vectors.dtype == want_emb.vectors.dtype
     assert emb.vectors.shape == want_emb.vectors.shape
     assert emb.vectors.tobytes() == want_emb.vectors.tobytes()
+    assert emb.vocab_limit == want_emb.vocab_limit
     assert emb.magnitudes() == want_emb.magnitudes() \
         == WordEmbeddings(vocab, np.array(emb.vectors)).magnitudes()
 
@@ -775,6 +776,17 @@ class TestWordEmbeddings:
         with pytest.raises(ContractError, match="float32 or float64"):
             WordEmbeddings(Vocabulary(["cat"]), np.ones((1, 2), dtype=dtype))
 
+    def test_empty_vocabulary_raises(self):
+        # As a load of a file without vectors does.
+        with pytest.raises(DegenerateInputError, match="at least one token"):
+            WordEmbeddings(Vocabulary(), np.zeros((0, 2)))
+
+    def test_vocab_limit_is_the_one_read_with(self, tmp_path):
+        path = make_embedding_file(tmp_path, [f"t{i}" for i in range(5)], dim=2)
+        assert load_word_vectors(path, vocab_limit=3)[1].vocab_limit == 3
+        assert load_word_vectors(path)[1].vocab_limit is None
+        assert WordEmbeddings(Vocabulary(["cat"]), np.ones((1, 2))).vocab_limit is None
+
     def test_matrix_for_empty_raises(self, tmp_path):
         _, emb = load_word_vectors(make_embedding_file(tmp_path, ["cat"], dim=3))
         with pytest.raises(DegenerateInputError):
@@ -854,7 +866,7 @@ class TestSourceTable:
     def test_reinitialized_changes_values_not_shape(self):
         rng = np.random.default_rng(0)
         table = build_source_table({"a": 9}, min_support=1, dim=4, rng=rng, name="t")
-        fresh = table.reinitialized(np.random.default_rng(42))
+        fresh = table.reinitialized(np.random.default_rng(42), np.float64)
         assert fresh.tensor.shape == table.tensor.shape
         assert fresh.sources == table.sources
         assert not np.array_equal(fresh.tensor.data, table.tensor.data)

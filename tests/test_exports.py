@@ -1,7 +1,8 @@
 """Module names: every name a package module lists in ``__all__`` must
 resolve, no module of the package or of the tests imports a name it never
-uses, and no private module-level name of the package goes unread.  The
-suite's warning filters fail a deprecated call in the package."""
+uses, and no module-level name of the package goes unread unless an
+``__all__`` lists it.  The suite's warning filters fail a deprecated call
+in the package."""
 import ast
 import importlib
 import pkgutil
@@ -60,11 +61,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """``module:name`` of each module-level private function, class or
-    assignment (``_x``, not ``__x__``) that no module of ``sources`` reads,
-    as a name or as an attribute."""
-    defined, read = [], set()
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each module-level function, class or assignment
+    that no module of ``sources`` reads, as a name or as an attribute, and
+    that is private (``_x``, not ``__x__``) or public and in no module's
+    ``__all__``."""
+    defined, read, exported = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -74,32 +76,48 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name)]
+                if names == ["__all__"]:
+                    exported |= {elt.value for elt in node.value.elts}
             else:
                 names = []
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.endswith("__")]
+            defined += [(module, name) for name in names if not name.endswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if name not in read and (name.startswith("_") or name not in exported))
 
 
 def test_dead_name_finder_has_teeth():
-    assert dead_private_names({
+    assert unread_names({
         "a": "_LIMIT = 3\n_seen: set = set()\n_used, _spare = 1, 2\n__all__ = []\n"
              "def _helper():\n    return _LIMIT + _used\n"
              "class _Dead:\n    pass\n"
              "def public():\n    return b._shared()\n",
-        "b": "def _shared():\n    _helper()\n",
-    }) == ["a:_Dead", "a:_seen", "a:_spare"]
+        "b": "def _shared():\n    _helper()\n"
+             "def listed():\n    pass\n"
+             "def only_tests_call_me():\n    pass\n"
+             "__all__ = ['listed']\n",
+    }) == ["a:_Dead", "a:_seen", "a:_spare", "a:public", "b:only_tests_call_me"]
 
 
-def test_no_dead_private_names():
+@pytest.fixture(scope="module")
+def package_unread_names():
     package = ROOT / "src" / "evicred"
-    assert dead_private_names({p.name: p.read_text(encoding="utf-8")
-                               for p in sorted(package.glob("*.py"))}) == []
+    return unread_names({p.name: p.read_text(encoding="utf-8")
+                         for p in sorted(package.glob("*.py"))})
+
+
+def test_no_dead_private_names(package_unread_names):
+    assert [n for n in package_unread_names if n.split(":")[1].startswith("_")] == []
+
+
+def test_no_unexported_public_name_goes_unread(package_unread_names):
+    # A public name that no module reads and no ``__all__`` lists is
+    # library surface that only tests reach.
+    assert [n for n in package_unread_names if not n.split(":")[1].startswith("_")] == []
 
 
 def test_deprecation_warning_in_the_package_fails_the_suite():

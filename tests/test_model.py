@@ -18,7 +18,8 @@ import pytest
 
 from evicred import container, training
 from evicred.corpus import ClaimInstance
-from evicred.embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
+from evicred.embeddings import (SourceEmbeddingTable, Vocabulary, WordEmbeddings,
+                                load_word_vectors)
 from evicred.errors import (
     ContractError,
     DegenerateInputError,
@@ -46,7 +47,7 @@ from evicred.model import (
     _digest,
 )
 from evicred.numeric import Tensor, glorot_uniform, zero_grads
-from tests.conftest import tiny_world
+from tests.conftest import make_embedding_file, tiny_world
 
 
 class TestHyperparams:
@@ -313,7 +314,7 @@ class TestArticleVector:
         hyper, _, _, params = tiny_world()
         states = bilstm_encode(random_embeds(4, hyper.word_dim, seed=8), params)
         w = np.array([[0.1], [0.2], [0.3], [0.4]])
-        got = article_vector(states, Tensor(w.copy()))
+        got = article_vector(states, Tensor(w.copy()), np.array([4]))
         expected = (states.data @ w) / 4.0
         assert np.allclose(got.data, expected, atol=1e-15)
 
@@ -321,7 +322,7 @@ class TestArticleVector:
         hyper, _, _, params = tiny_world()
         states = bilstm_encode(random_embeds(3, hyper.word_dim), params)
         with pytest.raises(ShapeError):
-            article_vector(states, Tensor(np.ones((4, 1))))
+            article_vector(states, Tensor(np.ones((4, 1))), np.array([4]))
 
 
 def relu_np(x):
@@ -681,6 +682,18 @@ class TestCredibilityModel:
         with pytest.raises(ShapeError):
             CredibilityModel(hyper, params, wrong)
 
+    def test_vectors_must_be_read_with_the_hyper_vocab_limit(self, tmp_path):
+        # Else a checkpoint's ``hyper`` and ``vocab_hash`` would disagree.
+        hyper, vocab, _, params = tiny_world()
+        path = make_embedding_file(tmp_path, vocab.tokens, dim=hyper.word_dim)
+        _, emb = load_word_vectors(path, vocab_limit=3)
+        with pytest.raises(ContractError, match="vocab_limit 3, model expects None"):
+            CredibilityModel(hyper, params, emb)
+        limited = replace(hyper, vocab_limit=3)
+        params = ModelParams(limited, None, article_sources=params.article_sources,
+                             claim_sources=params.claim_sources)
+        assert CredibilityModel(limited, params, emb).word_embeddings is emb
+
     def test_hyper_must_be_the_params_hyper(self):
         # A classify model built with a regress hyper would score MSE on
         # its sigmoid probabilities.
@@ -846,6 +859,7 @@ class TestCheckpoints:
         "hidden size 2000": "truncated checkpoint",
         "float16 dtype": "unknown dtype 'float16'",
         "claim sources not a list": "'claim_sources' is not a list of strings",
+        "repeated article source": r"hand\.ckpt: checkpoint header 'article_sources' repeats",
         "extra array": "after the last array",
     }
 
@@ -878,6 +892,10 @@ class TestCheckpoints:
             # One character per name makes the table's two rows: version 3
             # loaded this header.
             header["claim_sources"] = "s"
+        if change == "repeated article source":
+            # Row 0 could never be looked up: the name finds row 1.
+            header["article_sources"] = ["siteA", "siteA"]
+            named["article_source_table"] = Tensor(np.zeros((3, params.hyper.article_source_dim)))
         arrays = [t.data.astype(header["dtype"]) for t in named.values()]
         header["sha256"] = _digest(header, container.payload_chunks(arrays))
         path = tmp_path / "hand.ckpt"

@@ -377,18 +377,8 @@ class TestChunkedGradients:
 
 class TestGradientCheck:
     def test_analytic_gradients_match_finite_differences(self):
-        worst = gradient_check(seed=1)
-        assert worst < 1e-4
-
-    @pytest.mark.parametrize("hyper", [
-        Hyperparams(word_dim=4, hidden_size=3, fc_size=3, article_source_dim=2,
-                    classes=3),
-        Hyperparams(word_dim=4, hidden_size=3, fc_size=3, article_source_dim=2,
-                    mode="regress"),
-    ], ids=["multiclass", "regress"])
-    def test_heads_without_claim_sources_pass_at_seed_zero(self, hyper):
-        # Seed 0 with zero biases puts a relu exactly on its kink.
-        assert gradient_check(hyper, seed=0) < 1e-4
+        for seed in (0, 1):
+            assert gradient_check(seed=seed) < 1e-4
 
     def test_detects_a_corrupted_gradient(self, monkeypatch):
         chunk_gradients = training._chunk_gradients
@@ -402,9 +392,19 @@ class TestGradientCheck:
             monkeypatch.setattr(training, "_chunk_gradients", doubled)
             assert gradient_check(seed=1) > 0.3
 
-    def test_dropout_must_be_off(self):
-        hyper = Hyperparams(word_dim=4, hidden_size=3, fc_size=3,
-                            article_source_dim=2, claim_source_dim=2,
-                            dropout=0.5)
-        with pytest.raises(ContractError):
-            gradient_check(hyper)
+    @pytest.mark.parametrize("corrupted", [
+        lambda hyper: hyper.mode == "regress",
+        lambda hyper: hyper.mode == "classify" and hyper.classes == 3,
+    ], ids=["regress", "three-class"])
+    def test_audits_every_output_head(self, monkeypatch, corrupted):
+        # Only the model of one head gets a wrong gradient.
+        chunk_gradients = training._chunk_gradients
+
+        def doubled(model, *args):
+            losses = chunk_gradients(model, *args)
+            if corrupted(model.hyper):
+                model.params.head_w.grad = model.params.head_w.grad * 2.0
+            return losses
+
+        monkeypatch.setattr(training, "_chunk_gradients", doubled)
+        assert gradient_check(seed=1) > 0.3
