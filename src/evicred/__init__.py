@@ -1,5 +1,15 @@
 """Evidence-aware credibility assessment for natural-language claims."""
 
+import os
+
+# One BLAS thread unless the caller chose a count: OpenBLAS rounds some
+# products differently at other counts, and so training would write other
+# bits.  BLAS reads these when numpy loads, so they are set before any
+# submodule imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .errors import (
     ContractError,
     DegenerateInputError,

@@ -431,7 +431,7 @@ class SourceEmbeddingTable:
         self._index = {s: i for i, s in enumerate(self.sources)}
         self.fallback_index = len(self.sources)
         self.name = name
-        self.tensor = Tensor(matrix, requires_grad=True, name=name)
+        self.tensor = Tensor(matrix, requires_grad=True)
 
     @property
     def dim(self) -> int:

@@ -211,7 +211,7 @@ class ModelParams:
                                   for _ in range(gates)])
             if name.endswith("_b") and gates > 1:
                 data[hyper.hidden_size:2 * hyper.hidden_size] = 1.0  # the forget block
-            setattr(self, name, Tensor(data, requires_grad=True, name=name))
+            setattr(self, name, Tensor(data, requires_grad=True))
 
     def named(self) -> dict[str, Tensor]:
         return {name: getattr(self, _TABLES[name]).tensor if name in _TABLES

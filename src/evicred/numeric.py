@@ -77,13 +77,12 @@ class Tensor:
     backward passes until the caller clears it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = _as_matrix(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,15 +162,7 @@ class Tape:
                 backward(out.grad)
 
 
-def _register(out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape._record(out, backward)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -180,21 +171,35 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
+def _op(value: np.ndarray,
+        *inputs: tuple[Tensor, Callable[[np.ndarray, np.ndarray], np.ndarray]]) -> Tensor:
+    """The output of a primitive: ``value``, and per input its gradient rule.
+
+    Each rule maps the output's gradient ``g`` and value ``y`` to its
+    input's gradient.  The output tracks gradients if any input does, and
+    only then is it recorded on the open tape; backward runs the rules of
+    the inputs that track gradients, in order.
+    """
+    out = Tensor(value, requires_grad=any(t.requires_grad for t, _ in inputs))
+    tape = active_tape()
+    if tape is not None and out.requires_grad:
+        def backward(g: np.ndarray) -> None:
+            for t, grad in inputs:
+                if t.requires_grad:
+                    _accumulate(t, grad(g, out.data))
+
+        tape._record(out, backward)
+    return out
+
+
 # --- primitives ------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"cannot matrix-multiply {a.shape} by {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    _register(out, backward)
-    return out
+    return _op(a.data @ b.data,
+               (a, lambda g, y: g @ b.data.T),
+               (b, lambda g, y: a.data.T @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -206,60 +211,34 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         row_vec = sb == (1, sa[1])
         if not (scalar or column or row_vec):
             raise ShapeError(f"cannot add {sa} and {sb}")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            if sb == sa:
-                gb = g
-            elif sb == (1, 1):
-                gb = g.sum().reshape(1, 1)
-            elif sb == (sa[0], 1):
-                gb = g.sum(axis=1, keepdims=True)
-            else:
-                gb = g.sum(axis=0, keepdims=True)
-            _accumulate(b, gb)
+    def grad_b(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if sb == sa:
+            return g
+        if sb == (1, 1):
+            return g.sum().reshape(1, 1)
+        if sb == (sa[0], 1):
+            return g.sum(axis=1, keepdims=True)
+        return g.sum(axis=0, keepdims=True)
 
-    _register(out, backward)
-    return out
+    return _op(a.data + b.data, (a, lambda g, y: g), (b, grad_b))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"cannot multiply elementwise {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    _register(out, backward)
-    return out
+    return _op(a.data * b.data,
+               (a, lambda g, y: g * b.data),
+               (b, lambda g, y: g * a.data))
 
 
 def affine(a: Tensor, mul_by, add_to=0.0) -> Tensor:
     """``a * mul_by + add_to``; either may be an array that broadcasts to ``a``."""
-    out = Tensor(a.data * mul_by + add_to, requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * mul_by)
-
-    _register(out, backward)
-    return out
+    return _op(a.data * mul_by + add_to, (a, lambda g, y: g * mul_by))
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * (1.0 - out.data * out.data))
-
-    _register(out, backward)
-    return out
+    return _op(np.tanh(a.data), (a, lambda g, y: g * (1.0 - y * y)))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -270,47 +249,23 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(_stable_sigmoid(a.data), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * out.data * (1.0 - out.data))
-
-    _register(out, backward)
-    return out
+    return _op(_stable_sigmoid(a.data), (a, lambda g, y: g * y * (1.0 - y)))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        # Subgradient at exactly zero is taken as zero.
-        _accumulate(a, g * (a.data > 0.0))
-
-    _register(out, backward)
-    return out
+    # Subgradient at exactly zero is taken as zero.
+    return _op(np.maximum(a.data, 0.0), (a, lambda g, y: g * (a.data > 0.0)))
 
 
 def log(a: Tensor) -> Tensor:
     """Natural log; callers are responsible for keeping inputs positive."""
-    out = Tensor(np.log(a.data), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
-
-    _register(out, backward)
-    return out
+    return _op(np.log(a.data), (a, lambda g, y: g / a.data))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes through unclamped entries."""
-    out = Tensor(np.clip(a.data, lo, hi), requires_grad=a.requires_grad)
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * inside)
-
-    _register(out, backward)
-    return out
+    return _op(np.clip(a.data, lo, hi),
+               (a, lambda g, y: g * ((a.data >= lo) & (a.data <= hi))))
 
 
 def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -335,36 +290,18 @@ def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     shift = np.where(keep, x, -np.inf).max(axis=0, keepdims=True)
     e = np.exp(x - shift, where=keep, out=np.zeros_like(x))
-    out = Tensor(e / e.sum(axis=0, keepdims=True), requires_grad=scores.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        y = out.data
-        # Masked entries have y == 0, so they get exactly zero gradient.
-        _accumulate(scores, y * (g - (g * y).sum(axis=0, keepdims=True)))
-
-    _register(out, backward)
-    return out
+    # Masked entries have y == 0, so they get exactly zero gradient.
+    return _op(e / e.sum(axis=0, keepdims=True),
+               (scores, lambda g, y: y * (g - (g * y).sum(axis=0, keepdims=True))))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.array([[a.data.sum()]], dtype=a.data.dtype),
-                 requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.data, g[0, 0]))
-
-    _register(out, backward)
-    return out
+    return _op(np.array([[a.data.sum()]], dtype=a.data.dtype),
+               (a, lambda g, y: np.full_like(a.data, g[0, 0])))
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T.copy(), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
-
-    _register(out, backward)
-    return out
+    return _op(a.data.T.copy(), (a, lambda g, y: g.T))
 
 
 def vstack(parts: Sequence[Tensor]) -> Tensor:
@@ -374,17 +311,10 @@ def vstack(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         if p.cols != cols:
             raise ShapeError(f"vstack column mismatch: {p.shape} vs ({parts[0].rows}, {cols})")
-    out = Tensor(np.vstack([p.data for p in parts]),
-                 requires_grad=any(p.requires_grad for p in parts))
     offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[lo:hi, :])
-
-    _register(out, backward)
-    return out
+    return _op(np.vstack([p.data for p in parts]),
+               *[(p, lambda g, y, lo=lo, hi=hi: g[lo:hi, :])
+                 for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
 
 
 def take_rows(a: Tensor, index: Sequence[int]) -> Tensor:
@@ -395,28 +325,20 @@ def take_rows(a: Tensor, index: Sequence[int]) -> Tensor:
     idx = np.asarray(index, dtype=np.intp).reshape(-1)
     if idx.size == 0 or idx.min() < 0 or idx.max() >= a.rows:
         raise ShapeError(f"row index out of range for shape {a.shape}")
-    out = Tensor(a.data[idx], requires_grad=a.requires_grad)
 
-    def backward(g: np.ndarray) -> None:
+    def grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
         full = np.zeros_like(a.data)
         np.add.at(full, idx, g)
-        _accumulate(a, full)
+        return full
 
-    _register(out, backward)
-    return out
+    return _op(a.data[idx], (a, grad))
 
 
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     """Same entries in row-major order, read as a rows x cols matrix."""
     if rows * cols != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
-    out = Tensor(a.data.reshape(rows, cols), requires_grad=a.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.shape))
-
-    _register(out, backward)
-    return out
+    return _op(a.data.reshape(rows, cols), (a, lambda g, y: g.reshape(a.shape)))
 
 
 def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
@@ -457,7 +379,8 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > steps:
         raise ShapeError(f"lengths {lengths} do not fit {steps} padded steps")
     requires_grad = any(p.requires_grad for p in params)
-    taped = requires_grad and active_tape() is not None
+    tape = active_tape() if requires_grad else None
+    taped = tape is not None
     dtype = w_fw.data.dtype
     # Slot j holds item order[j], longest first, so the items live at step
     # t are slots 0..live[t]-1 and a step's work is a prefix of its slab.
@@ -598,9 +521,11 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
              dz_t @ hs[:steps].reshape(-1, 2, size).transpose(1, 0, 2)], axis=2)
         gb = dz.sum(axis=1)[:, :, None]
         for p, grad in zip(params, (gw[0], gb[0], gw[1], gb[1])):
-            _accumulate(p, grad)
+            if p.requires_grad:
+                _accumulate(p, grad)
 
-    _register(out, backward)
+    if taped:
+        tape._record(out, backward)
     return out
 
 
@@ -615,17 +540,9 @@ def step_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
         raise ShapeError(f"{values.cols} step columns but weights for "
                          f"{steps} x {batch} steps")
     v = values.data.reshape(values.rows, steps, batch)
-    out = Tensor(np.einsum("ntb,tb->nb", v, weights.data),
-                 requires_grad=values.requires_grad or weights.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        if values.requires_grad:
-            _accumulate(values, (g[:, None, :] * weights.data).reshape(values.shape))
-        if weights.requires_grad:
-            _accumulate(weights, np.einsum("ntb,nb->tb", v, g))
-
-    _register(out, backward)
-    return out
+    return _op(np.einsum("ntb,tb->nb", v, weights.data),
+               (values, lambda g, y: (g[:, None, :] * weights.data).reshape(values.shape)),
+               (weights, lambda g, y: np.einsum("ntb,nb->tb", v, g)))
 
 
 # --- initialization --------------------------------------------------------

@@ -300,7 +300,7 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
 
     if best_snapshot is not None:
         params.restore(best_snapshot)
-    elif best_epoch == 0:
+    else:
         best_epoch = history[-1][0]
     return FitResult(params=params, best_epoch=best_epoch, history=history)
 

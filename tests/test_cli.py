@@ -6,12 +6,16 @@ uses 2 folds and 2 epochs so the whole module stays fast.
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evicred
 from evicred.cli import (
     PRESETS,
     _config_lines,
@@ -965,6 +969,53 @@ def test_gradcheck_command(capsys):
 def test_gradcheck_negative_seed_exits_one(capsys):
     assert main(["gradcheck", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_in_subprocess(argv, threads):
+    """``argv`` in a fresh interpreter, each BLAS variable unset or set to
+    ``threads``, with this package on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_THREADS, threads))
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(evicred.__file__).resolve().parents[1]),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_training_writes_the_same_bytes_without_a_blas_setting(tmp_path):
+    # Twelve claims of three 100-token articles and 2 folds: chunks of 8
+    # pairs and narrower ones, with products big enough that OpenBLAS
+    # may use more than one thread.  Without the package's one-thread
+    # default, a 2-core machine writes a different fold_00.ckpt.
+    rng = np.random.default_rng(0)
+    words = [f"w{i:02d}" for i in range(60)]
+    vectors = make_embedding_file(tmp_path, words, dim=50)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({
+        "id": f"c{i}", "claim": " ".join(rng.choice(words, 6)), "label": i % 2,
+        "articles": [{"text": " ".join(rng.choice(words, 100)), "source": "s"}
+                     for _ in range(3)]}) + "\n" for i in range(12)))
+    written = []
+    for threads in (None, "1"):
+        out = tmp_path / f"run_{threads}"
+        run_in_subprocess(["-m", "evicred.cli", "train", "--corpus", str(corpus),
+                           "--embeddings", str(vectors), "--out", str(out),
+                           "--preset", "snopes", "--folds", "2", "--max-epochs", "1",
+                           "--seed", "0", "--min-article-support", "1"], threads)
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert list(written[0]) == ["fold_00.ckpt", "fold_01.ckpt", "metrics.json",
+                                "train_log.txt"]
+    assert written[0] == written[1]
+
+
+def test_blas_threads_default_to_one_and_a_setting_wins():
+    code = f"import os, evicred; print(*(os.environ.get(k) for k in {BLAS_THREADS!r}))"
+    assert run_in_subprocess(["-c", code], "2").split() == ["2", "2", "2"]
+    assert run_in_subprocess(["-c", code], None).split() == ["1", "1", "1"]
 
 
 def test_bad_checkpoint_path_exits_one(tmp_path, capsys):

@@ -111,14 +111,22 @@ class TestModelParams:
         assert len(named) == 4 + 2 + 4 + 2 + 2
         assert "claim_source_table" in named
         assert "article_source_table" in named
+        assert len({id(t) for t in named.values()}) == len(named)
+        assert named["claim_source_table"] is params.claim_sources.tensor
+        assert named["article_source_table"] is params.article_sources.tensor
         for name, t in named.items():
-            assert t.name == name or name.endswith("table")
+            assert name.endswith("table") or t is getattr(params, name)
             assert t.requires_grad
 
     def test_regularized_is_the_three_matrices(self):
         _, _, _, params = tiny_world()
-        assert [t.name for t in params.regularized()] == [
-            "fuse1_w", "fuse2_w", "head_w"]
+        named = params.named()
+        regularized = params.regularized()
+        assert len(regularized) == 3
+        for t, expected in zip(regularized, [params.fuse1_w, params.fuse2_w, params.head_w]):
+            assert t is expected
+        for t, name in zip(regularized, ["fuse1_w", "fuse2_w", "head_w"]):
+            assert t is named[name]
 
     def test_snapshot_restore_roundtrip_is_bit_exact(self):
         _, _, _, params = tiny_world()

@@ -5,8 +5,10 @@ nested loops, gradients with central finite differences, softmax with a
 direct exp/sum evaluation.  The library must match them, not the other
 way round.
 """
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -744,3 +746,101 @@ def test_log_gradient_is_reciprocal():
 def test_affine_applies_scale_then_shift():
     out = affine(Tensor([[2.0]]), -1.0, 1.0)
     assert out.item() == -1.0
+
+
+# Every primitive that returns through ``_op``, on the input shapes listed.
+# ``bilstm`` records its own joint backward and has its own tests above.
+_MASK = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
+GRADIENT_CASES = {
+    "matmul": (matmul, [(3, 4), (4, 2)]),
+    "add[same]": (add, [(3, 4), (3, 4)]),
+    "add[scalar]": (add, [(3, 4), (1, 1)]),
+    "add[column]": (add, [(3, 4), (3, 1)]),
+    "add[row]": (add, [(3, 4), (1, 4)]),
+    "mul": (mul, [(3, 4), (3, 4)]),
+    "affine[array]": (lambda a: affine(a, np.linspace(-2.0, 2.0, 12).reshape(3, 4),
+                                       np.arange(3.0).reshape(3, 1)), [(3, 4)]),
+    "tanh": (tanh, [(3, 4)]),
+    "sigmoid": (sigmoid, [(3, 4)]),
+    "relu": (relu, [(3, 4)]),
+    "log": (log, [(3, 4)]),
+    "clip": (lambda a: clip(a, -1.0, 0.8), [(3, 4)]),
+    "softmax": (softmax, [(4, 3)]),
+    "softmax[masked]": (lambda a: softmax(a, _MASK), [(4, 3)]),
+    "sum_all": (sum_all, [(3, 4)]),
+    "transpose": (transpose, [(3, 4)]),
+    "vstack": (lambda *parts: vstack(parts), [(2, 3), (1, 3), (3, 3)]),
+    "take_rows": (lambda a: take_rows(a, [2, 0, 2, 1]), [(3, 4)]),
+    "reshape": (lambda a: reshape(a, 2, 6), [(3, 4)]),
+    "step_weighted_sum": (step_weighted_sum, [(3, 6), (3, 2)]),
+}
+
+
+def test_gradient_cases_cover_every_primitive_but_bilstm():
+    primitives = set(numeric.__all__) - {"Tensor", "Tape", "bilstm", "zero_grads",
+                                         "glorot_uniform"}
+    assert {name.split("[")[0] for name in GRADIENT_CASES} == primitives
+
+
+@pytest.mark.parametrize("name, constant", [
+    *[(name, None) for name in GRADIENT_CASES],
+    *[(name, i) for name, (_, shapes) in GRADIENT_CASES.items() if len(shapes) > 1
+      for i in range(len(shapes))],
+])
+def test_every_primitive_gradient_matches_finite_difference(name, constant):
+    # Input ``constant`` tracks no gradient, so its grad stays None; the
+    # others get the finite-difference gradient of a weighted sum of the
+    # output.  Entries keep 0.2 or more from relu's kink and log's pole at
+    # zero; none of these seeded draws lies within a step of clip's bounds.
+    fn, shapes = GRADIENT_CASES[name]
+    rng = np.random.default_rng(list(GRADIENT_CASES).index(name))
+    arrays = [rng.uniform(0.2, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+              for shape in shapes]
+    if name == "log":
+        arrays = [np.abs(a) for a in arrays]
+    inputs = [Tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+    weights = rng.standard_normal(fn(*inputs).shape)
+    with Tape() as tape:
+        loss = sum_all(mul(fn(*inputs), Tensor(weights)))
+    tape.backward(loss)
+    for i, (t, a) in enumerate(zip(inputs, arrays)):
+        if i == constant:
+            assert t.grad is None
+        else:
+            expected = numeric_gradient(lambda: float((fn(*inputs).data * weights).sum()), a)
+            np.testing.assert_allclose(t.grad, expected, rtol=1e-6, atol=1e-9)
+
+
+def tape_recorders(source: str) -> list[str]:
+    """Module-level functions and methods (``Tape``'s aside) of ``source``
+    that call ``active_tape()`` or a ``._record`` method: the code that puts
+    ops on a tape."""
+    tree = ast.parse(source)
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [method for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name != "Tape"
+             for method in node.body if isinstance(method, ast.FunctionDef)]
+    return sorted(d.name for d in defs if any(
+        isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) == "active_tape"
+             or getattr(call.func, "attr", None) == "_record")
+        for call in ast.walk(d)))
+
+
+def test_tape_recorder_finder_has_teeth():
+    assert tape_recorders(
+        "def own(a):\n    def backward(g):\n        pass\n"
+        "    active_tape()._ops.append((a, backward))\n"
+        "class Holder:\n    def put(self, tape):\n        tape._record(1, 2)\n"
+        "class Tape:\n    def __enter__(self):\n        active_tape()\n"
+        "def pure(a):\n    return _op(a, (a, None))\n") == ["own", "put"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parent.parent / "src" / "evicred").glob("*.py")),
+    ids=lambda p: p.name)
+def test_only_op_and_bilstm_record_on_a_tape(path):
+    # A new primitive returns through ``_op`` and so cannot bring its own
+    # recording protocol back; ``bilstm`` records its joint BPTT itself.
+    expected = ["_op", "bilstm"] if path.name == "numeric.py" else []
+    assert tape_recorders(path.read_text(encoding="utf-8")) == expected

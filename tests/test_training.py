@@ -83,7 +83,7 @@ class TestLoss:
 
 class TestAdam:
     def one_param(self, value, grad):
-        t = Tensor([[value]], requires_grad=True, name="x")
+        t = Tensor([[value]], requires_grad=True)
         t.grad = np.array([[grad]])
         return {"x": t}
 
@@ -102,7 +102,7 @@ class TestAdam:
 
     def test_missing_gradient_means_no_motion(self):
         config = TrainConfig()
-        t = Tensor([[5.0]], requires_grad=True, name="x")
+        t = Tensor([[5.0]], requires_grad=True)
         named = {"x": t}
         state = OptimizerState.for_params(named)
         adam_step(named, state, config)
@@ -110,7 +110,7 @@ class TestAdam:
 
     def test_descends_a_quadratic(self):
         config = TrainConfig(learning_rate=0.05)
-        t = Tensor([[1.0]], requires_grad=True, name="x")
+        t = Tensor([[1.0]], requires_grad=True)
         named = {"x": t}
         state = OptimizerState.for_params(named)
         for _ in range(200):
