@@ -528,6 +528,12 @@ class FoldPlan:
         return list(self.folds[fold])
 
 
+def _check_seed(seed: int) -> None:
+    # numpy seeds generators from non-negative integers only.
+    if seed < 0:
+        raise ContractError(f"seed must be non-negative, got {seed}")
+
+
 def make_folds(instances: list[ClaimInstance], seed: int,
                n_folds: int = 10) -> FoldPlan:
     """Shuffle claims, hold out a validation slice, deal the rest round-robin.
@@ -537,6 +543,7 @@ def make_folds(instances: list[ClaimInstance], seed: int,
     """
     if n_folds < 2:
         raise ContractError(f"cross-validation needs at least 2 folds, got {n_folds}")
+    _check_seed(seed)
     ids = [inst.claim_id for inst in instances]
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))

@@ -284,32 +284,15 @@ def _pair_key(pair: Pair) -> tuple:
             pair.claim_tokens, pair.claim_source is not None, pair.claim_source or "")
 
 
-def _as_batch(embeds: np.ndarray, word_dim: int) -> np.ndarray:
-    """(T, B, d) word vectors; a single (k, d) article is a batch of one."""
-    if embeds.ndim == 2:
-        embeds = embeds[:, None, :]
-    if embeds.ndim != 3 or embeds.shape[0] == 0 or embeds.shape[1] == 0:
-        raise DegenerateInputError("cannot encode an empty article")
-    if embeds.shape[2] != word_dim:
-        raise ShapeError(
-            f"embeddings are {embeds.shape[2]}-dimensional, model expects {word_dim}")
-    return embeds
-
-
 def bilstm_encode(embeds: np.ndarray, params: ModelParams,
-                  lengths: np.ndarray | None = None) -> Tensor:
+                  lengths: np.ndarray) -> Tensor:
     """Hidden states as one (2H, T*B) tensor: forward half over backward half.
 
-    ``embeds`` is (T, B, d) with item b padded after ``lengths[b]`` tokens
-    (all T when omitted), or one (k, d) article, which gives (2H, k).
+    ``embeds`` is (T, B, d) with item b padded after ``lengths[b]`` tokens.
     Column t*B + b sees tokens 1..t of item b through the forward half and
     tokens t..k through the backward half; both directions start from zero
     states.  Columns of padding tokens are zero.
     """
-    embeds = _as_batch(embeds, params.hyper.word_dim)
-    steps, batch, _ = embeds.shape
-    if lengths is None:
-        lengths = np.full(batch, steps)
     return bilstm(embeds, lengths, params.lstm_fw_w, params.lstm_fw_b,
                   params.lstm_bw_w, params.lstm_bw_b)
 
@@ -328,8 +311,13 @@ def attend(embeds: np.ndarray, claim_vecs: np.ndarray, params: ModelParams,
     building that matrix.
     """
     dim = params.hyper.word_dim
-    embeds = _as_batch(embeds, dim)
-    steps, batch, _ = embeds.shape
+    if embeds.ndim == 2:
+        embeds = embeds[:, None, :]
+    if embeds.ndim != 3 or embeds.shape[0] == 0 or embeds.shape[1] == 0:
+        raise DegenerateInputError("cannot attend over an empty article")
+    steps, batch, width = embeds.shape
+    if width != dim:
+        raise ShapeError(f"embeddings are {width}-dimensional, model expects {dim}")
     w = transpose(params.attention_w)
     words = matmul(Tensor(embeds.reshape(steps * batch, dim)), take_rows(w, range(dim)))
     claims = matmul(Tensor(np.asarray(claim_vecs).reshape(batch, dim)),

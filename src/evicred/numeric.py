@@ -1,12 +1,12 @@
 """Dense 2-D tensors with tape-based reverse-mode differentiation.
 
 Everything the credibility model trains is a small dense matrix, so the
-substrate stays deliberately simple: a Tensor wraps a numpy array (float64
-by default, float32 for reduced-precision runs) and a Tape records every
-primitive applied while it is active, to be replayed in reverse when
-gradients are needed.  Vectors are column matrices of shape (n, 1) and
-scalars are (1, 1); keeping a single layout avoids a family of transpose
-bugs in the recurrent code.
+substrate stays deliberately simple: a Tensor wraps a 2-D float32 or
+float64 array, and nothing else, and a Tape records every primitive
+applied while it is active, to be replayed in reverse when gradients are
+needed.  Vectors are column matrices of shape (n, 1) and scalars are
+(1, 1); keeping a single layout avoids a family of transpose bugs in the
+recurrent code.
 
 Columns are batch items: a batch of B feature vectors is an (n, B)
 matrix, and elementwise ops, ``softmax`` and matmuls by a weight on the
@@ -56,19 +56,6 @@ _FLOAT_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _BLOCK_TOKENS = 256
 
 
-def _as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype not in _FLOAT_TYPES:
-        arr = arr.astype(np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    elif arr.ndim != 2:
-        raise ShapeError(f"expected at most 2 dimensions, got shape {arr.shape}")
-    return arr
-
-
 class Tensor:
     """A rows x cols matrix of reals, optionally tracked for gradients.
 
@@ -80,7 +67,12 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_matrix(data)
+        data = np.asarray(data)
+        if data.dtype not in _FLOAT_TYPES:
+            raise ContractError(f"a tensor holds float32 or float64, got {data.dtype}")
+        if data.ndim != 2:
+            raise ShapeError(f"a tensor is 2-D, got shape {data.shape}")
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
@@ -122,7 +114,6 @@ class Tape:
 
     def __init__(self):
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._produced: set[int] = set()
         self._replayed = False
 
     def __enter__(self) -> "Tape":
@@ -139,7 +130,6 @@ class Tape:
 
     def _record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         self._ops.append((out, backward))
-        self._produced.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into ``grad`` of every recorded input.
@@ -151,7 +141,7 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
-        if id(loss) not in self._produced:
+        if not any(out is loss for out, _ in reversed(self._ops)):
             raise ContractError("loss was not produced while this tape was active")
         if self._replayed:
             raise ContractError("a tape can be replayed only once")
@@ -322,7 +312,10 @@ def take_rows(a: Tensor, index: Sequence[int]) -> Tensor:
 
     Gradient of every picked row is summed back into its source row.
     """
-    idx = np.asarray(index, dtype=np.intp).reshape(-1)
+    idx = np.asarray(index).reshape(-1)
+    # An empty index reads as floats; it is refused as out of range below.
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ContractError(f"row indices must be integers, got {idx.dtype}")
     if idx.size == 0 or idx.min() < 0 or idx.max() >= a.rows:
         raise ShapeError(f"row index out of range for shape {a.shape}")
 
@@ -368,7 +361,11 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     the (B, 4H) layout of the recurrent product, so the tape can be
     replayed only once.  Untaped, one block of input products and one slab
     are reused, so the op holds only its inputs, states and outputs.
+
+    Each length is an integer from 1 to T; other inputs are refused.
     """
+    if x.ndim != 3:
+        raise ShapeError(f"inputs must be (T, B, d), got shape {x.shape}")
     steps, batch, dim = x.shape
     size = w_fw.rows // 4
     params = (w_fw, b_fw, w_bw, b_bw)
@@ -376,8 +373,12 @@ def bilstm(x: np.ndarray, lengths: np.ndarray, w_fw: Tensor, b_fw: Tensor,
     if any(p.shape != shape for p, shape in zip(params, shapes)):
         raise ShapeError(f"gate weights and biases do not fit {dim}-dimensional inputs")
     lengths = np.asarray(lengths)
-    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > steps:
+    if lengths.dtype.kind not in "iu":
+        raise ContractError(f"lengths must be integers, got {lengths.dtype}")
+    if lengths.shape != (batch,) or lengths.max(initial=0) > steps:
         raise ShapeError(f"lengths {lengths} do not fit {steps} padded steps")
+    if batch == 0 or lengths.min() < 1:
+        raise DegenerateInputError("cannot encode an empty batch or item")
     requires_grad = any(p.requires_grad for p in params)
     tape = active_tape() if requires_grad else None
     taped = tape is not None

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import ClaimInstance, FoldPlan, source_counts
+from .corpus import ClaimInstance, FoldPlan, _check_seed, source_counts
 from .embeddings import (SourceEmbeddingTable, Vocabulary, WordEmbeddings,
                          build_source_table)
 from .errors import ContractError, DegenerateInputError
@@ -41,12 +41,6 @@ __all__ = [
 PROB_FLOOR = 1e-7
 # Central-difference step of ``gradient_check``.
 _FD_STEP = 1e-5
-
-
-def _check_seed(seed: int) -> None:
-    # numpy seeds generators from non-negative integers only.
-    if seed < 0:
-        raise ContractError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass

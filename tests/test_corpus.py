@@ -587,6 +587,10 @@ class TestFolds:
         with pytest.raises(ContractError, match="at least 2 folds"):
             self.make(40, n_folds=n_folds)
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ContractError, match="non-negative"):
+            self.make(40, seed=-1)
+
     def test_too_few_claims_raise(self):
         instances, _ = planted_corpus(n_claims=8, n_articles=1)
         with pytest.raises(DegenerateInputError):

@@ -1,8 +1,8 @@
 """Module names: every name a package module lists in ``__all__`` must
 resolve, no module of the package or of the tests imports a name it never
 uses, and no module-level name of the package goes unread unless an
-``__all__`` lists it.  The suite's warning filters fail a deprecated call
-in the package."""
+``__all__`` lists it.  The package builds no tensor from a literal.  The
+suite's warning filters fail a deprecated call in the package."""
 import ast
 import importlib
 import pkgutil
@@ -118,6 +118,39 @@ def test_no_unexported_public_name_goes_unread(package_unread_names):
     # A public name that no module reads and no ``__all__`` lists is
     # library surface that only tests reach.
     assert [n for n in package_unread_names if not n.split(":")[1].startswith("_")] == []
+
+
+def literal_tensor_data(source: str) -> list[int]:
+    """Lines of each ``Tensor(...)`` call whose data is a list, tuple or
+    constant literal (signed or not), given by position or as ``data=``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Tensor"):
+            continue
+        data = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "data")]
+        for arg in data:
+            if isinstance(arg, ast.UnaryOp):
+                arg = arg.operand
+            if isinstance(arg, (ast.List, ast.Tuple, ast.Constant)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_literal_tensor_data_finder_has_teeth():
+    assert literal_tensor_data(
+        "Tensor([[1.0]])\nTensor((1.0,))\nTensor(-2)\nTensor(data=[0.5])\n"
+        "Tensor(np.ones((1, 1)))\nTensor(x, requires_grad=True)\nT([1.0])\n"
+        "Tensor('abc')\n") == [1, 2, 3, 4, 8]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "evicred").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_builds_tensors_from_arrays(path):
+    # A tensor holds a 2-D float array; a literal's rank and dtype are
+    # decided by how it is written, so the package builds every tensor
+    # from an array it has shaped, on paths the tests never run as well.
+    assert literal_tensor_data(path.read_text(encoding="utf-8")) == []
 
 
 def test_deprecation_warning_in_the_package_fails_the_suite():

@@ -196,7 +196,8 @@ def lstm_reference(embeds, w, b):
 class TestBilstmEncode:
     def test_shapes(self):
         hyper, _, _, params = tiny_world()
-        states = bilstm_encode(random_embeds(5, hyper.word_dim), params)
+        embeds = random_embeds(5, hyper.word_dim)[:, None]
+        states = bilstm_encode(embeds, params, np.array([5]))
         assert states.shape == (2 * hyper.hidden_size, 5)
 
     def test_matches_per_gate_numpy_reference(self):
@@ -208,7 +209,7 @@ class TestBilstmEncode:
         forward = lstm_reference(embeds, params.lstm_fw_w.data, params.lstm_fw_b.data)
         backward = lstm_reference(embeds[::-1], params.lstm_bw_w.data,
                                   params.lstm_bw_b.data)[:, ::-1]
-        got = bilstm_encode(embeds, params).data
+        got = bilstm_encode(embeds[:, None], params, np.array([7])).data
         assert np.max(np.abs(got - np.vstack([forward, backward]))) < 1e-12
 
     def test_padded_batch_matches_per_gate_reference_per_column(self):
@@ -240,7 +241,8 @@ class TestBilstmEncode:
         for t in (params.lstm_fw_w, params.lstm_fw_b, params.lstm_bw_w,
                   params.lstm_bw_b):
             t.data = np.zeros_like(t.data)
-        states = bilstm_encode(random_embeds(4, hyper.word_dim), params)
+        embeds = random_embeds(4, hyper.word_dim)[:, None]
+        states = bilstm_encode(embeds, params, np.array([4]))
         assert np.all(states.data == 0.0)
 
     def test_tied_gates_make_reversal_a_half_swap(self):
@@ -250,29 +252,29 @@ class TestBilstmEncode:
         hyper, _, _, params = tiny_world(seed=3)
         params.lstm_bw_w.data = params.lstm_fw_w.data.copy()
         params.lstm_bw_b.data = params.lstm_fw_b.data.copy()
-        embeds = random_embeds(6, hyper.word_dim, seed=4)
-        fwd = bilstm_encode(embeds, params).data
-        rev = bilstm_encode(embeds[::-1], params).data
+        embeds = random_embeds(6, hyper.word_dim, seed=4)[:, None]
+        fwd = bilstm_encode(embeds, params, np.array([6])).data
+        rev = bilstm_encode(embeds[::-1], params, np.array([6])).data
         h = hyper.hidden_size
         assert np.array_equal(rev[:h], fwd[h:, ::-1])
         assert np.array_equal(rev[h:], fwd[:h, ::-1])
 
     def test_states_depend_on_position(self):
         hyper, _, _, params = tiny_world(seed=5)
-        embeds = random_embeds(4, hyper.word_dim, seed=6)
-        base = bilstm_encode(embeds, params)
-        swapped = bilstm_encode(embeds[[1, 0, 2, 3]], params)
+        embeds = random_embeds(4, hyper.word_dim, seed=6)[:, None]
+        base = bilstm_encode(embeds, params, np.array([4]))
+        swapped = bilstm_encode(embeds[[1, 0, 2, 3]], params, np.array([4]))
         assert not np.allclose(base.data[:, 2], swapped.data[:, 2])
 
     def test_empty_article_raises(self):
         hyper, _, _, params = tiny_world()
         with pytest.raises(DegenerateInputError):
-            bilstm_encode(np.zeros((0, hyper.word_dim)), params)
+            bilstm_encode(np.zeros((0, 1, hyper.word_dim)), params, np.array([0]))
 
     def test_wrong_word_dim_raises(self):
         _, _, _, params = tiny_world()
         with pytest.raises(ShapeError):
-            bilstm_encode(np.zeros((3, 7)), params)
+            bilstm_encode(np.zeros((3, 1, 7)), params, np.array([3]))
 
 
 class TestAttend:
@@ -320,7 +322,8 @@ class TestAttend:
 class TestArticleVector:
     def test_matches_numpy_oracle(self):
         hyper, _, _, params = tiny_world()
-        states = bilstm_encode(random_embeds(4, hyper.word_dim, seed=8), params)
+        embeds = random_embeds(4, hyper.word_dim, seed=8)[:, None]
+        states = bilstm_encode(embeds, params, np.array([4]))
         w = np.array([[0.1], [0.2], [0.3], [0.4]])
         got = article_vector(states, Tensor(w.copy()), np.array([4]))
         expected = (states.data @ w) / 4.0
@@ -328,7 +331,8 @@ class TestArticleVector:
 
     def test_length_mismatch_raises(self):
         hyper, _, _, params = tiny_world()
-        states = bilstm_encode(random_embeds(3, hyper.word_dim), params)
+        embeds = random_embeds(3, hyper.word_dim)[:, None]
+        states = bilstm_encode(embeds, params, np.array([3]))
         with pytest.raises(ShapeError):
             article_vector(states, Tensor(np.ones((4, 1))), np.array([4]))
 

@@ -238,29 +238,29 @@ class TestSoftmax:
         scores = [1.0, 2.0, 3.0]
         exps = [math.exp(s) for s in scores]
         expected = [e / sum(exps) for e in exps]
-        got = softmax(Tensor(scores)).data[:, 0]
+        got = softmax(Tensor([[s] for s in scores])).data[:, 0]
         assert np.max(np.abs(got - expected)) < 1e-12
         assert np.allclose(got, [0.0900, 0.2447, 0.6652], atol=1e-4)
 
     def test_masked_positions_exactly_zero(self):
-        got = softmax(Tensor([10.0, 10.0, -1e9]),
+        got = softmax(Tensor([[10.0], [10.0], [-1e9]]),
                       mask=np.array([True, True, False])).data[:, 0]
         assert got[2] == 0.0
         assert got[0] == pytest.approx(0.5, abs=1e-12)
         assert got[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_extreme_scores_stay_finite(self):
-        got = softmax(Tensor([1000.0, -1000.0])).data
+        got = softmax(Tensor([[1000.0], [-1000.0]])).data
         assert np.all(np.isfinite(got))
         assert got[0, 0] == pytest.approx(1.0)
 
     def test_all_masked_raises(self):
         with pytest.raises(DegenerateInputError):
-            softmax(Tensor([1.0, 2.0]), mask=np.array([False, False]))
+            softmax(Tensor([[1.0], [2.0]]), mask=np.array([False, False]))
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((6, 1))
         base = softmax(Tensor(x)).data
         shifted = softmax(Tensor(x + 123.456)).data
         assert np.max(np.abs(base - shifted)) < 1e-9
@@ -287,7 +287,7 @@ class TestSoftmax:
         mask = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 1], [1, 0, 1]], dtype=bool)
         got = softmax(Tensor(x), mask).data
         for b in range(3):
-            want = softmax(Tensor(x[mask[:, b], b])).data[:, 0]
+            want = softmax(Tensor(x[mask[:, b], b:b + 1])).data[:, 0]
             assert np.max(np.abs(got[mask[:, b], b] - want)) < 1e-15
             assert np.all(got[~mask[:, b], b] == 0.0)
 
@@ -369,6 +369,20 @@ class TestLstm:
             assert np.max(np.abs(numeric_gradient(value, t.data) - grad)) < 1e-7
         unused = params[:2] if reverse else params[2:]
         assert all(t.grad is None or not t.grad.any() for t in unused)
+
+    @pytest.mark.parametrize("x, lengths, error", [
+        (np.zeros((3, 2)), np.array([3, 3]), ShapeError),
+        (np.zeros((3, 2, 2)), np.array([3.0, 3.0]), ContractError),
+        (np.zeros((3, 2, 2)), np.array([True, True]), ContractError),
+        (np.zeros((3, 2, 2)), np.array([3, 4]), ShapeError),
+        (np.zeros((3, 2, 2)), np.array([3, 0]), DegenerateInputError),
+        (np.zeros((3, 0, 2)), np.array([], dtype=int), DegenerateInputError),
+    ], ids=["2-D x", "float lengths", "bool lengths", "too long", "empty item",
+            "empty batch"])
+    def test_malformed_inputs_are_refused(self, x, lengths, error):
+        params = [Tensor(np.zeros(shape)) for shape in [(4, 3), (4, 1)] * 2]
+        with pytest.raises(error):
+            bilstm(x, lengths, *params)
 
     @staticmethod
     def run(x, lengths, arrays, weights, dtype=np.float64, tape=True):
@@ -711,6 +725,12 @@ class TestStackingAndSlicing:
         with pytest.raises(ShapeError):
             take_rows(Tensor(np.zeros((4, 2))), range(start, stop))
 
+    @pytest.mark.parametrize("index", [[0.5], [True], np.array([1.0])],
+                             ids=["float", "bool", "float array"])
+    def test_take_rows_refuses_indices_that_are_not_integers(self, index):
+        with pytest.raises(ContractError):
+            take_rows(Tensor(np.zeros((4, 2))), index)
+
     def test_transpose_gradient(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as tape:
@@ -726,12 +746,17 @@ class TestDtypes:
         b = Tensor(np.ones((2, 2), dtype=np.float32))
         assert matmul(a, b).data.dtype == np.float32
 
-    def test_integers_promote_to_float64(self):
-        assert Tensor([[1, 2]]).data.dtype == np.float64
+    @pytest.mark.parametrize("data", [5.0, [1.0, 2.0], np.zeros((2, 2, 2))],
+                             ids=["scalar", "vector", "3-D"])
+    def test_anything_but_a_matrix_is_refused(self, data):
+        with pytest.raises(ShapeError):
+            Tensor(data)
 
-    def test_vectors_become_columns_scalars_1x1(self):
-        assert Tensor([1.0, 2.0, 3.0]).shape == (3, 1)
-        assert Tensor(5.0).shape == (1, 1)
+    @pytest.mark.parametrize("data", [[[1, 2]], "abc", np.zeros((2, 2), dtype=np.float16)],
+                             ids=["int", "str", "float16"])
+    def test_anything_but_float32_or_float64_is_refused(self, data):
+        with pytest.raises(ContractError):
+            Tensor(data)
 
 
 def test_log_gradient_is_reciprocal():
