@@ -20,11 +20,11 @@ from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ParseError
 
-__all__ = ["ALIGN", "sha256_hex", "prefix_sha256", "section_offsets", "payload_chunks",
+__all__ = ["ALIGN", "sha256_hex", "equal_prefix", "section_offsets", "payload_chunks",
            "write", "read_header"]
 
 ALIGN = 64
-# Bytes read at a time from a file that is hashed or copied into a section.
+# Bytes read at a time from a file that is compared or copied into a section.
 _CHUNK = 1 << 18
 _PREAMBLE = struct.Struct("<II")
 _MAGIC_LEN = 4
@@ -38,18 +38,22 @@ def sha256_hex(chunks: Iterable[bytes]) -> str:
     return h.hexdigest()
 
 
-def prefix_sha256(fh: BinaryIO, size: int) -> str:
-    """Hex SHA-256 of the next ``size`` bytes of an open binary file, or of
-    the bytes up to its end if it ends sooner."""
-    h = hashlib.sha256()
-    buf = memoryview(bytearray(_CHUNK))  # one buffer, read into chunk by chunk
+def equal_prefix(fh: BinaryIO, other: BinaryIO, size: int) -> bool:
+    """Whether two open buffered binary files both hold ``size`` more bytes
+    and those bytes are equal.  Both are read a chunk at a time into one
+    fixed buffer each."""
+    # Whole bytearrays, not memoryview slices: bytearray equality is one
+    # memcmp, memoryview equality compares item by item, about 100x slower.
+    mine, theirs = bytearray(_CHUNK), bytearray(_CHUNK)
     while size > 0:
-        got = fh.readinto(buf[:min(size, _CHUNK)])
-        if not got:
-            break
-        h.update(buf[:got])
-        size -= got
-    return h.hexdigest()
+        if size < _CHUNK:  # the last chunk: both buffers shrink in place
+            del mine[size:], theirs[size:]
+        # A buffered reader's readinto fills the buffer unless the file ends.
+        if fh.readinto(mine) < len(mine) or other.readinto(theirs) < len(theirs) \
+                or mine != theirs:
+            return False
+        size -= len(mine)
+    return True
 
 
 def section_offsets(header_len: int, sizes: Iterable[int]) -> tuple[list[int], int]:

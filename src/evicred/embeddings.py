@@ -13,6 +13,8 @@ a single fallback row.
 from __future__ import annotations
 
 import array
+import contextlib
+import io
 import json
 import math
 import os
@@ -149,7 +151,7 @@ class WordEmbeddings:
 
 _CACHE_SUFFIX = ".evicache"
 _CACHE_MAGIC = b"EVWV"
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 _CACHE_KIND = "word-vector cache"
 # Components parsed as float64 before they are cast, checked and written out
 # (512 KB): all that a parse holds of the matrix at once.
@@ -176,13 +178,15 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
     directory that takes no new file.  So no load holds the whole matrix in
     memory, and nothing done to the cache changes a matrix already loaded.
 
-    A parse of a regular file is saved beside it as ``<path>.evicache``,
-    keyed by ``dtype``, ``vocab_limit`` and the SHA-256 of the bytes the
-    parse read: the whole file, or the part up to the line that reached
+    A parse of a regular file in a directory this process may write is
+    saved beside it as ``<path>.evicache``, keyed by ``dtype``,
+    ``vocab_limit`` and a copy of the bytes the parse read, kept as it read
+    them: the whole file, or the part up to the line that reached
     ``vocab_limit``, so text appended after that line keeps the cache.  A
-    later load with the same key maps the saved matrix instead of parsing;
-    a cache that is missing, stale or damaged is rebuilt, and one that
-    cannot be written is skipped.
+    later load with the same ``dtype`` and ``vocab_limit`` whose text still
+    starts with those bytes, compared byte for byte, maps the saved matrix
+    instead of parsing; a cache that is missing, stale or damaged is
+    rebuilt, and one that cannot be written is skipped.
     """
     if vocab_limit is not None and vocab_limit < 1:
         raise ContractError(f"vocab_limit must be at least 1, got {vocab_limit}")
@@ -197,21 +201,29 @@ def load_word_vectors(path: str, vocab_limit: int | None = None,
                 loaded[1].vocab_limit = vocab_limit
                 return loaded
             text.seek(0)
-        with _private_file((os.path.dirname(cache) or os.curdir) if regular else None) as out:
-            vocab, dim, magnitudes = _parse_word_vectors(text, vocab_limit, dtype, out)
+        home = os.path.dirname(cache) or os.curdir
+        # A directory this process cannot write takes no cache, so its parse
+        # keeps no copy of the text either.
+        cached = regular and os.access(home, os.W_OK)
+        with _private_file(home if regular else None) as out, \
+                (_private_file(home) if cached else contextlib.nullcontext()) as read:
+            # The cache keys the bytes this parse consumed, copied as it reads
+            # them: a second read could see the text rewritten in between.
+            source = io.BufferedReader(_Tee(text, read)) if cached else text
+            vocab, dim, magnitudes = _parse_word_vectors(source, vocab_limit, dtype, out)
             out.flush()
             matrix = np.memmap(out, dtype=dtype, mode="r", shape=(len(vocab), dim))
-            if regular:
-                text_bytes = text.tell()
-                text.seek(0)
+            if cached:
+                text_bytes = source.tell()
+                read.truncate(text_bytes)  # drops what the reader buffered beyond
                 blob = "\n".join(vocab.tokens).encode("utf-8")
-                header = {"text_sha256": container.prefix_sha256(text, text_bytes),
-                          "text_bytes": text_bytes, "dtype": dtype.name,
+                header = {"text_bytes": text_bytes, "dtype": dtype.name,
                           "vocab_limit": vocab_limit, "rows": len(vocab), "dim": dim,
                           "token_bytes": len(blob), "magnitudes": list(magnitudes),
                           "sha256": _cache_digest(blob, list(magnitudes))}
                 try:
-                    container.write(cache, _CACHE_MAGIC, _CACHE_VERSION, header, [blob, out])
+                    container.write(cache, _CACHE_MAGIC, _CACHE_VERSION, header,
+                                    [blob, read, out])
                 except OSError:  # read-only directory, or the cache path is taken
                     pass
     emb = WordEmbeddings(vocab, matrix, magnitudes)
@@ -225,12 +237,33 @@ def _cache_digest(blob: bytes, magnitudes: list) -> str:
     return container.sha256_hex([blob, b"\n", json.dumps(magnitudes).encode("utf-8")])
 
 
+class _Tee(io.RawIOBase):
+    """A raw reader of an open binary file that writes every byte it reads
+    to ``copy``, for a buffered reader to read lines from."""
+
+    def __init__(self, src: BinaryIO, copy: BinaryIO):
+        self._src, self._copy = src, copy
+        self.name = src.name
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = self._src.readinto(buf)
+        self._copy.write(memoryview(buf)[:got])
+        return got
+
+    def tell(self) -> int:
+        return self._src.tell()
+
+
 def _private_file(directory: str | None) -> BinaryIO:
-    """An unnamed temporary file for a parsed matrix, in ``directory`` if
-    that takes one, else in the system temp directory.
+    """An unnamed temporary file for a parsed matrix or the copy of the
+    text a parse read, in ``directory`` if that takes one, else in the
+    system temp directory.
 
     The cache's directory comes first: the system temp directory is often
-    memory-backed (tmpfs), where the matrix would take memory again, and
+    memory-backed (tmpfs), where the bytes would take memory again, and
     the cache needs room for the same bytes anyway.
     """
     if directory is not None:
@@ -246,13 +279,13 @@ def _read_cache(cache: str, text: BinaryIO, dtype: np.dtype,
     """The cached vocabulary and mapped matrix, or None unless all of it matches.
 
     The cache must be for ``dtype`` and ``vocab_limit``, and the open text
-    file must still start with the ``text_bytes`` bytes it was parsed from,
-    which hash to its key.  Any bytes after them must be ones the parse
-    never read: it stopped at ``vocab_limit`` on a line ended by a newline.
-    The token list and the recorded magnitudes are checked against their
-    digest.  The matrix is trusted as written, since it was saved only
-    after a parse passed its checks and re-hashing it would read every page
-    of it.
+    file must still start with the ``text_bytes`` bytes it was parsed from:
+    equal, byte for byte, to the copy of them in the cache, so no two texts
+    share a key.  Any bytes after them must be ones the parse never read:
+    it stopped at ``vocab_limit`` on a line ended by a newline.  The token
+    list and the recorded magnitudes are checked against their digest.  The
+    matrix is trusted as written, since it was saved only after a parse
+    passed its checks and re-hashing it would read every page of it.
     """
     try:
         with open(cache, "rb") as fh:
@@ -264,8 +297,8 @@ def _read_cache(cache: str, text: BinaryIO, dtype: np.dtype,
                 header.get(n) for n in ("rows", "dim", "token_bytes", "text_bytes"))
             if not all(type(n) is int and n > 0 for n in (rows, dim, token_bytes, text_bytes)):
                 return None
-            (tokens_at, matrix_at), end = container.section_offsets(
-                header_len, [token_bytes, rows * dim * dtype.itemsize])
+            (tokens_at, text_at, matrix_at), end = container.section_offsets(
+                header_len, [token_bytes, text_bytes, rows * dim * dtype.itemsize])
             if os.fstat(fh.fileno()).st_size != end:
                 return None
             size = os.fstat(text.fileno()).st_size
@@ -276,7 +309,8 @@ def _read_cache(cache: str, text: BinaryIO, dtype: np.dtype,
                 if rows != vocab_limit or text.read(1) != b"\n":
                     return None
             text.seek(0)
-            if container.prefix_sha256(text, text_bytes) != header.get("text_sha256"):
+            fh.seek(text_at)
+            if not container.equal_prefix(text, fh, text_bytes):
                 return None
             fh.seek(tokens_at)
             blob = fh.read(token_bytes)

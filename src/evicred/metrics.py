@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError, DegenerateInputError, ShapeError
 
 __all__ = [
     "MetricReport",
@@ -82,10 +82,19 @@ def ranking_auc(scores, labels) -> float | None:
     """Probability a random positive outranks a random negative, ties half.
 
     None when either class is absent, which callers must surface instead
-    of substituting a default.
+    of substituting a default.  Scores and labels must be vectors of one
+    length (ShapeError), every score a finite number and every label 0 or 1
+    (ContractError).
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise ShapeError(f"scores {scores.shape} and labels {labels.shape} "
+                         "must be vectors of one length")
+    if not np.isfinite(scores).all():
+        raise ContractError("every score must be a finite number")
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractError("binary labels must be 0 or 1")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -308,20 +308,29 @@ def attend(embeds: np.ndarray, claim_vecs: np.ndarray, params: ModelParams,
     ``mask`` flags the real tokens, (T, B) or (k,).  Returns (weights, raw
     scores), both (T, B).  ``attention_w`` is applied as its word half and
     its claim half, which adds up to the score of [x; claim] without
-    building that matrix.
+    building that matrix.  Other shapes raise ShapeError, and an article
+    or a batch with no steps raises DegenerateInputError.
     """
     dim = params.hyper.word_dim
+    claim_rows = np.asarray(claim_vecs)
     if embeds.ndim == 2:
-        embeds = embeds[:, None, :]
-    if embeds.ndim != 3 or embeds.shape[0] == 0 or embeds.shape[1] == 0:
-        raise DegenerateInputError("cannot attend over an empty article")
+        embeds, claim_rows = embeds[:, None, :], claim_rows[None]
+    if embeds.ndim != 3:
+        raise ShapeError(f"embeddings are (T, B, d) or one (k, d) article, "
+                         f"got shape {embeds.shape}")
     steps, batch, width = embeds.shape
+    if steps == 0 or batch == 0:
+        raise DegenerateInputError("cannot attend over an empty article")
     if width != dim:
         raise ShapeError(f"embeddings are {width}-dimensional, model expects {dim}")
+    if claim_rows.ndim != 2 or claim_rows.shape[1] != dim:
+        raise ShapeError(f"claim vectors of shape {np.shape(claim_vecs)} are not "
+                         f"{dim}-dimensional, as the model expects")
+    if claim_rows.shape[0] != batch:
+        raise ShapeError(f"{claim_rows.shape[0]} claim vectors for {batch} articles")
     w = transpose(params.attention_w)
     words = matmul(Tensor(embeds.reshape(steps * batch, dim)), take_rows(w, range(dim)))
-    claims = matmul(Tensor(np.asarray(claim_vecs).reshape(batch, dim)),
-                    take_rows(w, range(dim, 2 * dim)))
+    claims = matmul(Tensor(claim_rows), take_rows(w, range(dim, 2 * dim)))
     pre = add(add(reshape(words, steps, batch), transpose(claims)), params.attention_b)
     scores = tanh(pre)
     return softmax(scores, mask), scores

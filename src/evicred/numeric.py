@@ -67,7 +67,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        data = np.asarray(data)
+        try:
+            data = np.asarray(data)
+        except ValueError as e:  # a ragged nested sequence
+            raise ShapeError(f"a tensor is 2-D, got a ragged sequence ({e})") from None
         if data.dtype not in _FLOAT_TYPES:
             raise ContractError(f"a tensor holds float32 or float64, got {data.dtype}")
         if data.ndim != 2:

@@ -232,8 +232,8 @@ class TestWordVectorCache:
         garbled[tokens_at] ^= 0x01  # "a" becomes "`": a token, not a length, changes
         header = json.loads(whole[12:12 + header_len])
         header["magnitudes"][1] *= 2  # valid JSON, but no longer what was digested
-        container.write(tmp_path / "doubled", b"EVWV", 3, header,
-                        [b"a\nb\nc", np.array(want[1].vectors)])
+        container.write(tmp_path / "doubled", b"EVWV", embeddings._CACHE_VERSION, header,
+                        [b"a\nb\nc", path.read_bytes(), np.array(want[1].vectors)])
         for bad in (whole[:-1], whole[:20], b"", bytes(garbled),
                     b"EVCR" + whole[4:], whole + b"\0",
                     (tmp_path / "doubled").read_bytes()):
@@ -257,6 +257,65 @@ class TestWordVectorCache:
         assert_same_load(load_word_vectors(path), want)
         assert len(parses) == 2 and cache.read_bytes() == whole
 
+    def test_version_three_cache_is_rebuilt(self, tmp_path, parses):
+        # Version 3 keyed the text by its SHA-256 and kept no copy of it.
+        path = make_embedding_file(tmp_path, ["a", "b", "c"], dim=4)
+        want = load_word_vectors(path)
+        cache = cache_of(path)
+        whole = cache.read_bytes()
+        (header_len,) = struct.unpack("<I", whole[8:12])
+        header = json.loads(whole[12:12 + header_len])
+        header["text_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        container.write(cache, b"EVWV", 3, header, [b"a\nb\nc", np.array(want[1].vectors)])
+        assert_same_load(load_word_vectors(path), want)
+        assert len(parses) == 2 and cache.read_bytes() == whole
+
+    def test_text_rewritten_during_the_parse_keys_the_bytes_parsed(self, tmp_path,
+                                                                  monkeypatch):
+        """A cold load keys its cache on the bytes the parse read, not on a
+        second read of the file, so a rewrite between the two cannot pair the
+        old matrix with the new text."""
+        path = tmp_path / "v.txt"
+        path.write_text("dog 3.0 4.0\n")
+        parse = embeddings._parse_word_vectors
+
+        def parse_then_rewrite(*args):
+            parsed = parse(*args)
+            with open(path, "r+b") as fh:  # in place: same file, same size
+                fh.write(b"dog 3.0 5.0\n")
+            return parsed
+
+        monkeypatch.setattr(embeddings, "_parse_word_vectors", parse_then_rewrite)
+        assert load_word_vectors(path)[1].vector("dog").tolist() == [3.0, 4.0]
+        monkeypatch.setattr(embeddings, "_parse_word_vectors", parse)
+        for _ in range(2):
+            assert load_word_vectors(path)[1].vector("dog").tolist() == [3.0, 5.0]
+
+    def test_warm_load_hashes_the_token_section_alone(self, tmp_path, parses, monkeypatch):
+        path = make_embedding_file(tmp_path, [f"t{i}" for i in range(50)], dim=8)
+        _, emb = load_word_vectors(path)
+        tokens = len("\n".join(f"t{i}" for i in range(50)))
+        fed = []
+        sha256 = hashlib.sha256
+
+        class Counted:
+            def __init__(self, data=b""):
+                self._h = sha256(data)
+                fed.append(len(data))
+
+            def update(self, data):
+                fed.append(memoryview(data).nbytes)
+                self._h.update(data)
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counted)
+        load_word_vectors(path)
+        assert len(parses) == 1
+        assert sum(fed) == tokens + 1 + len(json.dumps(list(emb.magnitudes())))
+        assert sum(fed) * 5 < path.stat().st_size
+
     def test_unwritable_cache_path_still_loads(self, tmp_path, parses):
         path = make_embedding_file(tmp_path, ["a", "b"], dim=2)
         want = load_word_vectors(path)
@@ -266,6 +325,21 @@ class TestWordVectorCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt",
                                                               "vectors.txt.evicache"]
         assert cache_of(path).is_dir() and len(parses) == 2
+
+    def test_unwritable_directory_gets_no_text_copy_and_no_cache(self, tmp_path, parses,
+                                                                 monkeypatch):
+        path = make_embedding_file(tmp_path, ["a", "b"], dim=2)
+        want = load_word_vectors(path)
+        cache_of(path).unlink()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: mode != os.W_OK and access(p, mode))
+        made = []
+        private_file = embeddings._private_file
+        monkeypatch.setattr(embeddings, "_private_file",
+                            lambda directory: made.append(directory) or private_file(directory))
+        assert_same_load(load_word_vectors(path), want)
+        assert len(parses) == 2 and len(made) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
 
     def test_failed_rename_leaves_no_files(self, tmp_path, parses, monkeypatch):
         path = make_embedding_file(tmp_path, ["a", "b"], dim=2)
@@ -305,9 +379,9 @@ class TestWordVectorCache:
 
     def test_mutated_cache_header_or_tokens_never_change_the_load(self, tmp_path):
         """Truncate the cache anywhere, or flip or overwrite any byte ahead of
-        the matrix: the load neither raises nor differs from the text parse,
-        since a damaged cache is rebuilt.  The matrix is trusted as written,
-        so its bytes are not mutated here."""
+        the matrix, in the stored text most often: the load neither raises
+        nor differs from the text parse, since a damaged cache is rebuilt.
+        The matrix is trusted as written, so its bytes are not mutated here."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         path = tmp_path / "v.txt"
@@ -318,8 +392,9 @@ class TestWordVectorCache:
         whole = cache.read_bytes()  # the float64 cache, written last
         (header_len,) = struct.unpack("<I", whole[8:12])
         header = json.loads(whole[12:12 + header_len])
-        (_, matrix_at), _ = container.section_offsets(header_len,
-                                                      [header["token_bytes"], 0])
+        (_, text_at, matrix_at), _ = container.section_offsets(
+            header_len, [header["token_bytes"], header["text_bytes"], 0])
+        assert whole[text_at:matrix_at].rstrip(b"\0") == path.read_bytes()
 
         @hypothesis.settings(max_examples=300)
         @hypothesis.given(st.data())
@@ -329,7 +404,8 @@ class TestWordVectorCache:
             if kind == "truncate":
                 raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
             else:
-                at = data.draw(st.integers(0, matrix_at - 1))
+                start = data.draw(st.sampled_from([0, text_at]))
+                at = data.draw(st.integers(start, text_at + header["text_bytes"] - 1))
                 if kind == "flip":
                     raw[at] ^= 1 << data.draw(st.integers(0, 7))
                 else:
@@ -382,24 +458,24 @@ class TestPrefixKey:
         cache_of(path).unlink()
         assert_same_load(got, load_word_vectors(path, limit))
 
-    def test_warm_limited_load_hashes_only_the_text_it_read(self, tmp_path, parses,
-                                                            monkeypatch):
+    def test_warm_limited_load_compares_only_the_text_it_read(self, tmp_path, parses,
+                                                              monkeypatch):
         path = make_embedding_file(tmp_path, [f"t{i}" for i in range(50)], dim=4)
         load_word_vectors(path, vocab_limit=3)
         read = len(b"".join(path.read_bytes().splitlines(keepends=True)[:3]))
-        hashed = []
-        prefix_sha256 = container.prefix_sha256
+        compared = []
+        equal_prefix = container.equal_prefix
 
-        def counted(fh, size):
+        def counted(fh, other, size):
             start = fh.tell()
-            digest = prefix_sha256(fh, size)
-            hashed.append(fh.tell() - start)
-            return digest
+            equal = equal_prefix(fh, other, size)
+            compared.append(fh.tell() - start)
+            return equal
 
-        monkeypatch.setattr(container, "prefix_sha256", counted)
+        monkeypatch.setattr(container, "equal_prefix", counted)
         vocab, _ = load_word_vectors(path, vocab_limit=3)
         assert len(parses) == 1 and len(vocab) == 3
-        assert hashed == [read] and read * 10 < path.stat().st_size
+        assert compared == [read] and read * 10 < path.stat().st_size
 
 
 def write_random_vectors(path, rows: int, dim: int):

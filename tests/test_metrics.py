@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from evicred.errors import ContractError, DegenerateInputError
+from evicred.errors import ContractError, DegenerateInputError, ShapeError
 from evicred.metrics import (
     MetricReport,
     _average_ranks,
@@ -129,6 +129,24 @@ class TestRankingAuc:
     def test_single_class_is_undefined(self):
         assert ranking_auc([0.3, 0.7], [1, 1]) is None
         assert ranking_auc([0.3, 0.7], [0, 0]) is None
+
+    @pytest.mark.parametrize("scores,labels", [([0.1, 0.2], [1]), ([0.1], [1, 0]),
+                                               ([[0.1, 0.2]], [[1, 0]])],
+                             ids=["more-scores", "more-labels", "2-D"])
+    def test_scores_and_labels_of_other_shapes_raise(self, scores, labels):
+        with pytest.raises(ShapeError):
+            ranking_auc(scores, labels)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_raises(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            ranking_auc([0.1, bad, 0.3], [1, 0, 0])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_label_other_than_zero_or_one_raises(self, bad):
+        # Such a label used to take a rank, so the AUC could pass 1 (2.0 here).
+        with pytest.raises(ContractError, match="0 or 1"):
+            ranking_auc([0.1, 0.5, 0.9], [0, bad, 1])
 
 
 class TestMacroF1:

@@ -318,6 +318,25 @@ class TestAttend:
         with pytest.raises(DegenerateInputError):
             attend(np.zeros((0, hyper.word_dim)), claim_vec, params)
 
+    def test_claim_vector_of_the_wrong_width_raises(self):
+        hyper, params, embeds, _ = self.world()
+        wide = np.ones(hyper.word_dim + 1)
+        with pytest.raises(ShapeError, match=rf"\(5,\) are not {hyper.word_dim}-dimensional"):
+            attend(embeds, wide, params)
+        with pytest.raises(ShapeError, match="not 4-dimensional"):
+            attend(embeds[:, None, :], wide[None], params)
+
+    def test_claim_vectors_for_another_batch_raise(self):
+        hyper, params, embeds, _ = self.world()
+        with pytest.raises(ShapeError, match="3 claim vectors for 1 articles"):
+            attend(embeds[:, None, :], np.ones((3, hyper.word_dim)), params)
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 1, 1, 4)], ids=["1-D", "4-D"])
+    def test_embeddings_of_another_rank_raise(self, shape):
+        hyper, params, _, claim_vec = self.world()
+        with pytest.raises(ShapeError, match="got shape"):
+            attend(np.ones(shape), claim_vec, params)
+
 
 class TestArticleVector:
     def test_matches_numpy_oracle(self):

@@ -746,8 +746,9 @@ class TestDtypes:
         b = Tensor(np.ones((2, 2), dtype=np.float32))
         assert matmul(a, b).data.dtype == np.float32
 
-    @pytest.mark.parametrize("data", [5.0, [1.0, 2.0], np.zeros((2, 2, 2))],
-                             ids=["scalar", "vector", "3-D"])
+    @pytest.mark.parametrize("data", [5.0, [1.0, 2.0], np.zeros((2, 2, 2)),
+                                      [[1.0], [2.0, 3.0]]],
+                             ids=["scalar", "vector", "3-D", "ragged"])
     def test_anything_but_a_matrix_is_refused(self, data):
         with pytest.raises(ShapeError):
             Tensor(data)
