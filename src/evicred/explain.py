@@ -71,6 +71,8 @@ def shade_buckets(weights: list[float]) -> list[int]:
     if not weights:
         raise DegenerateInputError("no weights to bucket")
     arr = np.asarray(weights, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ContractError("attention weights must be finite")
     cuts = np.percentile(arr, np.linspace(0, 100, SHADE_LEVELS + 1)[1:-1])
     return (arr[:, None] > cuts).sum(axis=1).tolist()
 

@@ -125,7 +125,11 @@ def macro_f1(pred, true, classes: int) -> float:
     A class nobody predicted and nobody holds scores zero, pulling the
     macro average down instead of being skipped.
     """
-    return _macro_f1(*_class_counts(np.asarray(pred), np.asarray(true), classes))
+    pred, true = np.asarray(pred), np.asarray(true)
+    if pred.shape != true.shape or pred.ndim != 1:
+        raise ShapeError(f"predictions {pred.shape} and labels {true.shape} must be "
+                         f"vectors of one length")
+    return _macro_f1(*_class_counts(pred, true, classes))
 
 
 def _macro_f1(tp: np.ndarray, predicted: np.ndarray, held: np.ndarray) -> float:
@@ -199,8 +203,11 @@ def mode_report(mode: str, predictions, labels) -> MetricReport:
     predictions are credibilities for the binary report, and rows of
     class probabilities give the multi-class report of their argmax, over
     as many classes as a row has or the largest label needs.  A class
-    label that is not a whole number from 0 up raises ContractError.
+    label that is not a whole number from 0 up raises ContractError, and so
+    does a mode other than ``classify`` and ``regress``.
     """
+    if mode not in ("classify", "regress"):
+        raise ContractError(f"mode must be 'classify' or 'regress', got {mode!r}")
     if mode == "regress":
         return regression_report([float(p) for p in predictions],
                                  [float(t) for t in labels])

@@ -344,7 +344,11 @@ def article_vector(hidden: Tensor, weights: Tensor, lengths: np.ndarray) -> Tens
     steps, batch = weights.shape
     if hidden.cols != steps * batch:
         raise ShapeError(f"{hidden.cols} hidden states but {steps} x {batch} weights")
-    inv = (1.0 / np.asarray(lengths, dtype=np.float64)).astype(hidden.data.dtype)
+    lengths = np.asarray(lengths, dtype=np.float64)
+    if not (lengths >= 1).all():  # NaN fails too
+        raise DegenerateInputError(f"every item needs a length of at least 1, "
+                                   f"got {lengths.tolist()}")
+    inv = (1.0 / lengths).astype(hidden.data.dtype)
     return affine(step_weighted_sum(hidden, weights), inv.reshape(1, batch))
 
 
@@ -507,19 +511,27 @@ class CredibilityModel:
 def aggregate(scores: Sequence) -> float | np.ndarray:
     """Mean per-article score; exact summation keeps it order-independent.
 
-    Scalar scores give a float; rows of class probabilities give the
-    per-class means as an array.
+    Scalar scores give a float; rows of class probabilities, all of one
+    length, give the per-class means as an array.
     """
     if len(scores) == 0:
         raise DegenerateInputError("no article scores to aggregate")
-    if np.ndim(scores[0]) == 0:
-        return math.fsum(float(s) for s in scores) / len(scores)
-    return np.array([math.fsum(float(p[i]) for p in scores) / len(scores)
-                     for i in range(len(scores[0]))])
+    try:
+        if np.ndim(scores[0]) == 0:
+            return math.fsum(float(s) for s in scores) / len(scores)
+        width = len(scores[0])
+        if any(len(p) != width for p in scores):
+            raise ShapeError(f"probability rows of lengths {[len(p) for p in scores]}")
+        return np.array([math.fsum(float(p[i]) for p in scores) / len(scores)
+                         for i in range(width)])
+    except (TypeError, ValueError) as e:
+        raise ContractError(f"article scores must be numbers ({e})") from None
 
 
 def verdict(credibility: float) -> int:
     """Binary decision at the 0.5 threshold; 1 means credible."""
+    if not math.isfinite(credibility):
+        raise ContractError(f"credibility must be finite, got {credibility!r}")
     return 1 if credibility >= 0.5 else 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ __all__ = [
     "OptimizerState",
     "loss",
     "adam_step",
-    "FitResult",
+    "FitState",
     "FoldOutcome",
     "fit",
     "train",
@@ -66,12 +67,9 @@ class TrainConfig:
             raise ContractError("epsilon must be finite and positive")
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
             raise ContractError("l2_lambda must be finite and non-negative")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be at least 1")
-        if self.max_epochs < 1:
-            raise ContractError("max_epochs must be at least 1")
-        if self.patience < 1:
-            raise ContractError("patience must be at least 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1")
         _check_seed(self.seed)
         if self.precision not in (32, 64):
             raise ContractError("precision must be 32 or 64")
@@ -113,10 +111,7 @@ def loss(score: Tensor, target, hyper: Hyperparams,
                         affine(clip(score, PROB_FLOOR, 1.0), onehot))
         base = affine(log(picked), -1.0)
     if params is not None and l2_lambda > 0.0:
-        penalty = None
-        for w in params.regularized():
-            term = sum_all(mul(w, w))
-            penalty = term if penalty is None else add(penalty, term)
+        penalty = reduce(add, (sum_all(mul(w, w)) for w in params.regularized()))
         base = add(base, affine(penalty, l2_lambda))
     return base
 
@@ -140,11 +135,8 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, named: dict[str, Tensor]) -> "OptimizerState":
-        return cls(
-            step_count=0,
-            first_moment={n: np.zeros_like(t.data) for n, t in named.items()},
-            second_moment={n: np.zeros_like(t.data) for n, t in named.items()},
-        )
+        return cls(first_moment={n: np.zeros_like(t.data) for n, t in named.items()},
+                   second_moment={n: np.zeros_like(t.data) for n, t in named.items()})
 
 
 def adam_step(named: dict[str, Tensor], state: OptimizerState,
@@ -167,10 +159,21 @@ def adam_step(named: dict[str, Tensor], state: OptimizerState,
 
 
 @dataclass
-class FitResult:
+class FitState:
+    """What a fit keeps from one epoch end to the next: the parameters, not
+    the model, so never the word vectors, and one history entry
+    ``(epoch, train_loss, val_value)`` per epoch run."""
+
     params: ModelParams
-    best_epoch: int
-    history: list[tuple[int, float, float | None]]
+    optimizer: OptimizerState
+    shuffle_rng: np.random.Generator
+    dropout_rng: np.random.Generator
+    epoch: int = field(default=0, init=False)
+    best_value: float | None = field(default=None, init=False)
+    best_snapshot: dict[str, np.ndarray] | None = field(default=None, init=False)
+    best_epoch: int = field(default=0, init=False)
+    stale: int = field(default=0, init=False)
+    history: list[tuple[int, float, float | None]] = field(default_factory=list, init=False)
 
 
 @dataclass
@@ -191,11 +194,10 @@ def _validation_value(report: MetricReport, hyper: Hyperparams) -> tuple[float, 
     return report.macro_f1, True
 
 
-def _expand_pairs(instances: Sequence[ClaimInstance]) -> list[tuple[Pair, float]]:
-    pairs = [(pair, inst.label) for inst in instances for pair in Pair.of(inst)]
-    if not pairs:
-        raise DegenerateInputError("no training pairs")
-    return pairs
+def _require_labels(instances: Sequence[ClaimInstance]) -> None:
+    for inst in instances:
+        if inst.label is None:
+            raise ContractError(f"claim {inst.claim_id} has no label")
 
 
 def _chunk_gradients(model: CredibilityModel, chunk: Sequence[Pair], labels,
@@ -211,6 +213,45 @@ def _chunk_gradients(model: CredibilityModel, chunk: Sequence[Pair], labels,
     return losses.data[0].tolist()
 
 
+def _fit_epoch(state: FitState, model: CredibilityModel,
+               pairs: Sequence[tuple[Pair, float]], config: TrainConfig,
+               val_instances: Sequence[ClaimInstance] | None) -> None:
+    """Advance ``state`` by one epoch of ``model``, whose parameters are
+    ``state.params``: shuffled mini-batches under Adam, then validation."""
+    state.epoch += 1
+    named = state.params.named()
+    order = state.shuffle_rng.permutation(len(pairs))
+    epoch_losses = []
+    for start in range(0, len(order), config.batch_size):
+        batch = [pairs[int(i)] for i in order[start : start + config.batch_size]]
+        for lo, hi in _chunk_spans([len(pair.article_tokens) for pair, _ in batch]):
+            chunk, labels = zip(*batch[lo:hi])
+            values = _chunk_gradients(model, chunk, labels, config.l2_lambda,
+                                      state.dropout_rng)
+            if not np.isfinite(values).all():
+                raise ContractError(f"loss became non-finite at epoch {state.epoch}")
+            epoch_losses.extend(values)
+        inv = 1.0 / len(batch)
+        for p in named.values():
+            if p.grad is not None:
+                p.grad = p.grad * inv
+        adam_step(named, state.optimizer, config)
+        zero_grads(named.values())
+    val_value: float | None = None
+    if val_instances:
+        _, report = evaluate(model, val_instances)
+        val_value, higher_better = _validation_value(report, model.hyper)
+        best = state.best_value
+        if best is None or (val_value > best if higher_better else val_value < best):
+            state.best_value, state.best_epoch, state.stale = val_value, state.epoch, 0
+            state.best_snapshot = state.params.snapshot()
+        else:
+            state.stale += 1
+    else:
+        state.best_epoch = state.epoch
+    state.history.append((state.epoch, float(np.mean(epoch_losses)), val_value))
+
+
 def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
         config: TrainConfig, word_embeddings: WordEmbeddings,
         article_sources: SourceEmbeddingTable,
@@ -218,85 +259,40 @@ def fit(train_instances: Sequence[ClaimInstance], hyper: Hyperparams,
         val_instances: Sequence[ClaimInstance] | None = None,
         seed_key: tuple[int, ...] = (0,),
         on_epoch: Callable[[int, float, float | None, CredibilityModel],
-                           bool | None] | None = None) -> FitResult:
-    """Train one model.
+                           bool | None] | None = None) -> FitState:
+    """Train one model: set up a ``FitState``, step it one epoch at a time,
+    and return it.
 
     Word vectors stay frozen; the source tables are reinitialized here so
     repeated fits (one per fold) never share trained rows.  With a
-    validation set, stops after ``patience`` epochs without improvement
-    and restores the best snapshot.  ``on_epoch`` receives the live model
-    and may return True to stop early, which capacity probes use once
-    training accuracy is high enough.
+    validation set, stops after ``patience`` epochs without improvement and
+    restores the best snapshot into ``params``.  ``on_epoch`` receives the
+    state's last history entry and the live model, and may return True to
+    stop early, which capacity probes use once training accuracy is high.
     """
-    for inst in train_instances:
-        if inst.label is None:
-            raise ContractError(f"claim {inst.claim_id} has no label")
-    dtype = config.dtype
+    _require_labels(train_instances)
     init_rng = np.random.default_rng((config.seed, *seed_key, 1))
-    shuffle_rng = np.random.default_rng((config.seed, *seed_key, 2))
-    dropout_rng = np.random.default_rng((config.seed, *seed_key, 3))
-
-    article_table = article_sources.reinitialized(init_rng, dtype)
+    article_table = article_sources.reinitialized(init_rng, config.dtype)
     claim_table = None
     if claim_sources is not None:
-        claim_table = claim_sources.reinitialized(init_rng, dtype)
+        claim_table = claim_sources.reinitialized(init_rng, config.dtype)
     params = ModelParams(hyper, init_rng, article_sources=article_table,
-                         claim_sources=claim_table, dtype=dtype)
+                         claim_sources=claim_table, dtype=config.dtype)
+    state = FitState(params, OptimizerState.for_params(params.named()),
+                     np.random.default_rng((config.seed, *seed_key, 2)),
+                     np.random.default_rng((config.seed, *seed_key, 3)))
     model = CredibilityModel(hyper, params, word_embeddings)
-    named = params.named()
-    state = OptimizerState.for_params(named)
-    pairs = _expand_pairs(train_instances)
-
-    best_value: float | None = None
-    best_snapshot = None
-    best_epoch = 0
-    stale = 0
-    history: list[tuple[int, float, float | None]] = []
-
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(pairs))
-        epoch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [pairs[int(i)] for i in order[start : start + config.batch_size]]
-            zero_grads(named.values())
-            for lo, hi in _chunk_spans([len(pair.article_tokens) for pair, _ in batch]):
-                chunk, labels = zip(*batch[lo:hi])
-                values = _chunk_gradients(model, chunk, labels, config.l2_lambda, dropout_rng)
-                if not np.isfinite(values).all():
-                    raise ContractError(f"loss became non-finite at epoch {epoch}")
-                epoch_losses.extend(values)
-            inv = 1.0 / len(batch)
-            for p in named.values():
-                if p.grad is not None:
-                    p.grad = p.grad * inv
-            adam_step(named, state, config)
-        train_loss = float(np.mean(epoch_losses))
-
-        val_value: float | None = None
-        if val_instances:
-            _, report = evaluate(model, val_instances)
-            val_value, higher_better = _validation_value(report, hyper)
-            improved = (best_value is None
-                        or (val_value > best_value if higher_better
-                            else val_value < best_value))
-            if improved:
-                best_value = val_value
-                best_snapshot = params.snapshot()
-                best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-        history.append((epoch, train_loss, val_value))
-        if on_epoch is not None and on_epoch(epoch, train_loss, val_value, model):
+    pairs = [(pair, inst.label) for inst in train_instances for pair in Pair.of(inst)]
+    if not pairs:
+        raise DegenerateInputError("no training pairs")
+    # Without validation ``stale`` stays 0, below any patience.
+    while state.epoch < config.max_epochs and state.stale < config.patience:
+        _fit_epoch(state, model, pairs, config, val_instances)
+        if on_epoch is not None and on_epoch(*state.history[-1], model):
             break
-        if val_instances and stale >= config.patience:
-            break
-
-    if best_snapshot is not None:
-        params.restore(best_snapshot)
-    else:
-        best_epoch = history[-1][0]
-    return FitResult(params=params, best_epoch=best_epoch, history=history)
+    if state.best_snapshot is not None:
+        params.restore(state.best_snapshot)
+    return state
 
 
 def evaluate(model: CredibilityModel,
@@ -305,9 +301,7 @@ def evaluate(model: CredibilityModel,
     mode-appropriate report."""
     if not instances:
         raise DegenerateInputError("no instances to evaluate")
-    for inst in instances:
-        if inst.label is None:
-            raise ContractError(f"claim {inst.claim_id} has no label")
+    _require_labels(instances)
     preds = model.score_claims(instances)
     return preds, mode_report(model.hyper.mode, preds,
                               [inst.label for inst in instances])
@@ -317,50 +311,56 @@ def train(instances: Sequence[ClaimInstance], plan: FoldPlan, hyper: Hyperparams
           config: TrainConfig, word_embeddings: WordEmbeddings, *,
           min_article_support: int, min_claim_support: int,
           progress: Callable[[str], None] | None = None) -> list[FoldOutcome]:
-    """Cross-validated training: one model per fold, tested on that fold.
+    """Cross-validated training: one ``_train_fold`` per fold of ``plan``, in
+    order; ``progress`` receives each ``train_log.txt`` line as it is made."""
+    return [_train_fold(instances, plan, fold, hyper, config, word_embeddings,
+                        min_article_support, min_claim_support, progress)
+            for fold in range(plan.n_folds)]
 
-    Every fold shares the same validation holdout for early stopping and
-    reinitializes its parameters from a fold-specific seed.  A fold's
-    source tables keep the sources that its own training claims name at
-    least ``min_article_support`` (article sources) or
-    ``min_claim_support`` (claim sources) times; every other source,
-    test-fold ones included, shares the fallback row.
-    """
+
+def _train_fold(instances: Sequence[ClaimInstance], plan: FoldPlan, fold: int,
+                hyper: Hyperparams, config: TrainConfig, word_embeddings: WordEmbeddings,
+                min_article_support: int, min_claim_support: int,
+                progress: Callable[[str], None] | None) -> FoldOutcome:
+    """Fit one fold of ``plan`` and test it; all arguments but ``progress``
+    pickle, and a plan naming an unknown claim is refused before any fold
+    trains.  Each fold stops early on the plan's validation claims, draws its
+    parameters from its own seed, and keeps the sources its training claims
+    name ``min_article_support`` (article) or ``min_claim_support`` (claim)
+    times or more; every other source, test-fold ones too, shares one row."""
     by_id = {inst.claim_id: inst for inst in instances}
     missing = [cid for ids in ([plan.validation] + plan.folds) for cid in ids
                if cid not in by_id]
     if missing:
         raise ContractError(f"fold plan names unknown claims: {missing[:3]}")
-    val_instances = [by_id[cid] for cid in plan.validation]
-    outcomes = []
-    for fold in range(plan.n_folds):
-        train_insts = [by_id[cid] for cid in plan.train_ids(fold)]
-        test_insts = [by_id[cid] for cid in plan.test_ids(fold)]
-        if progress is not None:
-            progress(f"fold {fold}: {len(train_insts)} train claims, "
-                     f"{len(test_insts)} test claims")
-        claim_counts, article_counts = source_counts(train_insts)
-        article_table = build_source_table(
-            article_counts, min_article_support, hyper.article_source_dim,
-            None, "article_source_table", config.dtype)
-        claim_table = None
-        if hyper.claim_source_dim is not None:
-            claim_table = build_source_table(
-                claim_counts, min_claim_support, hyper.claim_source_dim,
-                None, "claim_source_table", config.dtype)
+    train_insts = [by_id[cid] for cid in plan.train_ids(fold)]
+    test_insts = [by_id[cid] for cid in plan.test_ids(fold)]
+    if progress is not None:
+        progress(f"fold {fold}: {len(train_insts)} train claims, "
+                 f"{len(test_insts)} test claims")
+    claim_counts, article_counts = source_counts(train_insts)
+    article_table = build_source_table(
+        article_counts, min_article_support, hyper.article_source_dim,
+        None, "article_source_table", config.dtype)
+    claim_table = None
+    if hyper.claim_source_dim is not None:
+        claim_table = build_source_table(
+            claim_counts, min_claim_support, hyper.claim_source_dim,
+            None, "claim_source_table", config.dtype)
+    log = None if progress is None else partial(_log_epoch, progress, fold)
+    state = fit(train_insts, hyper, config, word_embeddings, article_table,
+                claim_table, val_instances=[by_id[cid] for cid in plan.validation],
+                seed_key=(fold,), on_epoch=log)
+    _, report = evaluate(CredibilityModel(hyper, state.params, word_embeddings),
+                         test_insts)
+    return FoldOutcome(fold, state.params, report, state.best_epoch)
 
-        def log_epoch(epoch, train_loss, val_value, _model):
-            shown = "-" if val_value is None else f"{val_value:.6f}"
-            progress(f"fold {fold} epoch {epoch} train_loss {train_loss:.6f} val {shown}")
 
-        result = fit(train_insts, hyper, config, word_embeddings, article_table,
-                     claim_table, val_instances=val_instances, seed_key=(fold,),
-                     on_epoch=log_epoch if progress else None)
-        model = CredibilityModel(hyper, result.params, word_embeddings)
-        _, report = evaluate(model, test_insts)
-        outcomes.append(FoldOutcome(fold=fold, params=result.params,
-                                    report=report, best_epoch=result.best_epoch))
-    return outcomes
+def _log_epoch(progress: Callable[[str], None], fold: int, epoch: int,
+               train_loss: float, val_value: float | None, _model) -> None:
+    """The ``train_log.txt`` line of one finished epoch, from its history entry."""
+    shown = "-" if val_value is None else f"{val_value:.6f}"
+    progress(f"fold {fold} epoch {epoch} train_loss {train_loss:.6f} val {shown}")
 
 
 def gradient_check(*, seed: int = 0) -> float:

@@ -85,6 +85,13 @@ class TestShadeBuckets:
         with pytest.raises(DegenerateInputError):
             shade_buckets([])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, math.inf]],
+                             ids=["nan", "inf"])
+    def test_non_finite_weight_raises(self, weights):
+        # [nan, 0.5] used to shade as [0, 0].
+        with pytest.raises(ContractError, match="finite"):
+            shade_buckets(weights)
+
 
 class TestRender:
     def annotation(self, tokens=("plain", "hot"), weights=(0.1, 0.9)):

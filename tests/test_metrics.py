@@ -168,6 +168,13 @@ class TestMacroF1:
         got = macro_f1([0, 1], [0, 1], 3)
         assert got == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("pred,true", [
+        ([0, 1, 1], [0, 1]), ([0, 1], [0, 1, 1]), ([[0, 1]], [[0, 1]]),
+    ], ids=["more-predictions", "more-labels", "matrices"])
+    def test_predictions_and_labels_of_other_shapes_raise(self, pred, true):
+        with pytest.raises(ShapeError, match="vectors of one length"):
+            macro_f1(pred, true, 2)
+
 
 class TestClassificationReport:
     def test_threshold_and_per_class_accuracy(self):
@@ -291,6 +298,13 @@ def test_mode_report_picks_the_report_from_mode_and_shape():
         multiclass_report([0, 2], [0, 1], 3)
     # A label past the last probability widens the report, never indexes out.
     assert mode_report("classify", [[0.4, 0.6]], [2]).support == [0, 0, 1]
+
+
+@pytest.mark.parametrize("mode", ["x", "classification", None])
+def test_mode_report_refuses_a_mode_that_does_not_exist(mode):
+    # Any mode but "regress" used to get a classification report.
+    with pytest.raises(ContractError, match="'classify' or 'regress'"):
+        mode_report(mode, [0.9, 0.2], [1, 0])
 
 
 @pytest.mark.parametrize("label", [-1, 2.5, 0.5])

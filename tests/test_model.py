@@ -355,6 +355,16 @@ class TestArticleVector:
         with pytest.raises(ShapeError):
             article_vector(states, Tensor(np.ones((4, 1))), np.array([4]))
 
+    @pytest.mark.parametrize("lengths", [[3, 0], [-1, 3], [np.nan, 3]],
+                             ids=["zero", "negative", "nan"])
+    def test_length_below_one_raises(self, lengths):
+        # A zero length divided by zero: a RuntimeWarning and infinite columns.
+        hyper, _, _, params = tiny_world()
+        embeds = random_embeds(3, hyper.word_dim)[:, None].repeat(2, axis=1)
+        states = bilstm_encode(embeds, params, np.array([3, 3]))
+        with pytest.raises(DegenerateInputError, match="at least 1"):
+            article_vector(states, Tensor(np.ones((3, 2))), np.array(lengths))
+
 
 def relu_np(x):
     return np.maximum(x, 0.0)
@@ -753,11 +763,32 @@ class TestAggregate:
         assert np.allclose(got, [0.4, 0.2, 0.4], atol=1e-15)
         assert math.fsum(got) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [
+        [[0.1, 0.9], [0.2, 0.3, 0.5]], [[0.2, 0.3, 0.5], [0.1, 0.9]],
+    ], ids=["longer-later", "shorter-later"])
+    def test_rows_of_unequal_length_raise(self, rows):
+        # The first used to drop a column silently, the second to raise IndexError.
+        with pytest.raises(ShapeError, match=r"lengths \["):
+            aggregate(rows)
+
+    @pytest.mark.parametrize("scores", [["x"], [0.5, "x"], [0.5, None], [[0.5, "x"]]],
+                             ids=["text", "text-later", "none", "text-in-row"])
+    def test_non_numeric_score_raises(self, scores):
+        with pytest.raises(ContractError, match="must be numbers"):
+            aggregate(scores)
+
 
 def test_verdict_threshold():
     assert verdict(0.5) == 1
     assert verdict(0.4999) == 0
     assert verdict(0.9) == 1
+
+
+@pytest.mark.parametrize("credibility", [math.nan, math.inf, -math.inf])
+def test_verdict_refuses_a_non_finite_credibility(credibility):
+    # NaN compares false with 0.5, so it used to read as "not credible".
+    with pytest.raises(ContractError, match="finite"):
+        verdict(credibility)
 
 
 class TestCheckpoints:

@@ -2,9 +2,13 @@
 
 Loss values are checked against hand-computed numbers, Adam against its
 closed-form first step, and the fit loop against behavioral contracts:
-determinism, descent, early stop, best-epoch restore.
+determinism, descent, early stop, best-epoch restore, and a fit state that
+carries everything one epoch hands the next.
 """
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 from evicred import training
 from evicred.corpus import make_folds
 from evicred.errors import ContractError, DegenerateInputError
-from evicred.embeddings import SourceEmbeddingTable
+from evicred.embeddings import SourceEmbeddingTable, Vocabulary, WordEmbeddings
 from evicred.model import (
     CHUNK_TOKENS,
     CredibilityModel,
@@ -222,7 +226,8 @@ class TestFit:
         assert watched == pytest.approx(best, abs=1e-12)
 
     def test_progress_lines_mention_epochs(self):
-        # ``train`` writes each line from what ``fit``'s ``on_epoch`` passes.
+        # ``train`` writes each epoch line from the last history entry of the
+        # fit state, which ``fit`` passes to ``on_epoch``.
         instances, emb, hyper, _ = small_world(n_claims=14, seed=23)
         plan = make_folds(instances, seed=0, n_folds=2)
         lines = []
@@ -240,6 +245,87 @@ class TestFit:
         _, emb, hyper, table = small_world()
         with pytest.raises(DegenerateInputError):
             fit([], hyper, TrainConfig(max_epochs=1), emb, table)
+
+
+def fit_recording(monkeypatch, *args, **kwargs):
+    """``fit``'s final state, and before each epoch a deep copy of the state
+    with the pairs that epoch trains on."""
+    before = []
+    step = training._fit_epoch
+
+    def recording(state, model, pairs, config, val_instances):
+        before.append((copy.deepcopy(state), pairs))
+        step(state, model, pairs, config, val_instances)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_fit_epoch", recording)
+        return fit(*args, **kwargs), before
+
+
+def assert_same_fit(a, b):
+    assert a.history == b.history
+    assert (a.epoch, a.best_epoch, a.stale) == (b.epoch, b.best_epoch, b.stale)
+    assert a.optimizer.step_count == b.optimizer.step_count
+    for name, p in a.params.named().items():
+        q = b.params.named()[name]
+        assert p.data.dtype == q.data.dtype and p.data.tobytes() == q.data.tobytes(), name
+        assert (a.optimizer.first_moment[name].tobytes()
+                == b.optimizer.first_moment[name].tobytes()), name
+        assert (a.optimizer.second_moment[name].tobytes()
+                == b.optimizer.second_moment[name].tobytes()), name
+    for rng in ("shuffle_rng", "dropout_rng"):
+        assert (getattr(a, rng).bit_generator.state
+                == getattr(b, rng).bit_generator.state), rng
+
+
+class TestFitState:
+    def test_stepping_by_hand_equals_fit(self, monkeypatch):
+        instances, emb, hyper, table = small_world()
+        hyper = replace(hyper, dropout=0.5)
+        config = TrainConfig(max_epochs=4, batch_size=4, seed=6)
+        fitted, before = fit_recording(monkeypatch, instances, hyper, config, emb, table)
+        state, pairs = before[0]
+        assert state.epoch == 0 and state.history == []
+        model = CredibilityModel(hyper, state.params, emb)
+        for _ in range(config.max_epochs):
+            training._fit_epoch(state, model, pairs, config, None)
+        assert len(state.history) == 4
+        assert_same_fit(state, fitted)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_a_copy_stepped_on_resumes_an_early_stopped_fit(self, monkeypatch, dropout):
+        # A resume in memory: a copy of the state at an epoch end, stepped on
+        # under the same stopping rule, ends where the fit ended.
+        instances, emb, hyper, table = small_world(n_claims=14, seed=22)
+        hyper = replace(hyper, dropout=dropout)
+        train_insts, val_insts = instances[:10], instances[10:]
+        config = TrainConfig(learning_rate=0.01, max_epochs=25, patience=3,
+                             batch_size=4, seed=3)
+        fitted, before = fit_recording(monkeypatch, train_insts, hyper, config, emb,
+                                       table, val_instances=val_insts)
+        assert fitted.epoch < config.max_epochs, "the fit must stop early"
+        assert fitted.best_epoch < fitted.epoch
+        for k in (1, fitted.best_epoch, fitted.epoch - 1):
+            state, pairs = copy.deepcopy(before[k])
+            assert state.epoch == k
+            model = CredibilityModel(hyper, state.params, emb)
+            while state.epoch < config.max_epochs and state.stale < config.patience:
+                training._fit_epoch(state, model, pairs, config, val_insts)
+            state.params.restore(state.best_snapshot)
+            assert_same_fit(state, fitted)
+
+    def test_pickled_state_holds_no_vocabulary(self):
+        instances, emb, hyper, table = small_world()
+        extra = [f"unused{i}" for i in range(4000)]
+        emb = WordEmbeddings(Vocabulary(emb.vocab.tokens + extra),
+                             np.vstack([emb.vectors, np.ones((len(extra), emb.dim))]))
+        state = fit(instances, hyper, TrainConfig(max_epochs=2, batch_size=4), emb, table)
+        arrays = sum(t.data.nbytes for t in state.params.named().values())
+        arrays += sum(m.nbytes for m in state.optimizer.first_moment.values())
+        arrays += sum(v.nbytes for v in state.optimizer.second_moment.values())
+        header = 8_000
+        assert emb.vectors.nbytes > 10 * header
+        assert len(pickle.dumps(state)) < arrays + header
 
 
 class TestEvaluate:
@@ -308,6 +394,28 @@ class TestCrossValidation:
         for outcome in outcomes:
             assert outcome.report.n == len(plan.test_ids(outcome.fold))
             assert outcome.best_epoch >= 1
+
+    def test_fold_arguments_and_outcome_survive_pickle(self):
+        # What a fold run in another process would send and get back; no
+        # process is started here.
+        instances, emb, hyper, _ = small_world(n_claims=14, seed=23)
+        hyper = replace(hyper, claim_source_dim=2, dropout=0.5)
+        for i, inst in enumerate(instances):
+            inst.claim_source = f"speaker{i % 3}"
+        plan = make_folds(instances, seed=0, n_folds=2)
+        config = TrainConfig(max_epochs=2, batch_size=4, seed=4)
+        args = (instances, plan, 1, hyper, config, emb, 1, 1, None)
+        outcome = training._train_fold(*args)
+        copied = pickle.loads(pickle.dumps(outcome))
+        moved = training._train_fold(*pickle.loads(pickle.dumps(args)))
+        served = train(instances, plan, hyper, config, emb,
+                       min_article_support=1, min_claim_support=1)[1]
+        for other in (copied, moved, served):
+            assert (other.fold, other.best_epoch) == (outcome.fold, outcome.best_epoch)
+            assert other.report == outcome.report
+            assert other.params.claim_sources.sources == outcome.params.claim_sources.sources
+            for name, p in outcome.params.named().items():
+                assert other.params.named()[name].data.tobytes() == p.data.tobytes(), name
 
     def test_unknown_claim_in_plan_raises(self):
         instances, emb, hyper, _ = small_world(n_claims=14)
